@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Compiles verified kernel IR into a register-allocated linear bytecode,
-/// the input of the fast execution tiers (see BytecodeExec.h):
+/// the input of the batched execution tier (see BytecodeExec.h):
 ///
 ///  * SSA values live in virtual registers assigned by a liveness pass:
 ///    a backward dataflow fixpoint computes per-block live-in/live-out
@@ -44,8 +44,9 @@ namespace sim {
 namespace bc {
 
 /// Bytecode opcodes. Specialized per address space (G/L/P suffix) and
-/// operand scalar kind (I/F/B suffix); the executors' dispatch tables are
-/// indexed by this enum, so the order here is load-bearing.
+/// operand scalar kind (I/F/B suffix). Each Cmp*I / Cmp*F run must stay
+/// contiguous in Eq, Ne, Lt, Le, Gt, Ge order: JmpCmp's Sub is an offset
+/// into it.
 enum class Op : uint8_t {
   AllocaP, ///< Dst = private-arena pointer at word offset Imm.
   AllocaL, ///< Dst = local-arena pointer at word offset Imm.
@@ -90,9 +91,6 @@ enum class Op : uint8_t {
   MulAddI, ///< MulI+AddI: Dst = A * B + C.
   MulAddF, ///< MulF+AddF: Dst = A * B + C, both roundings preserved.
 };
-
-/// Number of opcodes (dispatch table size).
-constexpr unsigned NumOpcodes = static_cast<unsigned>(Op::MulAddF) + 1;
 
 /// Sentinel for "this edge has no phi copies".
 constexpr uint32_t NoCopyList = ~0u;
@@ -141,7 +139,7 @@ struct SharedInit {
 };
 
 /// A compiled kernel: flat code, the edge copy lists, and the launch
-/// parameters the executors need. Immutable after compile(); safe to
+/// parameters the executor needs. Immutable after compile(); safe to
 /// share across concurrent launches.
 struct Program {
   std::vector<Instr> Code;

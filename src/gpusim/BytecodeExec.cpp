@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The fast execution tiers. Beyond the dispatch strategy (computed goto
-// in the scalar tier, one-instruction-per-work-group batching in the
-// batched tier), the engine differs from the tree walker in how it keeps
-// the SimReport accounting bit-identical without hashing on hot paths:
+// The batched execution tier. Beyond running one instruction across a
+// whole work group, the engine differs from the tree walker in how it
+// keeps the SimReport accounting bit-identical without hashing on hot
+// paths:
 //
 //  * Local bank-conflict accounting is direct-indexed: the (op, exec,
 //    wavefront) group keys and their per-bank counters live in flat
@@ -22,11 +22,11 @@
 //    are exec-numbered and unbounded) fronted by a last-key memo that
 //    absorbs the common consecutive-items-same-segment case.
 //
-// The batched tier stores the register file as structure-of-arrays value
-// / base / offset planes, so ALU handlers are dense contiguous loops the
-// compiler auto-vectorizes; work-group fragments stay as [First, First+N)
-// ranges while control flow is uniform and fall back to sorted item lists
-// only across divergent branches, re-densifying on reconvergence.
+// The register file is stored as structure-of-arrays value / base /
+// offset planes, so ALU handlers are dense contiguous loops the compiler
+// auto-vectorizes; work-group fragments stay as [First, First+N) ranges
+// while control flow is uniform and fall back to sorted item lists only
+// across divergent branches, re-densifying on reconvergence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,26 +34,17 @@
 
 #include "gpusim/CostModel.h"
 #include "gpusim/ExecCommon.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 
 using namespace kperf;
 using namespace kperf::sim;
 namespace irns = kperf::ir;
-
-// Dispatch strategy of the scalar tier. The batched tier always uses a
-// plain switch: its dispatch cost is amortized over the whole work group,
-// so a jump table buys nothing there.
-#if defined(__GNUC__) && !defined(KPERF_FORCE_SWITCH_DISPATCH)
-#define KPERF_GOTO_DISPATCH 1
-#else
-#define KPERF_GOTO_DISPATCH 0
-#endif
 
 namespace {
 
@@ -127,62 +118,12 @@ private:
   size_t Count = 0;
 };
 
-/// Comparison-kind dispatch for the fused JmpCmp ops; \p K is the offset
-/// from CmpEqI/CmpEqF (Eq, Ne, Lt, Le, Gt, Ge).
-inline bool cmpI(uint8_t K, int32_t X, int32_t Y) {
-  switch (K) {
-  case 0:
-    return X == Y;
-  case 1:
-    return X != Y;
-  case 2:
-    return X < Y;
-  case 3:
-    return X <= Y;
-  case 4:
-    return X > Y;
-  default:
-    return X >= Y;
-  }
-}
-
-inline bool cmpF(uint8_t K, float X, float Y) {
-  switch (K) {
-  case 0:
-    return X == Y;
-  case 1:
-    return X != Y;
-  case 2:
-    return X < Y;
-  case 3:
-    return X <= Y;
-  case 4:
-    return X > Y;
-  default:
-    return X >= Y;
-  }
-}
-
 /// Epoch-tagged counter cell of the direct-indexed local accounting. A
 /// cell whose tag is stale reads as zero; clearing a whole work group's
 /// worth of cells is one epoch increment.
 struct AcctCell {
   uint32_t V = 0;
   uint32_t E = 0;
-};
-
-/// Bytecode runtime value of the scalar tier. The address space of a
-/// pointer is static (the opcode encodes it), so only buffer base and
-/// element offset are carried.
-struct BcVal {
-  union {
-    int32_t I;
-    float F;
-  };
-  uint32_t Base;
-  int32_t Off;
-
-  BcVal() : I(0), Base(0), Off(0) {}
 };
 
 /// One cell of the batched tier's value plane; base/offset live in their
@@ -192,22 +133,13 @@ union Val32 {
   float F;
 };
 
-/// Item execution status at the end of a phase (mirrors the tree walker).
-enum class StopReason : uint8_t { Barrier, Returned, Fault };
-
-struct ItemState {
-  uint32_t Pc = 0;
-  StopReason Stop = StopReason::Returned;
-};
-
 class BcExecutor {
 public:
   BcExecutor(const bc::Program &Prog, const irns::Function &F, Range2 Global,
              Range2 Local, const std::vector<KernelArg> &Args,
-             std::vector<BufferData *> Buffers, const DeviceConfig &Device,
-             bool Batched)
+             std::vector<BufferData *> Buffers, const DeviceConfig &Device)
       : Prog(Prog), F(F), Global(Global), Local(Local), Args(Args),
-        Buffers(std::move(Buffers)), Device(Device), Batched(Batched) {}
+        Buffers(std::move(Buffers)), Device(Device) {}
 
   Expected<SimReport> run() {
     if (Error E = validateLaunch(F, Global, Local, Args, Buffers))
@@ -224,10 +156,15 @@ public:
 
     // Raw views: buffer contents and per-item geometry are read on every
     // memory access, so snapshot them out of their owning objects once.
-    Bufs.clear();
-    Bufs.reserve(Buffers.size());
-    for (BufferData *B : Buffers)
-      Bufs.push_back(BufRef{B->data(), B->size()});
+    // Only the slots the arguments name (validated non-null above) are
+    // read: the rest of a session's bank may be null (released) or be
+    // re-created by another thread while this launch runs.
+    Bufs.assign(Buffers.size(), BufRef{});
+    for (const KernelArg &Arg : Args)
+      if (Arg.K == KernelArg::Kind::Buffer) {
+        BufferData *B = Buffers[Arg.BufferIndex];
+        Bufs[Arg.BufferIndex] = BufRef{B->data(), B->size()};
+      }
     LxA.resize(BN);
     LyA.resize(BN);
     WfA.resize(BN);
@@ -248,7 +185,6 @@ public:
     initRegisters();
     PrivArena.assign(static_cast<size_t>(BN) * Prog.PrivateWords, 0);
     LocalArena.assign(Prog.LocalWords, 0);
-    States.assign(BN, ItemState());
     GlobalExec.assign(static_cast<size_t>(BN) * Prog.NumGlobalOps, 0);
     LocalExec.assign(static_cast<size_t>(BN) * Prog.NumLocalOps, 0);
     ReadSeen.assign(Bufs.size(), {});
@@ -288,10 +224,15 @@ private:
   /// NOT re-zeroed between groups: SSA dominance guarantees every read
   /// follows a write in the same item run, exactly as in the tree walker.
   void initRegisters() {
-    std::vector<BcVal> Shared(Prog.NumShared);
+    // Structure of arrays: register r of item i lives at plane[r*BN+i].
+    size_t Cells = static_cast<size_t>(Prog.NumRegs) * BN;
+    BVal.assign(Cells, Val32{0});
+    BBase.assign(Cells, 0);
+    BOff.assign(Cells, 0);
     for (uint32_t S = 0; S < Prog.NumShared; ++S) {
       const bc::SharedInit &SI = Prog.SharedInits[S];
-      BcVal &V = Shared[S];
+      Val32 V{0};
+      uint32_t Base = 0;
       switch (SI.K) {
       case bc::SharedInit::Kind::Arg: {
         const KernelArg &Arg = Args[SI.ArgIndex];
@@ -303,8 +244,7 @@ private:
           V.F = Arg.F;
           break;
         case KernelArg::Kind::Buffer:
-          V.Base = Arg.BufferIndex;
-          V.Off = 0;
+          Base = Arg.BufferIndex;
           break;
         }
         break;
@@ -316,38 +256,13 @@ private:
         V.F = SI.F;
         break;
       }
-    }
-    if (Batched) {
-      // Structure of arrays: register r of item i lives at plane[r*BN+i].
-      size_t Cells = static_cast<size_t>(Prog.NumRegs) * BN;
-      BVal.assign(Cells, Val32{0});
-      BBase.assign(Cells, 0);
-      BOff.assign(Cells, 0);
-      for (uint32_t S = 0; S < Prog.NumShared; ++S) {
-        Val32 V;
-        V.I = Shared[S].I;
-        std::fill_n(BVal.begin() + static_cast<size_t>(S) * BN, BN, V);
-        std::fill_n(BBase.begin() + static_cast<size_t>(S) * BN, BN,
-                    Shared[S].Base);
-        std::fill_n(BOff.begin() + static_cast<size_t>(S) * BN, BN,
-                    Shared[S].Off);
-      }
-    } else {
-      // Array of structures: item i's file at Regs[i*NumRegs], shared
-      // prefix copied per item so operand reads never branch on slot kind.
-      Regs.assign(static_cast<size_t>(BN) * Prog.NumRegs, BcVal());
-      for (unsigned Item = 0; Item < BN; ++Item)
-        std::copy(Shared.begin(), Shared.end(),
-                  Regs.begin() + static_cast<size_t>(Item) * Prog.NumRegs);
+      size_t Row = static_cast<size_t>(S) * BN;
+      std::fill_n(BVal.begin() + Row, BN, V);
+      std::fill_n(BBase.begin() + Row, BN, Base);
     }
   }
 
   //===--- Shared accounting (identical keys to the tree walker) -----------//
-
-  void fault(const std::string &Message) {
-    if (!Err)
-      Err = Error(Message);
-  }
 
   uint64_t segOfWord(uint64_t WordOff) const {
     if (SegPow2)
@@ -434,7 +349,6 @@ private:
   Error runGroup(unsigned GX, unsigned GY) {
     std::fill(PrivArena.begin(), PrivArena.end(), 0u);
     std::fill(LocalArena.begin(), LocalArena.end(), 0u);
-    std::fill(States.begin(), States.end(), ItemState());
     std::fill(GlobalExec.begin(), GlobalExec.end(), 0u);
     std::fill(LocalExec.begin(), LocalExec.end(), 0u);
     Segments.clear();
@@ -451,635 +365,14 @@ private:
     }
     GroupX = GX;
     GroupY = GY;
-    return Batched ? runGroupBatched() : runGroupScalar();
+    return runGroupBatched();
   }
 
-  Error runGroupScalar() {
-    unsigned Alive = BN;
-    bool First = true;
-    while (Alive > 0) {
-      uint32_t BarrierPc = ~0u;
-      unsigned Stopped = 0, Returned = 0;
-      for (unsigned Item = 0; Item < BN; ++Item) {
-        ItemState &S = States[Item];
-        if (!First && S.Stop == StopReason::Returned)
-          continue;
-        runItemScalar(Item);
-        if (Err)
-          return std::move(*Err);
-        if (States[Item].Stop == StopReason::Barrier) {
-          if (BarrierPc == ~0u)
-            BarrierPc = States[Item].Pc;
-          else if (BarrierPc != States[Item].Pc)
-            return makeError("kernel '%s': divergent barriers in work group "
-                             "(%u,%u)",
-                             F.name().c_str(), GroupX, GroupY);
-          ++Stopped;
-        } else {
-          ++Returned;
-        }
-      }
-      if (Stopped != 0 && Returned != 0)
-        return makeError(
-            "kernel '%s': barrier not reached by all items of group (%u,%u)",
-            F.name().c_str(), GroupX, GroupY);
-      Alive = Stopped;
-      First = false;
-    }
-    return Error::success();
-  }
-
-  //===--- Scalar tier: per-item dispatch loop ------------------------------//
-
-#if KPERF_GOTO_DISPATCH
-#define VM_CASE(Name) H_##Name
-#define VM_JUMP() goto *Table[static_cast<unsigned>(IP->Opc)]
-#define VM_NEXT()                                                              \
-  do {                                                                         \
-    ++IP;                                                                      \
-    VM_JUMP();                                                                 \
-  } while (0)
-#else
-#define VM_CASE(Name) case bc::Op::Name
-#define VM_JUMP() break
-#define VM_NEXT()                                                              \
-  {                                                                            \
-    ++IP;                                                                      \
-    break;                                                                     \
-  }
-#endif
-#define VM_FLUSH() (Group.AluOps += Alu)
-#define VM_FAULT(...)                                                          \
-  do {                                                                         \
-    fault(format(__VA_ARGS__));                                                \
-    States[Item].Stop = StopReason::Fault;                                     \
-    VM_FLUSH();                                                                \
-    return;                                                                    \
-  } while (0)
-
-  void runItemScalar(unsigned Item) {
-    BcVal *R = Regs.data() + static_cast<size_t>(Item) * Prog.NumRegs;
-    uint32_t *Priv =
-        Prog.PrivateWords
-            ? PrivArena.data() + static_cast<size_t>(Item) * Prog.PrivateWords
-            : nullptr;
-    const unsigned Lx = LxA[Item];
-    const unsigned Ly = LyA[Item];
-    const unsigned Wavefront = WfA[Item];
-    const bc::Instr *CodeP = Prog.Code.data();
-    const bc::Copy *CopyP = Prog.CopyPool.data();
-    const bc::CopyRange *RangeP = Prog.CopyRanges.data();
-    uint64_t Alu = 0; ///< Flushed into Group.AluOps at every exit point.
-    const bc::Instr *IP = CodeP + States[Item].Pc;
-
-#if KPERF_GOTO_DISPATCH
-    // One entry per bc::Op, in enum order.
-    static const void *const Table[bc::NumOpcodes] = {
-        &&H_AllocaP, &&H_AllocaL, &&H_LdG,    &&H_LdL,    &&H_LdP,
-        &&H_StG,     &&H_StL,     &&H_StP,    &&H_Gep,    &&H_AddI,
-        &&H_SubI,    &&H_MulI,    &&H_DivI,   &&H_RemI,   &&H_AddF,
-        &&H_SubF,    &&H_MulF,    &&H_DivF,   &&H_RemF,   &&H_CmpEqI,
-        &&H_CmpNeI,  &&H_CmpLtI,  &&H_CmpLeI, &&H_CmpGtI, &&H_CmpGeI,
-        &&H_CmpEqF,  &&H_CmpNeF,  &&H_CmpLtF, &&H_CmpLeF, &&H_CmpGtF,
-        &&H_CmpGeF,  &&H_AndB,    &&H_OrB,    &&H_NotB,   &&H_NegI,
-        &&H_NegF,    &&H_I2F,     &&H_F2I,    &&H_Sel,    &&H_DimQuery,
-        &&H_MinI,    &&H_MinF,    &&H_MaxI,   &&H_MaxF,   &&H_ClampI,
-        &&H_ClampF,  &&H_AbsI,    &&H_AbsF,   &&H_SqrtF,  &&H_ExpF,
-        &&H_LogF,    &&H_PowF,    &&H_FloorF, &&H_Bar,    &&H_Jmp,
-        &&H_JmpIf,   &&H_Ret,     &&H_LdGX,   &&H_LdLX,   &&H_LdPX,
-        &&H_StGX,    &&H_StLX,    &&H_StPX,   &&H_JmpCmpI,
-        &&H_JmpCmpF, &&H_MulAddI, &&H_MulAddF};
-    VM_JUMP();
-#else
-    for (;;) {
-      switch (IP->Opc) {
-#endif
-
-    VM_CASE(AllocaP) : {
-      BcVal &D = R[IP->Dst];
-      D.Base = 0;
-      D.Off = IP->Imm;
-      VM_NEXT();
-    }
-    VM_CASE(AllocaL) : {
-      BcVal &D = R[IP->Dst];
-      D.Base = 0;
-      D.Off = IP->Imm;
-      VM_NEXT();
-    }
-    VM_CASE(LdG) : {
-      const BcVal &P = R[IP->A];
-      const BufRef &B = Bufs[P.Base];
-      if (P.Off < 0 || static_cast<size_t>(P.Off) >= B.Size)
-        VM_FAULT("kernel '%s': global read out of bounds (buffer %u, offset "
-                 "%d, size %zu)",
-                 F.name().c_str(), P.Base, P.Off, B.Size);
-      R[IP->Dst].I = static_cast<int32_t>(B.Data[P.Off]);
-      ++Group.GlobalReads;
-      noteGlobalRead(Wavefront, P.Base, P.Off);
-      VM_NEXT();
-    }
-    VM_CASE(LdL) : {
-      const BcVal &P = R[IP->A];
-      if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= Prog.LocalWords)
-        VM_FAULT("kernel '%s': local read out of bounds (offset %d, size %u "
-                 "words)",
-                 F.name().c_str(), P.Off, Prog.LocalWords);
-      R[IP->Dst].I = static_cast<int32_t>(LocalArena[P.Off]);
-      ++Group.LocalAccesses;
-      noteLocalAccess(
-          LocalExec[static_cast<size_t>(Item) * Prog.NumLocalOps + IP->Aux]++,
-          IP->Aux, Wavefront, P.Off);
-      VM_NEXT();
-    }
-    VM_CASE(LdP) : {
-      const BcVal &P = R[IP->A];
-      if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= Prog.PrivateWords)
-        VM_FAULT("kernel '%s': private read out of bounds",
-                 F.name().c_str());
-      R[IP->Dst].I = static_cast<int32_t>(Priv[P.Off]);
-      ++Group.PrivateAccesses;
-      VM_NEXT();
-    }
-    VM_CASE(StG) : {
-      uint32_t Word = static_cast<uint32_t>(R[IP->A].I);
-      const BcVal &P = R[IP->B];
-      const BufRef &B = Bufs[P.Base];
-      if (P.Off < 0 || static_cast<size_t>(P.Off) >= B.Size)
-        VM_FAULT("kernel '%s': global write out of bounds (buffer %u, offset "
-                 "%d, size %zu)",
-                 F.name().c_str(), P.Base, P.Off, B.Size);
-      B.Data[P.Off] = Word;
-      ++Group.GlobalWrites;
-      noteGlobalWrite(
-          GlobalExec[static_cast<size_t>(Item) * Prog.NumGlobalOps +
-                     IP->Aux]++,
-          IP->Aux, Wavefront, P.Base, P.Off);
-      VM_NEXT();
-    }
-    VM_CASE(StL) : {
-      uint32_t Word = static_cast<uint32_t>(R[IP->A].I);
-      const BcVal &P = R[IP->B];
-      if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= Prog.LocalWords)
-        VM_FAULT("kernel '%s': local write out of bounds (offset %d, size %u "
-                 "words)",
-                 F.name().c_str(), P.Off, Prog.LocalWords);
-      LocalArena[P.Off] = Word;
-      ++Group.LocalAccesses;
-      noteLocalAccess(
-          LocalExec[static_cast<size_t>(Item) * Prog.NumLocalOps + IP->Aux]++,
-          IP->Aux, Wavefront, P.Off);
-      VM_NEXT();
-    }
-    VM_CASE(StP) : {
-      uint32_t Word = static_cast<uint32_t>(R[IP->A].I);
-      const BcVal &P = R[IP->B];
-      if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= Prog.PrivateWords)
-        VM_FAULT("kernel '%s': private write out of bounds",
-                 F.name().c_str());
-      Priv[P.Off] = Word;
-      ++Group.PrivateAccesses;
-      VM_NEXT();
-    }
-    VM_CASE(Gep) : {
-      const BcVal &P = R[IP->A];
-      int32_t NewOff = P.Off + R[IP->B].I;
-      BcVal &D = R[IP->Dst];
-      D.Base = P.Base;
-      D.Off = NewOff;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(AddI) : {
-      R[IP->Dst].I = R[IP->A].I + R[IP->B].I;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(SubI) : {
-      R[IP->Dst].I = R[IP->A].I - R[IP->B].I;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(MulI) : {
-      R[IP->Dst].I = R[IP->A].I * R[IP->B].I;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(DivI) : {
-      ++Alu;
-      int32_t Divisor = R[IP->B].I;
-      if (Divisor == 0)
-        VM_FAULT("kernel '%s': integer division by zero", F.name().c_str());
-      R[IP->Dst].I = R[IP->A].I / Divisor;
-      VM_NEXT();
-    }
-    VM_CASE(RemI) : {
-      ++Alu;
-      int32_t Divisor = R[IP->B].I;
-      if (Divisor == 0)
-        VM_FAULT("kernel '%s': integer division by zero", F.name().c_str());
-      R[IP->Dst].I = R[IP->A].I % Divisor;
-      VM_NEXT();
-    }
-    VM_CASE(AddF) : {
-      R[IP->Dst].F = R[IP->A].F + R[IP->B].F;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(SubF) : {
-      R[IP->Dst].F = R[IP->A].F - R[IP->B].F;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(MulF) : {
-      R[IP->Dst].F = R[IP->A].F * R[IP->B].F;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(DivF) : {
-      R[IP->Dst].F = R[IP->A].F / R[IP->B].F;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(RemF) : {
-      R[IP->Dst].F = 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpEqI) : {
-      R[IP->Dst].I = R[IP->A].I == R[IP->B].I ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpNeI) : {
-      R[IP->Dst].I = R[IP->A].I != R[IP->B].I ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpLtI) : {
-      R[IP->Dst].I = R[IP->A].I < R[IP->B].I ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpLeI) : {
-      R[IP->Dst].I = R[IP->A].I <= R[IP->B].I ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpGtI) : {
-      R[IP->Dst].I = R[IP->A].I > R[IP->B].I ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpGeI) : {
-      R[IP->Dst].I = R[IP->A].I >= R[IP->B].I ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpEqF) : {
-      R[IP->Dst].I = R[IP->A].F == R[IP->B].F ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpNeF) : {
-      R[IP->Dst].I = R[IP->A].F != R[IP->B].F ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpLtF) : {
-      R[IP->Dst].I = R[IP->A].F < R[IP->B].F ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpLeF) : {
-      R[IP->Dst].I = R[IP->A].F <= R[IP->B].F ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpGtF) : {
-      R[IP->Dst].I = R[IP->A].F > R[IP->B].F ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(CmpGeF) : {
-      R[IP->Dst].I = R[IP->A].F >= R[IP->B].F ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(AndB) : {
-      R[IP->Dst].I = (R[IP->A].I != 0 && R[IP->B].I != 0) ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(OrB) : {
-      R[IP->Dst].I = (R[IP->A].I != 0 || R[IP->B].I != 0) ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(NotB) : {
-      R[IP->Dst].I = R[IP->A].I == 0 ? 1 : 0;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(NegI) : {
-      R[IP->Dst].I = -R[IP->A].I;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(NegF) : {
-      R[IP->Dst].F = -R[IP->A].F;
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(I2F) : {
-      R[IP->Dst].F = static_cast<float>(R[IP->A].I);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(F2I) : {
-      R[IP->Dst].I = static_cast<int32_t>(R[IP->A].F);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(Sel) : {
-      R[IP->Dst] = R[IP->A].I != 0 ? R[IP->B] : R[IP->C];
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(DimQuery) : {
-      unsigned X = 0, Y = 0;
-      dimValues(static_cast<irns::Builtin>(IP->Sub), Lx, Ly, X, Y);
-      R[IP->Dst].I = R[IP->A].I == 0 ? static_cast<int32_t>(X)
-                                     : static_cast<int32_t>(Y);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(MinI) : {
-      R[IP->Dst].I = std::min(R[IP->A].I, R[IP->B].I);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(MinF) : {
-      R[IP->Dst].F = std::min(R[IP->A].F, R[IP->B].F);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(MaxI) : {
-      R[IP->Dst].I = std::max(R[IP->A].I, R[IP->B].I);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(MaxF) : {
-      R[IP->Dst].F = std::max(R[IP->A].F, R[IP->B].F);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(ClampI) : {
-      R[IP->Dst].I =
-          std::min(std::max(R[IP->A].I, R[IP->B].I), R[IP->C].I);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(ClampF) : {
-      R[IP->Dst].F =
-          std::min(std::max(R[IP->A].F, R[IP->B].F), R[IP->C].F);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(AbsI) : {
-      R[IP->Dst].I = std::abs(R[IP->A].I);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(AbsF) : {
-      R[IP->Dst].F = std::fabs(R[IP->A].F);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(SqrtF) : {
-      R[IP->Dst].F = std::sqrt(R[IP->A].F);
-      Alu += 4;
-      VM_NEXT();
-    }
-    VM_CASE(ExpF) : {
-      R[IP->Dst].F = std::exp(R[IP->A].F);
-      Alu += 4;
-      VM_NEXT();
-    }
-    VM_CASE(LogF) : {
-      R[IP->Dst].F = std::log(R[IP->A].F);
-      Alu += 4;
-      VM_NEXT();
-    }
-    VM_CASE(PowF) : {
-      R[IP->Dst].F = std::pow(R[IP->A].F, R[IP->B].F);
-      Alu += 4;
-      VM_NEXT();
-    }
-    VM_CASE(FloorF) : {
-      R[IP->Dst].F = std::floor(R[IP->A].F);
-      ++Alu;
-      VM_NEXT();
-    }
-    VM_CASE(Bar) : {
-      ++Group.Barriers;
-      States[Item].Pc = static_cast<uint32_t>(IP - CodeP) + 1;
-      States[Item].Stop = StopReason::Barrier;
-      VM_FLUSH();
-      return;
-    }
-    VM_CASE(Jmp) : {
-      if (IP->CL0 != bc::NoCopyList) {
-        const bc::CopyRange &CR = RangeP[IP->CL0];
-        for (uint32_t CI = CR.Begin; CI < CR.Begin + CR.Count; ++CI)
-          R[CopyP[CI].Dst] = R[CopyP[CI].Src];
-      }
-      IP = CodeP + IP->Imm;
-      ++Alu;
-      VM_JUMP();
-    }
-    VM_CASE(JmpIf) : {
-      uint32_t CL;
-      const bc::Instr *NI;
-      if (R[IP->A].I != 0) {
-        CL = IP->CL0;
-        NI = CodeP + IP->Imm;
-      } else {
-        CL = IP->CL1;
-        NI = CodeP + IP->Aux;
-      }
-      if (CL != bc::NoCopyList) {
-        const bc::CopyRange &CR = RangeP[CL];
-        for (uint32_t CI = CR.Begin; CI < CR.Begin + CR.Count; ++CI)
-          R[CopyP[CI].Dst] = R[CopyP[CI].Src];
-      }
-      IP = NI;
-      ++Alu;
-      VM_JUMP();
-    }
-    VM_CASE(Ret) : {
-      States[Item].Stop = StopReason::Returned;
-      VM_FLUSH();
-      return;
-    }
-    VM_CASE(LdGX) : {
-      const BcVal &P = R[IP->A];
-      int32_t Off = P.Off + R[IP->B].I;
-      ++Alu; // The folded address computation.
-      const BufRef &B = Bufs[P.Base];
-      if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-        VM_FAULT("kernel '%s': global read out of bounds (buffer %u, offset "
-                 "%d, size %zu)",
-                 F.name().c_str(), P.Base, Off, B.Size);
-      R[IP->Dst].I = static_cast<int32_t>(B.Data[Off]);
-      ++Group.GlobalReads;
-      noteGlobalRead(Wavefront, P.Base, Off);
-      VM_NEXT();
-    }
-    VM_CASE(LdLX) : {
-      int32_t Off = R[IP->A].Off + R[IP->B].I;
-      ++Alu;
-      if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.LocalWords)
-        VM_FAULT("kernel '%s': local read out of bounds (offset %d, size %u "
-                 "words)",
-                 F.name().c_str(), Off, Prog.LocalWords);
-      R[IP->Dst].I = static_cast<int32_t>(LocalArena[Off]);
-      ++Group.LocalAccesses;
-      noteLocalAccess(
-          LocalExec[static_cast<size_t>(Item) * Prog.NumLocalOps + IP->Aux]++,
-          IP->Aux, Wavefront, Off);
-      VM_NEXT();
-    }
-    VM_CASE(LdPX) : {
-      int32_t Off = R[IP->A].Off + R[IP->B].I;
-      ++Alu;
-      if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.PrivateWords)
-        VM_FAULT("kernel '%s': private read out of bounds",
-                 F.name().c_str());
-      R[IP->Dst].I = static_cast<int32_t>(Priv[Off]);
-      ++Group.PrivateAccesses;
-      VM_NEXT();
-    }
-    VM_CASE(StGX) : {
-      uint32_t Word = static_cast<uint32_t>(R[IP->A].I);
-      const BcVal &P = R[IP->B];
-      int32_t Off = P.Off + R[IP->C].I;
-      ++Alu;
-      const BufRef &B = Bufs[P.Base];
-      if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-        VM_FAULT("kernel '%s': global write out of bounds (buffer %u, offset "
-                 "%d, size %zu)",
-                 F.name().c_str(), P.Base, Off, B.Size);
-      B.Data[Off] = Word;
-      ++Group.GlobalWrites;
-      noteGlobalWrite(
-          GlobalExec[static_cast<size_t>(Item) * Prog.NumGlobalOps +
-                     IP->Aux]++,
-          IP->Aux, Wavefront, P.Base, Off);
-      VM_NEXT();
-    }
-    VM_CASE(StLX) : {
-      uint32_t Word = static_cast<uint32_t>(R[IP->A].I);
-      int32_t Off = R[IP->B].Off + R[IP->C].I;
-      ++Alu;
-      if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.LocalWords)
-        VM_FAULT("kernel '%s': local write out of bounds (offset %d, size %u "
-                 "words)",
-                 F.name().c_str(), Off, Prog.LocalWords);
-      LocalArena[Off] = Word;
-      ++Group.LocalAccesses;
-      noteLocalAccess(
-          LocalExec[static_cast<size_t>(Item) * Prog.NumLocalOps + IP->Aux]++,
-          IP->Aux, Wavefront, Off);
-      VM_NEXT();
-    }
-    VM_CASE(StPX) : {
-      uint32_t Word = static_cast<uint32_t>(R[IP->A].I);
-      int32_t Off = R[IP->B].Off + R[IP->C].I;
-      ++Alu;
-      if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.PrivateWords)
-        VM_FAULT("kernel '%s': private write out of bounds",
-                 F.name().c_str());
-      Priv[Off] = Word;
-      ++Group.PrivateAccesses;
-      VM_NEXT();
-    }
-    VM_CASE(JmpCmpI) : {
-      bool Taken = cmpI(IP->Sub, R[IP->A].I, R[IP->B].I);
-      Alu += 2; // Compare + branch.
-      uint32_t CL;
-      const bc::Instr *NI;
-      if (Taken) {
-        CL = IP->CL0;
-        NI = CodeP + IP->Imm;
-      } else {
-        CL = IP->CL1;
-        NI = CodeP + IP->Aux;
-      }
-      if (CL != bc::NoCopyList) {
-        const bc::CopyRange &CR = RangeP[CL];
-        for (uint32_t CI = CR.Begin; CI < CR.Begin + CR.Count; ++CI)
-          R[CopyP[CI].Dst] = R[CopyP[CI].Src];
-      }
-      IP = NI;
-      VM_JUMP();
-    }
-    VM_CASE(JmpCmpF) : {
-      bool Taken = cmpF(IP->Sub, R[IP->A].F, R[IP->B].F);
-      Alu += 2;
-      uint32_t CL;
-      const bc::Instr *NI;
-      if (Taken) {
-        CL = IP->CL0;
-        NI = CodeP + IP->Imm;
-      } else {
-        CL = IP->CL1;
-        NI = CodeP + IP->Aux;
-      }
-      if (CL != bc::NoCopyList) {
-        const bc::CopyRange &CR = RangeP[CL];
-        for (uint32_t CI = CR.Begin; CI < CR.Begin + CR.Count; ++CI)
-          R[CopyP[CI].Dst] = R[CopyP[CI].Src];
-      }
-      IP = NI;
-      VM_JUMP();
-    }
-    VM_CASE(MulAddI) : {
-      R[IP->Dst].I = R[IP->A].I * R[IP->B].I + R[IP->C].I;
-      Alu += 2;
-      VM_NEXT();
-    }
-    VM_CASE(MulAddF) : {
-      // Two roundings, exactly like the unfused MulF + AddF pair.
-      float T = R[IP->A].F * R[IP->B].F;
-      R[IP->Dst].F = T + R[IP->C].F;
-      Alu += 2;
-      VM_NEXT();
-    }
-
-#if !KPERF_GOTO_DISPATCH
-      }
-    }
-#endif
-  }
-
-#undef VM_CASE
-#undef VM_JUMP
-#undef VM_NEXT
-#undef VM_FLUSH
-#undef VM_FAULT
-
-  void dimValues(irns::Builtin B, unsigned Lx, unsigned Ly, unsigned &X,
-                 unsigned &Y) const {
+  /// (x, y) of a dimension builtin whose value is the same for every
+  /// item of the group; the per-item ids are computed in the DimQuery
+  /// handler itself.
+  void uniformDims(irns::Builtin B, unsigned &X, unsigned &Y) const {
     switch (B) {
-    case irns::Builtin::GetGlobalId:
-      X = GroupX * Local.X + Lx;
-      Y = GroupY * Local.Y + Ly;
-      break;
-    case irns::Builtin::GetLocalId:
-      X = Lx;
-      Y = Ly;
-      break;
     case irns::Builtin::GetGroupId:
       X = GroupX;
       Y = GroupY;
@@ -1282,15 +575,14 @@ private:
 
 #define BT_FAULT(...)                                                          \
   do {                                                                         \
-    fault(format(__VA_ARGS__));                                                \
     Group.AluOps += Alu;                                                       \
-    return std::move(*Err);                                                    \
+    return makeError(__VA_ARGS__);                                             \
   } while (0)
 
   Error runGroupBatched() {
     uint64_t Alu = 0;
     unsigned Alive = BN;
-    bool First = true;
+    uint32_t PhasePc = 0;
     std::vector<Frag> Frags;
 
     while (Alive > 0) {
@@ -1300,7 +592,7 @@ private:
       Frag Init;
       Init.First = 0;
       Init.N = BN;
-      Init.Pc = First ? 0 : States[0].Pc;
+      Init.Pc = PhasePc;
       for (Frag &Fr : Frags)
         recycleRuns(std::move(Fr.Runs));
       Frags.clear();
@@ -1940,7 +1232,7 @@ private:
                                         : static_cast<int32_t>(LyA[It]);)
           } else {
             unsigned X = 0, Y = 0;
-            dimValues(B, 0, 0, X, Y);
+            uniformDims(B, X, Y);
             FOR_ITEMS(It, D[It].I = A[It].I == 0 ? static_cast<int32_t>(X)
                                                  : static_cast<int32_t>(Y);)
           }
@@ -2057,10 +1349,6 @@ private:
         case bc::Op::Bar: {
           Group.Barriers += Cur.size();
           uint32_t ResumePc = Cur.Pc + 1;
-          FOR_ITEMS(It, {
-            States[It].Pc = ResumePc;
-            States[It].Stop = StopReason::Barrier;
-          })
           if (std::find(BarPcs.begin(), BarPcs.end(), ResumePc) ==
               BarPcs.end())
             BarPcs.push_back(ResumePc);
@@ -2128,7 +1416,6 @@ private:
           break;
         }
         case bc::Op::Ret: {
-          FOR_ITEMS(It, States[It].Stop = StopReason::Returned;)
           Returned += Cur.size();
           Reinsert = false;
           break;
@@ -2565,7 +1852,8 @@ private:
             F.name().c_str(), GroupX, GroupY);
       }
       Alive = Stopped;
-      First = false;
+      if (Stopped != 0)
+        PhasePc = BarPcs[0];
     }
     Group.AluOps += Alu;
     return Error::success();
@@ -2584,7 +1872,6 @@ private:
   const std::vector<KernelArg> &Args;
   std::vector<BufferData *> Buffers;
   const DeviceConfig &Device;
-  bool Batched;
 
   /// Raw snapshot of one buffer (data pointer and size in words).
   struct BufRef {
@@ -2597,18 +1884,15 @@ private:
   std::vector<BufRef> Bufs;
   std::vector<uint32_t> LxA, LyA, WfA; ///< Per-item geometry.
 
-  std::vector<BcVal> Regs; ///< Scalar tier register file (AoS).
-  std::vector<Val32> BVal; ///< Batched tier value plane (SoA).
+  std::vector<Val32> BVal; ///< Register value plane (SoA).
   std::vector<uint32_t> BBase;
   std::vector<int32_t> BOff;
 
   std::vector<uint32_t> PrivArena;
   std::vector<uint32_t> LocalArena;
-  std::vector<ItemState> States;
-  /// Per-item exec instance counters. Scalar layout [item*ops+op];
-  /// batched layout [op*items+item] so one instruction's row is
-  /// contiguous. Only writes maintain the global table (read keys carry
-  /// no exec instance).
+  /// Per-item exec instance counters, laid out [op*items+item] so one
+  /// instruction's row is contiguous. Only writes maintain the global
+  /// table (read keys carry no exec instance).
   std::vector<uint32_t> GlobalExec;
   std::vector<uint32_t> LocalExec;
 
@@ -2635,7 +1919,6 @@ private:
 
   unsigned GroupX = 0, GroupY = 0;
   Counters Group;
-  std::optional<Error> Err;
 };
 
 } // namespace
@@ -2643,31 +1926,19 @@ private:
 Expected<SimReport> sim::launchBytecode(
     const bc::Program &Prog, const ir::Function &F, Range2 Global,
     Range2 Local, const std::vector<KernelArg> &Args,
-    const std::vector<BufferData *> &Buffers, const DeviceConfig &Device,
-    bool Batched) {
-  return BcExecutor(Prog, F, Global, Local, Args, Buffers, Device, Batched)
-      .run();
+    const std::vector<BufferData *> &Buffers, const DeviceConfig &Device) {
+  return BcExecutor(Prog, F, Global, Local, Args, Buffers, Device).run();
 }
 
 //===--- Tier selection -----------------------------------------------------//
 
 const char *sim::execTierName(ExecTier Tier) {
-  switch (Tier) {
-  case ExecTier::Tree:
-    return "tree";
-  case ExecTier::Bytecode:
-    return "bytecode";
-  case ExecTier::Batched:
-    return "batched";
-  }
-  return "tree";
+  return Tier == ExecTier::Batched ? "batched" : "tree";
 }
 
 bool sim::parseExecTier(const std::string &Name, ExecTier &Tier) {
   if (Name == "tree")
     Tier = ExecTier::Tree;
-  else if (Name == "bytecode")
-    Tier = ExecTier::Bytecode;
   else if (Name == "batched")
     Tier = ExecTier::Batched;
   else
@@ -2677,8 +1948,15 @@ bool sim::parseExecTier(const std::string &Name, ExecTier &Tier) {
 
 ExecTier sim::defaultExecTier() {
   ExecTier Tier = ExecTier::Tree;
-  if (const char *Env = std::getenv("KPERF_EXEC_TIER"))
-    parseExecTier(Env, Tier);
+  const char *Env = std::getenv("KPERF_EXEC_TIER");
+  if (Env && !parseExecTier(Env, Tier)) {
+    static std::atomic<bool> Warned{false};
+    if (!Warned.exchange(true))
+      std::fprintf(stderr,
+                   "kperf: unknown KPERF_EXEC_TIER '%s' (expected "
+                   "tree|batched); using tree\n",
+                   Env);
+  }
   return Tier;
 }
 
@@ -2690,13 +1968,11 @@ Expected<SimReport> sim::launchKernel(const ir::Function &F, Range2 Global,
                                       const LaunchOptions &Options) {
   if (Options.Tier == ExecTier::Tree)
     return launchKernel(F, Global, Local, Args, Buffers, Device);
-  bool Batched = Options.Tier == ExecTier::Batched;
   if (Options.Program)
     return launchBytecode(*Options.Program, F, Global, Local, Args, Buffers,
-                          Device, Batched);
+                          Device);
   Expected<bc::Program> Prog = bc::compile(F);
   if (!Prog)
     return Prog.takeError();
-  return launchBytecode(*Prog, F, Global, Local, Args, Buffers, Device,
-                        Batched);
+  return launchBytecode(*Prog, F, Global, Local, Args, Buffers, Device);
 }

@@ -1,4 +1,4 @@
-//===- gpusim/BytecodeExec.h - Bytecode execution tiers -----------*- C++ -*-==//
+//===- gpusim/BytecodeExec.h - Batched bytecode execution tier ----*- C++ -*-==//
 //
 // Part of the kernel-perforation project, under the Apache License v2.0.
 //
@@ -6,23 +6,18 @@
 ///
 /// \file
 /// Executes compiled kernel bytecode (see Bytecode.h) over a simulated
-/// NDRange. Two tiers share this entry point:
+/// NDRange on the batched tier: one instruction at a time across every
+/// item of a work-group fragment, in a tight inner loop over a
+/// structure-of-arrays register file. Divergent branches split a
+/// fragment in two; the scheduler always advances the lowest-pc fragment
+/// and re-merges fragments that meet at the same pc, so divergent paths
+/// reconverge exactly where a real SIMT front end would.
 ///
-///  * Scalar tier: one work item at a time through a computed-goto
-///    dispatch loop (GCC/Clang `&&label` table; a plain `switch` under
-///    -DKPERF_FORCE_SWITCH_DISPATCH or non-GNU compilers).
-///  * Batched tier: one instruction at a time across every item of a
-///    work-group fragment in a tight inner loop over a
-///    structure-of-arrays register file. Divergent branches split a
-///    fragment in two; the scheduler always advances the lowest-pc
-///    fragment and re-merges fragments that meet at the same pc, so
-///    divergent paths reconverge exactly where a real SIMT front end
-///    would.
-///
-/// Both tiers replay the tree walker's event accounting instruction for
+/// The tier replays the tree walker's event accounting instruction for
 /// instruction (same memory-op numbering, same coalescing keys), so
-/// outputs are byte-identical and SimReport counters bit-identical across
-/// all tiers for race-free kernels -- pinned by pipeline_oracle_test.
+/// outputs are byte-identical and SimReport counters bit-identical to
+/// the reference tier for race-free kernels -- pinned by
+/// pipeline_oracle_test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,15 +37,15 @@ namespace kperf {
 namespace sim {
 
 /// Executes \p Prog (compiled from \p F) over \p Global work items in
-/// groups of \p Local, on the scalar tier or, if \p Batched, the batched
-/// work-group tier. Same contract as launchKernel; \p F is only used for
-/// error messages and launch validation.
+/// groups of \p Local on the batched tier. Same contract as
+/// launchKernel; \p F is only used for error messages and launch
+/// validation.
 Expected<SimReport> launchBytecode(const bc::Program &Prog,
                                    const ir::Function &F, Range2 Global,
                                    Range2 Local,
                                    const std::vector<KernelArg> &Args,
                                    const std::vector<BufferData *> &Buffers,
-                                   const DeviceConfig &Device, bool Batched);
+                                   const DeviceConfig &Device);
 
 } // namespace sim
 } // namespace kperf

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by every execution tier (tree walker, bytecode,
-/// batched). The launch-validation rules live here so all tiers reject a
-/// malformed launch with the exact same error text -- callers and tests
-/// must not be able to tell the tiers apart by their error messages.
+/// Helpers shared by both execution tiers (tree walker and batched). The
+/// launch-validation rules live here so both tiers reject a malformed
+/// launch with the exact same error text -- callers and tests must not be
+/// able to tell the tiers apart by their error messages.
 ///
 //===----------------------------------------------------------------------===//
 

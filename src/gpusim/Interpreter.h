@@ -99,17 +99,15 @@ Expected<SimReport> launchKernel(const ir::Function &F, Range2 Global,
                                  const std::vector<BufferData *> &Buffers,
                                  const DeviceConfig &Device);
 
-/// How a launch executes the kernel. All tiers produce byte-identical
+/// How a launch executes the kernel. Both tiers produce byte-identical
 /// outputs and identical SimReport counters; they differ only in
 /// wall-clock speed (see docs/ARCHITECTURE.md, "Execution tiers").
 enum class ExecTier : uint8_t {
-  Tree,     ///< Tree-walking IR interpreter (reference semantics).
-  Bytecode, ///< Register-allocated bytecode, computed-goto dispatch.
-  Batched,  ///< Bytecode run one instruction across the whole group.
+  Tree,    ///< Tree-walking IR interpreter (reference semantics).
+  Batched, ///< Bytecode run one instruction across the whole group.
 };
 
-/// Returns the command-line name of \p Tier ("tree", "bytecode",
-/// "batched").
+/// Returns the command-line name of \p Tier ("tree" or "batched").
 const char *execTierName(ExecTier Tier);
 
 /// Parses a tier name; returns false and leaves \p Tier untouched on an
@@ -117,7 +115,8 @@ const char *execTierName(ExecTier Tier);
 bool parseExecTier(const std::string &Name, ExecTier &Tier);
 
 /// The process-wide default tier: KPERF_EXEC_TIER if set to a valid tier
-/// name, else ExecTier::Tree.
+/// name, else ExecTier::Tree. An unknown KPERF_EXEC_TIER value prints one
+/// line to stderr per process, naming the accepted values.
 ExecTier defaultExecTier();
 
 /// Optional launch configuration for the tier-selecting launchKernel
@@ -125,8 +124,8 @@ ExecTier defaultExecTier();
 struct LaunchOptions {
   ExecTier Tier = ExecTier::Tree;
   /// Pre-compiled bytecode of the kernel (e.g. from the rt::Session
-  /// cache). Ignored by the tree tier; when null, the fast tiers compile
-  /// on the fly.
+  /// cache). Ignored by the tree tier; when null, the batched tier
+  /// compiles on the fly.
   const bc::Program *Program = nullptr;
 };
 

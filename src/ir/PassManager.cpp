@@ -665,6 +665,8 @@ const char *ir::defaultPipelineSpec() {
   // perforation expose, and the memory cleanups iterate over IR that
   // carries almost no private traffic (memopt survives for what
   // promotion must skip: runtime-indexed arrays and local tiles).
+  // Forwarding runs after cse so duplicate GEPs have been merged and
+  // pointer identity finds every same-address pair; DSE runs after licm.
   return "mem2reg,unroll,fixpoint(simplify,sroa,mem2reg,gvn,cse,"
          "memopt-forward,licm,memopt-dse,dce)";
 }

@@ -155,18 +155,6 @@ struct PipelineStats {
   /// Sum of all per-pass wall-clock times.
   double totalMillis() const;
 
-  /// Named accessors for the classic pipeline's reporting.
-  unsigned promoted() const { return changes("mem2reg"); }
-  unsigned scalarized() const { return changes("sroa"); }
-  unsigned unrolled() const { return changes("unroll"); }
-  unsigned simplified() const { return changes("simplify"); }
-  unsigned numbered() const { return changes("gvn"); }
-  unsigned merged() const { return changes("cse"); }
-  unsigned forwarded() const { return changes("memopt-forward"); }
-  unsigned hoisted() const { return changes("licm"); }
-  unsigned deadStores() const { return changes("memopt-dse"); }
-  unsigned deleted() const { return changes("dce"); }
-
   /// Finds or creates the row for \p Name.
   PassExecution &entry(const std::string &Name);
 

@@ -6,52 +6,8 @@
 
 #include "ir/Passes.h"
 
-#include "support/StringUtils.h"
-
-#include <vector>
-
 using namespace kperf;
 using namespace kperf::ir;
-
-std::string PipelineOptions::spec() const {
-  // Preserve the historical ordering: simplify folds the unrolled
-  // induction constants before sroa keys on them (constant GEP indices)
-  // and before GVN numbers them; the in-group mem2reg promotes the
-  // scalars sroa just split; forwarding runs after CSE so duplicate GEPs
-  // have been merged and pointer identity finds every same-address pair;
-  // DSE runs after LICM.
-  std::vector<std::string> Names;
-  if (Simplify)
-    Names.push_back("simplify");
-  if (SROA)
-    Names.push_back("sroa");
-  if (SROA && Mem2Reg) // In-group promotion exists for sroa's scalars.
-    Names.push_back("mem2reg");
-  if (GVN)
-    Names.push_back("gvn");
-  if (CSE)
-    Names.push_back("cse");
-  if (MemOpt)
-    Names.push_back("memopt-forward");
-  if (LICM)
-    Names.push_back("licm");
-  if (MemOpt)
-    Names.push_back("memopt-dse");
-  if (DCE)
-    Names.push_back("dce");
-  std::vector<std::string> Head;
-  if (Mem2Reg)
-    Head.push_back("mem2reg"); // Once, ahead of the fixpoint group.
-  if (Unroll)
-    Head.push_back("unroll"); // Once, on the promoted induction phis.
-  std::string Spec = join(Head, ",");
-  if (!Names.empty()) {
-    if (!Spec.empty())
-      Spec += ',';
-    Spec += "fixpoint(" + join(Names, ",") + ")";
-  }
-  return Spec;
-}
 
 Expected<PipelineStats> ir::runPipelineSpec(Function &F, Module &M,
                                             const std::string &Spec) {
@@ -68,13 +24,8 @@ Expected<PipelineStats> ir::runPipelineSpec(Function &F, Module &M,
   return P->run(F, M, AM);
 }
 
-PipelineStats ir::runPipeline(Function &F, Module &M,
-                              PipelineOptions Options) {
-  // Options only produce registered names, and runs without VerifyEach
-  // cannot fail, so the unwrap is safe.
-  return cantFail(runPipelineSpec(F, M, Options.spec()));
-}
-
 PipelineStats ir::runDefaultPipeline(Function &F, Module &M) {
+  // The default spec names only registered passes, and runs without
+  // VerifyEach cannot fail, so the unwrap is safe.
   return cantFail(runPipelineSpec(F, M, defaultPipelineSpec()));
 }

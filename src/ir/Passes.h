@@ -5,16 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compatibility shim over the pass-manager layer (PassManager.h). The
+/// One-call helpers over the pass-manager layer (PassManager.h). The
 /// standard pipeline run over generated kernels -- mem2reg and unroll
 /// once, then simplify, SROA, mem2reg again, GVN, CSE, memopt
 /// forwarding, LICM, memopt DSE, and DCE iterated to a fixpoint -- is
-/// defaultPipelineSpec(); the PipelineOptions bool-struct survives only
-/// so older call sites (and the pass-ablation benchmark's history) keep
-/// compiling, and maps onto a pipeline spec string.
-///
-/// New code should parse and run PassPipeline directly, or use
-/// runPipelineSpec() below.
+/// defaultPipelineSpec(). Pipelines are named only by spec strings; a
+/// run's per-pass results are read with PipelineStats::changes().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,30 +23,6 @@
 namespace kperf {
 namespace ir {
 
-/// Which passes the pipeline runs. Everything defaults on. Deprecated in
-/// favor of pipeline spec strings; retained as the compatibility shim for
-/// callers predating the pass manager.
-struct PipelineOptions {
-  bool Mem2Reg = true; ///< SSA promotion: ahead of the fixpoint group,
-                       ///< and inside it (after SROA splits arrays).
-  bool Unroll = true;  ///< Constant-trip full unrolling after mem2reg.
-  bool Simplify = true;
-  bool SROA = true; ///< Array-alloca scalarization in the fixpoint group.
-  bool GVN = true;  ///< Cross-block value numbering in the fixpoint group.
-  bool CSE = true;
-  bool MemOpt = true; ///< Store forwarding + dead-store elimination.
-  bool LICM = true;
-  bool DCE = true;
-
-  static PipelineOptions none() {
-    return {false, false, false, false, false, false, false, false, false};
-  }
-
-  /// The pipeline spec these options describe: the default fixpoint
-  /// pipeline with disabled passes dropped ("" when everything is off).
-  std::string spec() const;
-};
-
 /// Parses \p Spec and runs it on \p F. \p M must own \p F (the
 /// simplifier interns constants there). Fails on a malformed spec.
 Expected<PipelineStats> runPipelineSpec(Function &F, Module &M,
@@ -60,9 +32,6 @@ Expected<PipelineStats> runPipelineSpec(Function &F, Module &M,
 Expected<PipelineStats> runPipelineSpec(Function &F, Module &M,
                                         AnalysisManager &AM,
                                         const std::string &Spec);
-
-/// Runs the passes enabled in \p Options on \p F until nothing changes.
-PipelineStats runPipeline(Function &F, Module &M, PipelineOptions Options);
 
 /// Runs the full default pipeline on \p F until nothing changes.
 PipelineStats runDefaultPipeline(Function &F, Module &M);

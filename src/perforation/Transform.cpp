@@ -100,41 +100,45 @@ public:
     if (!Pipeline)
       return Pipeline.takeError();
 
-    irns::CloneMap Map;
-    F = irns::cloneFunction(M, OrigF, NewName, Map);
+    // Analyze the original (cached across variants when the caller
+    // passes an analysis manager), pick the targets and check their
+    // tiles, all before any IR is created: a refused plan leaves the
+    // module as it was.
+    irns::AnalysisManager LocalAM;
+    Expected<const KernelAccessInfo *> InfoOr =
+        analyzeKernelAccessesCached(AM ? *AM : LocalAM, OrigF);
+    if (!InfoOr)
+      return InfoOr.takeError();
+    const KernelAccessInfo &OrigInfo = **InfoOr;
 
-    if (AM) {
-      // Analyze the original once (cached across variants) and translate
-      // the summary into the clone.
-      Expected<const KernelAccessInfo *> InfoOr =
-          analyzeKernelAccessesCached(*AM, OrigF);
-      if (!InfoOr)
-        return InfoOr.takeError();
-      Info = remapAccessInfo(**InfoOr, Map);
-    } else {
-      Expected<KernelAccessInfo> InfoOr = analyzeKernelAccesses(*F);
-      if (!InfoOr)
-        return InfoOr.takeError();
-      Info = InfoOr.takeValue();
-    }
-
-    std::vector<const BufferAccess *> Targets;
+    std::vector<size_t> TargetIdx;
     if (Plan.BufferArgs.empty()) {
-      for (const BufferAccess &A : Info.Inputs)
-        Targets.push_back(&A);
+      for (size_t I = 0; I < OrigInfo.Inputs.size(); ++I)
+        TargetIdx.push_back(I);
     } else {
       for (unsigned ArgIndex : Plan.BufferArgs) {
-        const BufferAccess *A = Info.inputForArg(ArgIndex);
+        const BufferAccess *A = OrigInfo.inputForArg(ArgIndex);
         if (!A)
           return makeError("perforation: argument %u of '%s' is not a "
                            "recognized 2-D input buffer",
                            ArgIndex, OrigF.name().c_str());
-        Targets.push_back(A);
+        TargetIdx.push_back(static_cast<size_t>(A - OrigInfo.Inputs.data()));
       }
     }
-    if (Targets.empty())
+    if (TargetIdx.empty())
       return makeError("perforation: no perforatable input buffer in '%s'",
                        OrigF.name().c_str());
+    for (size_t I : TargetIdx)
+      if (Error E = checkPeriodFitsTile(OrigInfo.Inputs[I]))
+        return E;
+
+    // Translate the summary into the clone.
+    irns::CloneMap Map;
+    F = irns::cloneFunction(M, OrigF, NewName, Map);
+    Info = remapAccessInfo(OrigInfo, Map);
+    std::vector<const BufferAccess *> Targets;
+    for (size_t I : TargetIdx)
+      Targets.push_back(&Info.Inputs[I]);
 
     buildPreambleSkeleton();
     // Materialize all tiles and origins in the entry block before any
@@ -183,6 +187,32 @@ private:
     unsigned HaloX = 0;
     unsigned HaloY = 0;
   };
+
+  /// Refuses a period longer than \p A's tile on a perforated axis. The
+  /// tile spans the work-group edge plus a halo on each side; with fewer
+  /// lines than the period, some tiles hold no loaded line at all, and
+  /// reconstructing them would read outside the tile.
+  Error checkPeriodFitsTile(const BufferAccess &A) const {
+    SchemeKind K = Plan.Scheme.Kind;
+    unsigned Period = Plan.Scheme.Period;
+    unsigned HaloY = static_cast<unsigned>(A.haloY());
+    unsigned HaloX = static_cast<unsigned>(A.haloX());
+    unsigned Rows = Plan.TileY + 2 * HaloY;
+    unsigned Cols = Plan.TileX + 2 * HaloX;
+    bool PerfRows = K == SchemeKind::Rows || K == SchemeKind::Grid;
+    bool PerfCols = K == SchemeKind::Cols || K == SchemeKind::Grid;
+    if (PerfRows && Period > Rows)
+      return makeError("perforation: period %u exceeds the %u rows of the "
+                       "%ux%u tile of '%s' (halo %u above and below)",
+                       Period, Rows, Plan.TileX, Plan.TileY,
+                       A.Buffer->name().c_str(), HaloY);
+    if (PerfCols && Period > Cols)
+      return makeError("perforation: period %u exceeds the %u columns of "
+                       "the %ux%u tile of '%s' (halo %u left and right)",
+                       Period, Cols, Plan.TileX, Plan.TileY,
+                       A.Buffer->name().c_str(), HaloX);
+    return Error::success();
+  }
 
   /// Creates a fresh block placed before the original blocks and after the
   /// previously created preamble blocks.

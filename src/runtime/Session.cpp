@@ -457,7 +457,7 @@ Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,
   }
   // Snapshot stable buffer addresses, then run without any session lock:
   // concurrent workers each drive their own interpreter instance. The
-  // bytecode tiers additionally pin the program with a shared_ptr copy so
+  // batched tier additionally pins the program with a shared_ptr copy so
   // a concurrent invalidation cannot free it mid-launch.
   sim::LaunchOptions Options;
   Options.Tier = Tier.load();

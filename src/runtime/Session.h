@@ -280,11 +280,11 @@ public:
 
   /// Selects the execution tier of subsequent launches (default: the
   /// process-wide sim::defaultExecTier(), i.e. KPERF_EXEC_TIER or the
-  /// tree walker). The bytecode tiers compile each kernel to bytecode
-  /// once per Session and cache the program alongside the variant cache;
-  /// all tiers produce byte-identical outputs and identical SimReport
-  /// counters. Thread-safe; takes effect for launches that start after
-  /// the call.
+  /// tree walker). The batched tier compiles each kernel to bytecode
+  /// once per Session and caches the program alongside the variant
+  /// cache; both tiers produce byte-identical outputs and identical
+  /// SimReport counters. Thread-safe; takes effect for launches that
+  /// start after the call.
   void setExecTier(sim::ExecTier Tier) { this->Tier.store(Tier); }
   sim::ExecTier execTier() const { return Tier.load(); }
 

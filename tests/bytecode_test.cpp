@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // Pins the IR-to-bytecode compiler (register allocation, phi edge
-// copies, fusion) and the bytecode execution tiers against the
-// tree-walking interpreter: every kernel here runs under all three
-// tiers, and the fast tiers must reproduce the tree walker's output
-// bytes, SimReport counters, and faults exactly. The structural tests
+// copies, fusion) and the batched execution tier against the
+// tree-walking interpreter: every kernel here runs under both tiers, and
+// the batched tier must reproduce the tree walker's output bytes,
+// SimReport counters, and faults exactly. The structural tests
 // (register reuse, fused opcodes) check the compiled bc::Program
 // directly.
 //
@@ -20,15 +20,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 using namespace kperf;
 using namespace kperf::sim;
 
 namespace {
 
-const ExecTier AllTiers[] = {ExecTier::Tree, ExecTier::Bytecode,
-                             ExecTier::Batched};
+const ExecTier AllTiers[] = {ExecTier::Tree, ExecTier::Batched};
 
 /// One tier's run: the report (or error) plus the raw output bytes.
 struct TierRun {
@@ -79,7 +81,7 @@ protected:
   /// Expects all tiers to have succeeded with tier 0's exact bytes and
   /// counters.
   void expectParity(const std::vector<TierRun> &Runs) {
-    ASSERT_EQ(Runs.size(), 3u);
+    ASSERT_EQ(Runs.size(), std::size(AllTiers));
     for (size_t T = 0; T < Runs.size(); ++T)
       ASSERT_TRUE(static_cast<bool>(Runs[T].Report))
           << execTierName(AllTiers[T]) << ": "
@@ -130,17 +132,50 @@ TEST(ExecTierTest, ParseAndName) {
   ExecTier T = ExecTier::Tree;
   EXPECT_TRUE(parseExecTier("tree", T));
   EXPECT_EQ(T, ExecTier::Tree);
-  EXPECT_TRUE(parseExecTier("bytecode", T));
-  EXPECT_EQ(T, ExecTier::Bytecode);
   EXPECT_TRUE(parseExecTier("batched", T));
   EXPECT_EQ(T, ExecTier::Batched);
   EXPECT_FALSE(parseExecTier("warpspeed", T));
   EXPECT_EQ(T, ExecTier::Batched); // Untouched on failure.
+  // The scalar bytecode tier is gone; its old name must not parse.
+  EXPECT_FALSE(parseExecTier("bytecode", T));
+  EXPECT_EQ(T, ExecTier::Batched);
   for (ExecTier Tier : AllTiers) {
     ExecTier Back = ExecTier::Tree;
     EXPECT_TRUE(parseExecTier(execTierName(Tier), Back));
     EXPECT_EQ(Back, Tier);
   }
+}
+
+TEST(ExecTierTest, UnknownEnvironmentTierWarnsOnce) {
+  const char *Old = std::getenv("KPERF_EXEC_TIER");
+  std::string Saved = Old ? Old : "";
+  auto Lookup = [](const char *Value, std::string &Stderr) {
+    setenv("KPERF_EXEC_TIER", Value, 1);
+    testing::internal::CaptureStderr();
+    ExecTier Tier = defaultExecTier();
+    Stderr = testing::internal::GetCapturedStderr();
+    return Tier;
+  };
+  std::string Valid, First, Second;
+  ExecTier FromValid = Lookup("batched", Valid);
+  // The retired scalar tier's name must not quietly select the tree
+  // walker: the first lookup names the accepted values, once per process.
+  ExecTier FromFirst = Lookup("bytecode", First);
+  ExecTier FromSecond = Lookup("bytecode", Second);
+  if (Old)
+    setenv("KPERF_EXEC_TIER", Saved.c_str(), 1);
+  else
+    unsetenv("KPERF_EXEC_TIER");
+
+  EXPECT_EQ(FromValid, ExecTier::Batched);
+  EXPECT_EQ(Valid, "");
+  EXPECT_EQ(FromFirst, ExecTier::Tree);
+  EXPECT_EQ(std::count(First.begin(), First.end(), '\n'), 1) << First;
+  EXPECT_NE(First.find("KPERF_EXEC_TIER 'bytecode'"), std::string::npos)
+      << First;
+  EXPECT_NE(First.find("tree|batched"), std::string::npos) << First;
+  EXPECT_EQ(FromSecond, ExecTier::Tree);
+  EXPECT_EQ(Second, "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -87,7 +87,7 @@ kernel void k(global const float* in, global float* out, int w) {
   EXPECT_GT(countPrivateAllocas(*F), 0u);
 
   PipelineStats S = promote(*F, Ctx.module());
-  EXPECT_GT(S.promoted(), 0u);
+  EXPECT_GT(S.changes("mem2reg"), 0u);
   // Every private scalar promotes; straight-line code needs no phis.
   EXPECT_EQ(countPrivateAllocas(*F), 0u);
   EXPECT_EQ(countOpcode(*F, Opcode::Phi), 0u);
@@ -111,7 +111,7 @@ kernel void k(global const float* in, global float* out, int w) {
 )");
   ASSERT_NE(F, nullptr);
   PipelineStats S = promote(*F, Ctx.module());
-  EXPECT_GT(S.promoted(), 0u);
+  EXPECT_GT(S.changes("mem2reg"), 0u);
   EXPECT_EQ(countPrivateAllocas(*F), 0u);
   // Exactly one merge point: v at the if/else join. The phi lives in the
   // join block and draws one incoming per predecessor.
@@ -139,7 +139,7 @@ kernel void k(global const float* in, global float* out, int w) {
 )");
   ASSERT_NE(F, nullptr);
   PipelineStats S = promote(*F, Ctx.module());
-  EXPECT_GT(S.promoted(), 0u);
+  EXPECT_GT(S.changes("mem2reg"), 0u);
   EXPECT_EQ(countPrivateAllocas(*F), 0u);
   // acc and i are both loop-carried: phis in the loop header, each with
   // an incoming from the preheader side and one from the latch.
@@ -186,7 +186,7 @@ kernel void k(global const float* in, global float* out, int w) {
 )");
   ASSERT_NE(F, nullptr);
   PipelineStats S = promote(*F, Ctx.module());
-  EXPECT_GT(S.promoted(), 0u); // x and i still promote...
+  EXPECT_GT(S.changes("mem2reg"), 0u); // x and i still promote...
   EXPECT_EQ(countPrivateAllocas(*F), 1u); // ...but the array stays.
   for (const auto &BB : F->blocks())
     for (const auto &I : BB->instructions())
@@ -233,7 +233,7 @@ kernel void k(global const float* in, global float* out, int w) {
   // execution tier suspends and resumes work items with their live SSA
   // values intact, so barrier-crossing private scalars promote like any
   // other (barriers publish local and global memory, never private).
-  EXPECT_GT(S.promoted(), 0u);
+  EXPECT_GT(S.changes("mem2reg"), 0u);
   EXPECT_EQ(countPrivateAllocas(*F), 0u);
 }
 
@@ -509,7 +509,7 @@ kernel void k(global const float* in, global float* out, int w, int h) {
   Plan.TileY = 4;
   Plan.VerifyEach = true; // Verify after every cleanup pass.
   rt::Variant P = cantFail(Ctx.perforate(K, Plan));
-  EXPECT_GT(P.PassStats.promoted(), 0u);
+  EXPECT_GT(P.PassStats.changes("mem2reg"), 0u);
 
   unsigned In = Ctx.createBufferFrom(Input);
   unsigned Out = Ctx.createBuffer(Input.size());

@@ -11,7 +11,7 @@
 // private arrays, local-memory phases split by barriers, divergent
 // stores, constant-trip loops -- and every kernel is compiled twice
 // (empty pipeline vs the full default pipeline, verified after every
-// pass) and run under all three execution tiers. All six runs must
+// pass) and run under both execution tiers. All four runs must
 // agree byte for byte on the output buffer and exactly on fault
 // behavior. A run of >= 200 seeds is cheap (tiny NDRanges) and every
 // failure message carries the seed and the generated source, so any
@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -301,6 +302,8 @@ private:
   unsigned NextId = 0;
 };
 
+const ExecTier Tiers[] = {ExecTier::Tree, ExecTier::Batched};
+
 struct TierRun {
   bool Ok = false;
   std::string Fault;
@@ -324,8 +327,6 @@ std::vector<TierRun> compileAndRunAllTiers(const std::string &Source,
     return {};
   }
   DeviceConfig Device;
-  const ExecTier Tiers[] = {ExecTier::Tree, ExecTier::Bytecode,
-                            ExecTier::Batched};
   std::vector<TierRun> Runs;
   for (ExecTier Tier : Tiers) {
     BufferData InBuf, OutBuf(GlobalItems);
@@ -355,7 +356,7 @@ bool bitIdentical(const std::vector<float> &A, const std::vector<float> &B) {
 }
 
 /// One differential trial: baseline (empty pipeline) vs the full default
-/// pipeline, three tiers each.
+/// pipeline, on every tier.
 void runSeed(uint64_t Seed) {
   KernelGenerator G(Seed);
   std::string Source = G.generate();
@@ -374,8 +375,8 @@ void runSeed(uint64_t Seed) {
       Source, ir::defaultPipelineSpec(), Input, OptErr);
   ASSERT_FALSE(Opt.empty()) << "optimized compile failed: " << OptErr;
 
-  // Fault behavior must agree across all six runs.
-  for (size_t T = 0; T < 3; ++T) {
+  // Fault behavior must agree across all runs.
+  for (size_t T = 0; T < std::size(Tiers); ++T) {
     EXPECT_EQ(Base[0].Ok, Base[T].Ok) << "baseline tier " << T
                                       << " fault mismatch: " << Base[T].Fault;
     EXPECT_EQ(Base[0].Ok, Opt[T].Ok)
@@ -388,10 +389,10 @@ void runSeed(uint64_t Seed) {
     return; // All faulted alike; partial output bytes are not a contract.
 
   // Outputs must be byte-identical across pipelines and tiers.
-  for (size_t T = 1; T < 3; ++T)
+  for (size_t T = 1; T < std::size(Tiers); ++T)
     EXPECT_TRUE(bitIdentical(Base[0].Output, Base[T].Output))
         << "baseline tier " << T << " diverged from the tree walker";
-  for (size_t T = 0; T < 3; ++T)
+  for (size_t T = 0; T < std::size(Tiers); ++T)
     EXPECT_TRUE(bitIdentical(Base[0].Output, Opt[T].Output))
         << "optimized tier " << T << " diverged from the baseline";
 }

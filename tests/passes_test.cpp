@@ -166,20 +166,22 @@ TEST(PipelineRunTest, StatsDeriveFromSinglePerPassTable) {
   Function *F = compileKernel(Ctx, LoopKernel);
   PipelineStats Stats = runDefaultPipeline(*F, Ctx.module());
 
-  // total() and every named accessor are views over the same table; the
-  // counters cannot drift from the sum.
+  // total() and changes() of every pass the default spec names are views
+  // over the same table; the counters cannot drift from the sum.
   unsigned TableSum = 0;
   for (const PassExecution &E : Stats.Passes)
     TableSum += E.Changes;
   EXPECT_EQ(Stats.total(), TableSum);
-  EXPECT_EQ(Stats.promoted() + Stats.scalarized() + Stats.unrolled() +
-                Stats.simplified() + Stats.numbered() + Stats.merged() +
-                Stats.forwarded() + Stats.hoisted() + Stats.deadStores() +
-                Stats.deleted(),
-            Stats.total());
+  unsigned ByName = 0;
+  for (const char *Name :
+       {"mem2reg", "sroa", "unroll", "simplify", "gvn", "cse",
+        "memopt-forward", "licm", "memopt-dse", "dce"})
+    ByName += Stats.changes(Name);
+  EXPECT_EQ(ByName, Stats.total());
   EXPECT_GT(Stats.total(), 0u);
-  EXPECT_GT(Stats.promoted(), 0u); // mem2reg promoted the scalar allocas.
-  EXPECT_GT(Stats.unrolled(), 0u); // The k<4 loop fully unrolled.
+  // mem2reg promoted the scalar allocas; the k<4 loop fully unrolled.
+  EXPECT_GT(Stats.changes("mem2reg"), 0u);
+  EXPECT_GT(Stats.changes("unroll"), 0u);
   EXPECT_GE(Stats.Iterations, 2u); // Work round plus the no-change round.
 
   // unroll runs once ahead of the fixpoint group; mem2reg runs once up
@@ -234,49 +236,6 @@ TEST(PipelineRunTest, MergeAccumulatesTables) {
   EXPECT_EQ(A.changes("dce"), 5u);
   EXPECT_EQ(A.total(), 10u);
   EXPECT_EQ(A.Iterations, 3u);
-}
-
-//===----------------------------------------------------------------------===//
-// PipelineOptions compatibility shim
-//===----------------------------------------------------------------------===//
-
-TEST(PipelineOptionsTest, SpecMapsOntoPipelineStrings) {
-  EXPECT_EQ(PipelineOptions().spec(), defaultPipelineSpec());
-  EXPECT_EQ(PipelineOptions::none().spec(), "");
-  PipelineOptions NoCse;
-  NoCse.CSE = false;
-  NoCse.MemOpt = false;
-  NoCse.LICM = false;
-  NoCse.GVN = false;
-  NoCse.Unroll = false;
-  // With SROA on, the fixpoint group carries sroa plus the in-group
-  // mem2reg that promotes its scalars.
-  EXPECT_EQ(NoCse.spec(), "mem2reg,fixpoint(simplify,sroa,mem2reg,dce)");
-  NoCse.SROA = false;
-  EXPECT_EQ(NoCse.spec(), "mem2reg,fixpoint(simplify,dce)");
-  NoCse.Mem2Reg = false;
-  EXPECT_EQ(NoCse.spec(), "fixpoint(simplify,dce)");
-  NoCse.Unroll = true;
-  EXPECT_EQ(NoCse.spec(), "unroll,fixpoint(simplify,dce)");
-  PipelineOptions OnlyMem2Reg = PipelineOptions::none();
-  OnlyMem2Reg.Mem2Reg = true;
-  EXPECT_EQ(OnlyMem2Reg.spec(), "mem2reg");
-}
-
-TEST(PipelineOptionsTest, ShimMatchesDirectSpecRun) {
-  rt::Session C1, C2;
-  Function *F1 = compileKernel(C1, LoopKernel);
-  Function *F2 = compileKernel(C2, LoopKernel);
-  PipelineOptions NoCse;
-  NoCse.CSE = false;
-  NoCse.MemOpt = false;
-  NoCse.LICM = false;
-  PipelineStats A = runPipeline(*F1, C1.module(), NoCse);
-  Expected<PipelineStats> B = runPipelineSpec(
-      *F2, C2.module(), "mem2reg,unroll,fixpoint(simplify,gvn,dce)");
-  ASSERT_TRUE(static_cast<bool>(B));
-  EXPECT_EQ(A.total(), B->total());
-  EXPECT_EQ(A.Iterations, B->Iterations);
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,9 +18,9 @@
 // or miscounts a trip fails here before it can skew a single benchmark.
 //
 // The same matrix also pins the execution tiers: every variant runs under
-// the tree walker, the scalar bytecode tier, and the batched work-group
-// tier, and the fast tiers must reproduce the tree walker's output byte
-// for byte and its SimReport counters bit for bit.
+// the tree walker and the batched work-group tier, and the batched tier
+// must reproduce the tree walker's output byte for byte and its
+// SimReport counters bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,7 +114,6 @@ std::vector<std::string> oracleSpecs() {
 }
 
 const sim::ExecTier AllTiers[] = {sim::ExecTier::Tree,
-                                  sim::ExecTier::Bytecode,
                                   sim::ExecTier::Batched};
 
 /// Builds the Rows2:LI perforated variant of \p A under \p Spec (the

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 using namespace kperf;
@@ -231,6 +232,36 @@ TEST(SessionTest, UnifiedLaunchAppliesNDRangeShrink) {
       V, {48, 48},
       {arg::buffer(In), arg::buffer(Out), arg::i32(48), arg::i32(48)}));
   EXPECT_EQ(R.Totals.WorkItems, 48u * 16u);
+}
+
+TEST(SessionTest, ReleasedBufferSlotDoesNotBlockBatchedLaunch) {
+  // A released slot stays in the launch's buffer bank as a null entry.
+  // A launch that never references it must run on the batched tier too,
+  // with the tree walker's exact output bytes.
+  std::vector<float> Data(32 * 32);
+  for (size_t I = 0; I < Data.size(); ++I)
+    Data[I] = static_cast<float>(I % 17) * 0.25f;
+  std::vector<std::vector<float>> Outputs;
+  for (sim::ExecTier Tier : {sim::ExecTier::Tree, sim::ExecTier::Batched}) {
+    Session S;
+    S.setExecTier(Tier);
+    Kernel K = cantFail(S.compile(ScaleSource, "scale"));
+    unsigned Unused = S.createBuffer(16);
+    unsigned In = S.createBufferFrom(Data);
+    unsigned Out = S.createBuffer(Data.size());
+    S.releaseBuffer(Unused);
+    Expected<sim::SimReport> R =
+        S.launch(K, {32, 32}, {16, 16},
+                 {arg::buffer(In), arg::buffer(Out), arg::i32(32),
+                  arg::i32(32)});
+    ASSERT_TRUE(static_cast<bool>(R))
+        << sim::execTierName(Tier) << ": " << R.error().message();
+    Outputs.push_back(S.buffer(Out).downloadFloats());
+  }
+  ASSERT_EQ(Outputs[0].size(), Outputs[1].size());
+  EXPECT_EQ(std::memcmp(Outputs[0].data(), Outputs[1].data(),
+                        Outputs[0].size() * sizeof(float)),
+            0);
 }
 
 TEST(SessionTest, TwoPassVariantLaunchesStageByStage) {

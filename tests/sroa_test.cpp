@@ -208,7 +208,7 @@ kernel void k(global const float* in, global float* out, int w) {
   ASSERT_TRUE(static_cast<bool>(F)) << F.error().message();
 
   PipelineStats Stats = runDefaultPipeline(**F, Ctx.module());
-  EXPECT_GT(Stats.scalarized(), 0u);
+  EXPECT_GT(Stats.changes("sroa"), 0u);
   EXPECT_EQ(countAllocas(**F, AddressSpace::Private), 0u);
   EXPECT_EQ(countOpcode(**F, Opcode::Load), 3u); // The three in[] reads.
   Error E = verifyFunction(**F);

@@ -328,6 +328,53 @@ TEST(TransformTest, InvalidPeriodRejected) {
   EXPECT_FALSE(static_cast<bool>(R));
 }
 
+TEST(TransformTest, PeriodLongerThanTileRefusedBeforeCloning) {
+  // inversion reads no neighbouring pixel, so its tile is exactly the
+  // work group: a period longer than the group's edge on a perforated
+  // axis would build tiles that hold no loaded line at all.
+  ir::Module M;
+  Expected<ir::Function *> F =
+      pcl::compileKernel(M, apps::inversionSource(), "inversion");
+  ASSERT_TRUE(static_cast<bool>(F)) << F.error().message();
+  const size_t Functions = M.numFunctions();
+  struct Case {
+    PerforationScheme Scheme;
+    unsigned TileX, TileY;
+    const char *Expect; ///< Error text after "period ".
+  };
+  const Case Cases[] = {
+      {PerforationScheme::rows(4, ReconstructionKind::Linear), 128, 2,
+       "4 exceeds the 2 rows of the 128x2 tile"},
+      {PerforationScheme::cols(4, ReconstructionKind::NearestNeighbor), 2,
+       128, "4 exceeds the 2 columns of the 2x128 tile"},
+      {PerforationScheme::grid(4, ReconstructionKind::Linear), 16, 2,
+       "4 exceeds the 2 rows of the 16x2 tile"},
+  };
+  for (const Case &C : Cases) {
+    PerforationPlan Plan;
+    Plan.Scheme = C.Scheme;
+    Plan.TileX = C.TileX;
+    Plan.TileY = C.TileY;
+    Expected<TransformResult> R =
+        applyInputPerforation(M, **F, Plan, "inversion.p");
+    ASSERT_FALSE(static_cast<bool>(R)) << C.Expect;
+    EXPECT_NE(R.error().message().find(std::string("period ") + C.Expect),
+              std::string::npos)
+        << R.error().message();
+    EXPECT_EQ(M.numFunctions(), Functions) << C.Expect;
+  }
+
+  // The same period on a tile with enough rows still builds.
+  PerforationPlan Plan;
+  Plan.Scheme = PerforationScheme::rows(4, ReconstructionKind::Linear);
+  Plan.TileX = 64;
+  Plan.TileY = 4;
+  Expected<TransformResult> R =
+      applyInputPerforation(M, **F, Plan, "inversion.p");
+  ASSERT_TRUE(static_cast<bool>(R)) << R.error().message();
+  EXPECT_FALSE(ir::verifyFunction(*R->Kernel));
+}
+
 TEST(TransformTest, OriginalKernelUntouched) {
   ir::Module M;
   Expected<ir::Function *> F =

@@ -153,7 +153,7 @@ kernel void k(global const float* in, global float* out, int w, int h) {
   Opts.Stats = &Stats;
   Expected<std::vector<rt::Kernel>> Ks = S.compileAll(Dynamic, Opts);
   ASSERT_TRUE(static_cast<bool>(Ks)) << Ks.error().message();
-  EXPECT_EQ(Stats.unrolled(), 0u); // Bound is an argument: refused.
+  EXPECT_EQ(Stats.changes("unroll"), 0u); // Bound is an argument: refused.
   EXPECT_TRUE(hasBackEdge(*Ks->front().F));
 }
 
@@ -166,7 +166,7 @@ TEST(UnrollTest, BudgetRefusesOversizedLoops) {
   Opts.Stats = &Stats;
   Expected<std::vector<rt::Kernel>> Ks = S.compileAll(WindowKernel, Opts);
   ASSERT_TRUE(static_cast<bool>(Ks)) << Ks.error().message();
-  EXPECT_EQ(Stats.unrolled(), 0u);
+  EXPECT_EQ(Stats.changes("unroll"), 0u);
   EXPECT_TRUE(hasBackEdge(*Ks->front().F));
   // The same loop within budget does unroll.
   rt::Session S2;

@@ -27,10 +27,10 @@
 //       --time-passes prints its per-pass statistics.
 //
 //   Commands that launch kernels (run, tune) accept
-//   --exec-tier tree|bytecode|batched to pick the simulator's execution
-//   tier (default: $KPERF_EXEC_TIER or the tree walker). All tiers
-//   produce byte-identical outputs and identical SimReport counters;
-//   the bytecode tiers are just faster wall-clock.
+//   --exec-tier tree|batched to pick the simulator's execution tier
+//   (default: $KPERF_EXEC_TIER or the tree walker). Both tiers produce
+//   byte-identical outputs and identical SimReport counters; the batched
+//   tier is just faster wall-clock.
 //
 //   kperfc tune <file.pcl> [--kernel name] [--image in.pgm] [--budget E]
 //               [--size N] [--jobs N] [--variant-cap N]
@@ -138,7 +138,7 @@ int usage() {
                "              [--image in.pgm] [--out out.pgm] "
                "[--budget E] [--size N]\n"
                "              [--jobs N] [--variant-cap N]\n"
-               "              [--exec-tier tree|bytecode|batched]\n"
+               "              [--exec-tier tree|batched]\n"
                "              [--passes SPEC] [--time-passes] "
                "[--verify-each] [--Werror]\n"
                "       kperfc --passes=SPEC [--time-passes] <file.pcl>\n");
@@ -285,7 +285,7 @@ Expected<Options> parseArgs(int Argc, char **Argv) {
         return V.takeError();
       if (!sim::parseExecTier(*V, O.Tier))
         return makeError("unknown execution tier '%s' (expected "
-                         "tree|bytecode|batched)",
+                         "tree|batched)",
                          V->c_str());
     } else if (A == "--variant-cap") {
       auto V = next();
