@@ -34,6 +34,7 @@
 
 #include "gpusim/CostModel.h"
 #include "gpusim/ExecCommon.h"
+#include "ir/InstructionUtils.h"
 
 #include <algorithm>
 #include <atomic>
@@ -979,8 +980,9 @@ private:
               if (B[It].I == 0)
                 BT_FAULT("kernel '%s': integer division by zero",
                          F.name().c_str());
-              D[It].I = I.Opc == bc::Op::DivI ? A[It].I / B[It].I
-                                              : A[It].I % B[It].I;
+              D[It].I = I.Opc == bc::Op::DivI
+                            ? ir::wrapIntDiv(A[It].I, B[It].I)
+                            : ir::wrapIntRem(A[It].I, B[It].I);
             })
           } else if (Uniform && B0 != -1) {
             const double Dv = B0;
@@ -994,10 +996,10 @@ private:
             }
             Alu += Cur.size();
           } else if (I.Opc == bc::Op::DivI) {
-            FOR_ITEMS(It, D[It].I = A[It].I / B[It].I;)
+            FOR_ITEMS(It, D[It].I = ir::wrapIntDiv(A[It].I, B[It].I);)
             Alu += Cur.size();
           } else {
-            FOR_ITEMS(It, D[It].I = A[It].I % B[It].I;)
+            FOR_ITEMS(It, D[It].I = ir::wrapIntRem(A[It].I, B[It].I);)
             Alu += Cur.size();
           }
           ++Cur.Pc;

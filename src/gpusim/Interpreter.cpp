@@ -8,6 +8,7 @@
 
 #include "gpusim/CostModel.h"
 #include "gpusim/ExecCommon.h"
+#include "ir/InstructionUtils.h"
 #include "support/StringUtils.h"
 
 #include <cmath>
@@ -533,10 +534,10 @@ private:
             RV.I = L.I * Rv.I;
             break;
           case irns::Opcode::Div:
-            RV.I = L.I / Rv.I;
+            RV.I = irns::wrapIntDiv(L.I, Rv.I);
             break;
           case irns::Opcode::Rem:
-            RV.I = L.I % Rv.I;
+            RV.I = irns::wrapIntRem(L.I, Rv.I);
             break;
           default:
             break;

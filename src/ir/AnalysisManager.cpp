@@ -6,7 +6,7 @@
 
 #include "ir/AnalysisManager.h"
 
-#include <cstdio>
+#include "support/StringUtils.h"
 
 using namespace kperf;
 using namespace kperf::ir;
@@ -36,6 +36,18 @@ AnalysisManager::getDominanceFrontier(const Function &F) {
   E.DomFrontier =
       std::make_unique<DominanceFrontier>(DominanceFrontier::compute(F, DT));
   return *E.DomFrontier;
+}
+
+const LoopInfo &AnalysisManager::getLoopInfo(const Function &F) {
+  const DominatorTree &DT = getDominatorTree(F);
+  FunctionEntry &E = Entries[&F];
+  if (E.Loops) {
+    ++C.LoopHits;
+    return *E.Loops;
+  }
+  ++C.LoopComputes;
+  E.Loops = std::make_unique<LoopInfo>(LoopInfo::compute(F, DT));
+  return *E.Loops;
 }
 
 const MemorySSA &AnalysisManager::getMemorySSA(const Function &F) {
@@ -83,14 +95,11 @@ AnalysisManager::getDivergenceAnalysis(const Function &F) {
 }
 
 std::string AnalysisManager::Counters::str() const {
-  char Buf[160];
-  std::snprintf(Buf, sizeof(Buf),
-                "domtree %u/%u, frontier %u/%u, memssa %u/%u, "
+  return format("domtree %u/%u, frontier %u/%u, loops %u/%u, memssa %u/%u, "
                 "range %u/%u, divergence %u/%u (computes/hits)",
                 DomTreeComputes, DomTreeHits, DomFrontierComputes,
-                DomFrontierHits, MemSSAComputes, MemSSAHits, RangeComputes,
-                RangeHits, DivComputes, DivHits);
-  return Buf;
+                DomFrontierHits, LoopComputes, LoopHits, MemSSAComputes,
+                MemSSAHits, RangeComputes, RangeHits, DivComputes, DivHits);
 }
 
 void AnalysisManager::invalidate(const Function &F, bool CFGPreserved) {
@@ -104,6 +113,7 @@ void AnalysisManager::invalidate(const Function &F, bool CFGPreserved) {
   if (!CFGPreserved) {
     It->second.DomTree.reset();
     It->second.DomFrontier.reset();
+    It->second.Loops.reset();
   }
 }
 

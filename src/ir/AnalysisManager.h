@@ -7,11 +7,13 @@
 /// \file
 /// Caches analysis results keyed by function, in the spirit of LLVM's
 /// new-pass-manager FunctionAnalysisManager reduced to what this project
-/// needs. Two kinds of entries are held per function:
+/// needs. Three kinds of entries are held per function:
 ///
-///  * the DominatorTree, with dedicated accessors and hit/compute counters
-///    (the pass pipeline asserts the tree is computed at most once per
-///    fixpoint round, not once per LICM invocation);
+///  * the CFG-level analyses -- the DominatorTree, its frontiers and the
+///    LoopInfo derived from it -- with dedicated accessors and
+///    hit/compute counters (the pass pipeline asserts the tree is
+///    computed at most once per fixpoint round, not once per LICM
+///    invocation);
 ///  * MemorySSA, derived from the tree and frontier, shared by the
 ///    memory-widened passes (gvn, memopt-dse, licm) within a round;
 ///  * a typed generic cache for results owned by higher layers -- the
@@ -20,8 +22,9 @@
 ///
 /// Invalidation is explicit: after a pass mutates a function, the pass
 /// manager calls invalidate(F, CFGPreserved). CFG-level analyses (the
-/// DominatorTree) survive mutations that keep the block set and branch
-/// edges intact (CSE, MemOpt, DCE, LICM); MemorySSA and everything in the
+/// DominatorTree, frontiers and LoopInfo) survive mutations that keep the
+/// block set and branch edges intact (CSE, MemOpt, DCE, LICM); MemorySSA,
+/// the range and divergence analyses and everything in the
 /// generic cache are instruction-sensitive and dropped on any mutation.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,6 +35,7 @@
 #include "ir/DivergenceAnalysis.h"
 #include "ir/Dominators.h"
 #include "ir/Function.h"
+#include "ir/LoopInfo.h"
 #include "ir/MemorySSA.h"
 #include "ir/RangeAnalysis.h"
 
@@ -50,6 +54,8 @@ public:
     unsigned DomTreeHits = 0;         ///< Cache hits.
     unsigned DomFrontierComputes = 0; ///< Frontier cache misses.
     unsigned DomFrontierHits = 0;     ///< Frontier cache hits.
+    unsigned LoopComputes = 0;        ///< LoopInfo cache misses.
+    unsigned LoopHits = 0;            ///< LoopInfo cache hits.
     unsigned MemSSAComputes = 0;      ///< Memory-SSA cache misses.
     unsigned MemSSAHits = 0;          ///< Memory-SSA cache hits.
     unsigned RangeComputes = 0;       ///< Range-analysis cache misses.
@@ -57,7 +63,7 @@ public:
     unsigned DivComputes = 0;         ///< Divergence cache misses.
     unsigned DivHits = 0;             ///< Divergence cache hits.
 
-    /// One-line cache accounting, "domtree 3/12 memssa 2/5 ..."
+    /// One-line cache accounting, "domtree 3/12, frontier 1/4, ..."
     /// (computes/hits per analysis), for --time-passes and tools.
     std::string str() const;
   };
@@ -70,6 +76,11 @@ public:
   /// tree first if needed). Invalidated together with the tree: both are
   /// pure CFG analyses.
   const DominanceFrontier &getDominanceFrontier(const Function &F);
+
+  /// Returns the natural loops of \p F (computing the dominator tree
+  /// first if needed). Invalidated together with the tree: LoopInfo
+  /// records only blocks and branch edges.
+  const LoopInfo &getLoopInfo(const Function &F);
 
   /// Returns the memory SSA of \p F (computing the dominator tree and
   /// frontier first if needed). Dropped on *any* invalidation -- memory
@@ -109,8 +120,8 @@ public:
   }
 
   /// Drops cached results for \p F after a mutation. When
-  /// \p CFGPreserved is true the DominatorTree is kept (block set and
-  /// branch edges unchanged); the generic cache is always dropped.
+  /// \p CFGPreserved is true the CFG-level analyses are kept (block set
+  /// and branch edges unchanged); the rest is always dropped.
   void invalidate(const Function &F, bool CFGPreserved = false);
 
   /// Drops every cached result.
@@ -123,6 +134,7 @@ private:
   struct FunctionEntry {
     std::unique_ptr<DominatorTree> DomTree;
     std::unique_ptr<DominanceFrontier> DomFrontier;
+    std::unique_ptr<LoopInfo> Loops;
     std::unique_ptr<MemorySSA> MemSSA;
     std::unique_ptr<RangeAnalysis> Range;
     NDRangeBounds RangeBounds; ///< Seeds the cached Range was built with.

@@ -7,8 +7,8 @@
 /// \file
 /// Dominator tree over a function's CFG (Cooper-Harvey-Kennedy iterative
 /// algorithm), dominance frontiers derived from it, and the small CFG
-/// helpers both need. The tree is used by LICM to find natural loops and
-/// safe hoisting points; the frontier drives mem2reg's phi placement.
+/// helpers both need. ir::LoopInfo finds natural loops from the tree's
+/// back edges; the frontier drives mem2reg's phi placement.
 ///
 //===----------------------------------------------------------------------===//
 

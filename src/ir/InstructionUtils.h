@@ -8,7 +8,9 @@
 /// Predicates shared by the value-numbering and memory passes (CSE, GVN,
 /// MemOpt). They live in one place so the passes cannot drift apart on
 /// what counts as pure or commutative: a new opcode or builtin is
-/// classified here, once.
+/// classified here, once. The integer evaluation helpers below are
+/// likewise the one definition simplify, the loop passes and both
+/// simulator tiers compute with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,6 +98,21 @@ inline bool isCommutativeBuiltin(Builtin B) {
   return B == Builtin::Min || B == Builtin::Max;
 }
 
+/// True for the six comparison opcodes.
+inline bool isCmpOpcode(Opcode Op) {
+  switch (Op) {
+  case Opcode::CmpEq:
+  case Opcode::CmpNe:
+  case Opcode::CmpLt:
+  case Opcode::CmpLe:
+  case Opcode::CmpGt:
+  case Opcode::CmpGe:
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// Evaluates an integer comparison exactly as the simulator would.
 inline bool evalIntCmp(Opcode Op, int64_t L, int64_t R) {
   switch (Op) {
@@ -131,6 +148,18 @@ inline std::optional<int32_t> foldIntBinary(Opcode Op, int32_t L,
   default:
     return std::nullopt;
   }
+}
+
+/// int32 division and remainder with the simulator's semantics:
+/// truncating, and wrapping on the one overflowing case, so
+/// INT32_MIN / -1 is INT32_MIN and INT32_MIN % -1 is 0 (C++ leaves both
+/// undefined; x86 traps). \p R must be nonzero: division by zero is a
+/// fault each caller reports itself.
+inline int32_t wrapIntDiv(int32_t L, int32_t R) {
+  return R == -1 ? static_cast<int32_t>(-static_cast<int64_t>(L)) : L / R;
+}
+inline int32_t wrapIntRem(int32_t L, int32_t R) {
+  return R == -1 ? 0 : L % R;
 }
 
 /// Deterministic operand ordering for commutative keys: values are

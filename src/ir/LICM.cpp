@@ -6,97 +6,15 @@
 
 #include "ir/LICM.h"
 
-#include "ir/Dominators.h"
-#include "ir/MemorySSA.h"
+#include "ir/AnalysisManager.h"
+#include "ir/LoopInfo.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace kperf;
 using namespace kperf::ir;
 
 namespace {
-
-/// One natural loop: header plus body (header included), and the unique
-/// preheader the hoisted code moves to.
-struct Loop {
-  BasicBlock *Header = nullptr;
-  BasicBlock *Preheader = nullptr;
-  std::unordered_set<const BasicBlock *> Body;
-};
-
-/// Collects the natural loop of back edge \p Latch -> \p Header (reverse
-/// flood from the latch that stops at the header).
-void collectLoopBody(BasicBlock *Header, BasicBlock *Latch,
-                     const std::unordered_map<const BasicBlock *,
-                                              std::vector<BasicBlock *>>
-                         &Preds,
-                     std::unordered_set<const BasicBlock *> &Body) {
-  Body.insert(Header);
-  std::vector<BasicBlock *> Work;
-  if (Body.insert(Latch).second)
-    Work.push_back(Latch);
-  while (!Work.empty()) {
-    BasicBlock *BB = Work.back();
-    Work.pop_back();
-    auto It = Preds.find(BB);
-    if (It == Preds.end())
-      continue;
-    for (BasicBlock *P : It->second)
-      if (Body.insert(P).second)
-        Work.push_back(P);
-  }
-}
-
-/// Finds all natural loops of \p F that have a usable preheader. Loops
-/// sharing a header are merged.
-std::vector<Loop> findLoops(Function &F, const DominatorTree &DT) {
-  auto Preds = predecessors(F);
-  std::unordered_map<const BasicBlock *, Loop> ByHeader;
-  for (const auto &BB : F.blocks()) {
-    if (!DT.isReachable(BB.get()))
-      continue;
-    for (BasicBlock *Succ : successors(BB.get())) {
-      if (!DT.dominates(Succ, BB.get()))
-        continue; // Not a back edge.
-      Loop &L = ByHeader[Succ];
-      L.Header = Succ;
-      collectLoopBody(Succ, BB.get(), Preds, L.Body);
-    }
-  }
-
-  std::vector<Loop> Loops;
-  for (auto &[Header, L] : ByHeader) {
-    // Preheader: the unique out-of-loop predecessor, ending in an
-    // unconditional branch (so moved code executes iff the loop is
-    // entered from it).
-    BasicBlock *Preheader = nullptr;
-    bool Unique = true;
-    for (BasicBlock *P : Preds[Header]) {
-      if (L.Body.count(P))
-        continue;
-      if (Preheader)
-        Unique = false;
-      Preheader = P;
-    }
-    if (!Preheader || !Unique)
-      continue;
-    const Instruction *T = Preheader->terminator();
-    if (!T || T->opcode() != Opcode::Br)
-      continue;
-    L.Preheader = Preheader;
-    Loops.push_back(std::move(L));
-  }
-  // Inner loops first (smaller bodies), so one sweep hoists innermost
-  // code before the enclosing loop is considered.
-  std::sort(Loops.begin(), Loops.end(),
-            [](const Loop &A, const Loop &B) {
-              if (A.Body.size() != B.Body.size())
-                return A.Body.size() < B.Body.size();
-              return A.Header->name() < B.Header->name();
-            });
-  return Loops;
-}
 
 /// Returns true if executing \p I cannot fault and has no side effects.
 /// Loads are handled separately.
@@ -138,42 +56,27 @@ bool isSafeToSpeculate(const Instruction &I) {
 
 } // namespace
 
-unsigned ir::hoistLoopInvariants(Function &F) {
-  DominatorTree DT = DominatorTree::compute(F);
-  return hoistLoopInvariants(F, DT);
-}
-
-unsigned ir::hoistLoopInvariants(Function &F, const DominatorTree &DT) {
-  DominanceFrontier DF = DominanceFrontier::compute(F, DT);
-  MemorySSA MSSA = MemorySSA::compute(F, DT, DF);
-  return hoistLoopInvariants(F, DT, MSSA);
-}
-
-unsigned ir::hoistLoopInvariants(Function &F, const DominatorTree &DT,
-                                 const MemorySSA &MSSA) {
+unsigned ir::hoistLoopInvariants(Function &F, AnalysisManager &AM) {
+  const LoopInfo &LI = AM.getLoopInfo(F);
+  const MemorySSA &MSSA = AM.getMemorySSA(F);
   unsigned Hoisted = 0;
   bool AnyChange = true;
-  // Hoisting never changes blocks or branch edges, so one dominator tree
-  // serves every round. Re-deriving loops after each round keeps the
-  // (rarely iterated) fixpoint simple; kernels have a handful of loops.
+  // Hoisting never changes blocks or branch edges, so one set of loops
+  // serves every round.
   while (AnyChange) {
     AnyChange = false;
-    for (Loop &L : findLoops(F, DT)) {
+    for (const Loop &L : LI.loops()) {
       // Hoisting into a block that comes later in the block list than a
       // use would defeat the verifier's ordering rule; structured
       // frontends always place the preheader first, but guard anyway.
-      size_t PreIdx = F.blockIndex(L.Preheader);
-      bool OrderOk = true;
-      for (const BasicBlock *BB : L.Body)
-        OrderOk &= PreIdx < F.blockIndex(BB);
-      if (!OrderOk)
+      if (!L.Preheader ||
+          F.blockIndex(L.Preheader) >= F.blockIndex(L.Blocks.front()))
         continue;
 
-      // Memory defs (stores and barriers) inside this loop, in layout
-      // order: a load hoists only when none of them may clobber its
-      // location.
+      // Memory defs (stores and barriers) inside this loop: a load
+      // hoists only when none of them may clobber its location.
       std::vector<const Instruction *> LoopDefs;
-      for (const BasicBlock *BB : L.Body)
+      for (const BasicBlock *BB : L.Blocks)
         for (const auto &I : BB->instructions())
           if (I->opcode() == Opcode::Store ||
               (I->opcode() == Opcode::Call &&
@@ -193,8 +96,7 @@ unsigned ir::hoistLoopInvariants(Function &F, const DominatorTree &DT,
       auto IsMovableLoad = [&](const Instruction *I) {
         MemoryLoc Loc = memoryLocation(I->operand(0));
         const auto *A = dyn_cast<Instruction>(Loc.Root);
-        if (!A || A->opcode() != Opcode::Alloca ||
-            L.Body.count(A->parent()))
+        if (!A || A->opcode() != Opcode::Alloca || L.contains(A->parent()))
           return false;
         if (!Loc.ConstIndex || Loc.Index < 0 ||
             Loc.Index >= static_cast<int64_t>(A->allocaCount()))
@@ -211,28 +113,19 @@ unsigned ir::hoistLoopInvariants(Function &F, const DominatorTree &DT,
       // Values known loop-invariant (hoisted or defined outside).
       auto IsInvariantValue = [&](const Value *V) {
         const auto *I = dyn_cast<Instruction>(V);
-        if (!I)
-          return true; // Constants and arguments.
-        return L.Body.count(I->parent()) == 0;
+        return !I || !L.contains(I->parent()); // Constants, arguments.
       };
 
-      // Iterate loop blocks in function order, not set order: hoisted
-      // instructions land in the preheader in a deterministic sequence
-      // (unordered_set iteration would vary run to run).
-      std::vector<const BasicBlock *> OrderedBody;
-      for (const auto &BB : F.blocks())
-        if (L.Body.count(BB.get()))
-          OrderedBody.push_back(BB.get());
-
+      // Loop blocks are visited in layout order, so hoisted instructions
+      // land in the preheader in a deterministic sequence.
       bool LoopChanged = true;
       while (LoopChanged) {
         LoopChanged = false;
-        for (const BasicBlock *BB : OrderedBody) {
+        for (BasicBlock *BB : L.Blocks) {
           // Snapshot: hoisting mutates the instruction vector.
           std::vector<Instruction *> Instrs;
           Instrs.reserve(BB->size());
-          for (const auto &I :
-               const_cast<BasicBlock *>(BB)->instructions())
+          for (const auto &I : BB->instructions())
             Instrs.push_back(I.get());
 
           for (Instruction *I : Instrs) {
@@ -252,8 +145,7 @@ unsigned ir::hoistLoopInvariants(Function &F, const DominatorTree &DT,
 
             // Splice I out of its block and append it before the
             // preheader's terminator.
-            auto &From =
-                const_cast<BasicBlock *>(BB)->mutableInstructions();
+            auto &From = BB->mutableInstructions();
             auto It = std::find_if(
                 From.begin(), From.end(),
                 [&](const auto &P) { return P.get() == I; });
@@ -269,8 +161,6 @@ unsigned ir::hoistLoopInvariants(Function &F, const DominatorTree &DT,
         }
       }
     }
-    if (!AnyChange)
-      break;
   }
   return Hoisted;
 }

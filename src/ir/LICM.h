@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Conservative loop-invariant code motion over the natural loops of a
-/// kernel. In the default pipeline LICM runs after mem2reg/sroa have
+/// kernel (ir/LoopInfo.h finds them). In the default pipeline LICM runs after mem2reg/sroa have
 /// promoted private scalars and constant-indexed arrays to SSA values,
 /// so its main job is hoisting the invariant *arithmetic* those values
 /// feed (address computations, clamp chains) out of the filter-window
@@ -18,7 +18,8 @@
 /// faults on out-of-bounds accesses, so only never-faulting instructions
 /// move:
 ///  * pure arithmetic/casts/comparisons/selects/GEPs with loop-invariant
-///    operands (Div/Rem only when the divisor is a nonzero constant);
+///    operands (Div/Rem only when the divisor is a nonzero constant;
+///    INT32_MIN / -1 wraps rather than faults);
 ///  * pure builtin calls (math and work-item queries);
 ///  * loads whose location is an *alloca element with a provably
 ///    in-bounds constant index* (private or local; argument buffers have
@@ -28,8 +29,10 @@
 ///    clobber the location (barriers clobber local allocas -- other
 ///    work items' tile writes become visible -- never private ones).
 ///
-/// Loops whose header has no unique out-of-loop predecessor ending in an
-/// unconditional branch (a preheader) are skipped.
+/// The one legality check on the loop itself: loops without a preheader
+/// (a unique out-of-loop predecessor of the header ending in an
+/// unconditional branch) are skipped. Back edges sharing a header are
+/// one loop here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,24 +44,14 @@
 namespace kperf {
 namespace ir {
 
-class DominatorTree;
-class MemorySSA;
+class AnalysisManager;
 
-/// Hoists loop-invariant instructions in \p F until a fixpoint.
-/// \returns the number of instructions moved.
-unsigned hoistLoopInvariants(Function &F);
-
-/// Variant reusing a precomputed dominator tree for \p F. Hoisting moves
-/// instructions between existing blocks without touching branch edges, so
-/// \p DT stays valid throughout -- the pass pipeline hands in its cached
-/// tree instead of recomputing one per invocation.
-unsigned hoistLoopInvariants(Function &F, const DominatorTree &DT);
-
-/// Variant additionally reusing a precomputed memory SSA. Hoisting only
-/// moves loads and pure arithmetic, never memory defs, so \p MSSA's def
-/// chains stay accurate for every unmoved instruction throughout.
-unsigned hoistLoopInvariants(Function &F, const DominatorTree &DT,
-                             const MemorySSA &MSSA);
+/// Hoists loop-invariant instructions in \p F until a fixpoint, reading
+/// the loops and memory SSA through \p AM. Hoisting moves instructions
+/// between existing blocks and never moves a store or barrier, so both
+/// stay valid across its own mutations. \returns the number of
+/// instructions moved.
+unsigned hoistLoopInvariants(Function &F, AnalysisManager &AM);
 
 } // namespace ir
 } // namespace kperf

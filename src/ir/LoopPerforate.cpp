@@ -6,14 +6,11 @@
 
 #include "ir/LoopPerforate.h"
 
-#include "ir/Dominators.h"
-#include "ir/InstructionUtils.h"
+#include "ir/LoopInfo.h"
 #include "perforation/AccessAnalysis.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace kperf;
@@ -21,48 +18,11 @@ using namespace kperf::ir;
 
 namespace {
 
-/// Everything known about one loop that passed the legality proofs.
+/// A loop that passed the legality proofs, with its induction variable.
 struct PerforableLoop {
-  BasicBlock *Header = nullptr;
-  BasicBlock *Preheader = nullptr;
-  BasicBlock *Latch = nullptr;
-  std::unordered_set<const BasicBlock *> Body; ///< Header included.
-  Instruction *IV = nullptr;   ///< Induction phi the exit test reads.
-  Value *Init = nullptr;       ///< IV's preheader incoming.
-  Value *Bound = nullptr;      ///< Loop-invariant comparison operand.
-  Instruction *Cond = nullptr; ///< Header comparison.
-  int64_t Step = 0;            ///< Original per-iteration advance.
-  bool IvOnLhs = false;
-  bool TrueIsBody = false;
+  const Loop *L = nullptr;
+  Induction IV;
 };
-
-/// Collects the natural loop of back edge \p Latch -> \p Header.
-void collectLoopBody(BasicBlock *Header, BasicBlock *Latch,
-                     const std::unordered_map<const BasicBlock *,
-                                              std::vector<BasicBlock *>>
-                         &Preds,
-                     std::unordered_set<const BasicBlock *> &Body) {
-  Body.insert(Header);
-  std::vector<BasicBlock *> Work;
-  if (Body.insert(Latch).second)
-    Work.push_back(Latch);
-  while (!Work.empty()) {
-    BasicBlock *BB = Work.back();
-    Work.pop_back();
-    auto It = Preds.find(BB);
-    if (It == Preds.end())
-      continue;
-    for (BasicBlock *P : It->second)
-      if (Body.insert(P).second)
-        Work.push_back(P);
-  }
-}
-
-std::optional<int64_t> asConstInt(const Value *V) {
-  if (const auto *C = dyn_cast<ConstantInt>(V))
-    return C->value();
-  return std::nullopt;
-}
 
 /// The relation under which the loop keeps iterating, normalized to
 /// "iv REL bound". Only order relations qualify: a strided step can hop
@@ -123,51 +83,29 @@ std::optional<ContinueRel> continueRelation(Opcode CmpOp, bool IvOnLhs,
   return R;
 }
 
-/// Trip count by simulating the induction arithmetic the way the
-/// interpreter executes it (mirrors the unroller's simulation).
-std::optional<unsigned> simulateTrips(int64_t Init, int64_t Step,
-                                      Opcode CmpOp, bool IvOnLhs,
-                                      int64_t Bound, bool TrueIsBody,
-                                      unsigned MaxTrips) {
-  int64_t V = Init;
-  unsigned Trips = 0;
-  while (true) {
-    bool Cond = IvOnLhs ? evalIntCmp(CmpOp, V, Bound)
-                        : evalIntCmp(CmpOp, Bound, V);
-    if (Cond != TrueIsBody)
-      return Trips;
-    if (++Trips > MaxTrips)
-      return std::nullopt;
-    V += Step;
-    if (V < INT32_MIN || V > INT32_MAX)
-      return std::nullopt;
-  }
-}
-
 /// True when \p V is a chain of in-body float adds (threaded through
 /// inner-loop phis) accumulating onto the header phi \p R -- the
 /// `acc += ...` shape mem2reg produces. Optimistic on phi cycles: the
 /// loop-carried edge of an inner accumulator phi is assumed rooted and
 /// the surrounding adds confirm or refute it.
-bool rootsAt(const Value *V, const Instruction *R,
-             const std::unordered_set<const BasicBlock *> &Body,
+bool rootsAt(const Value *V, const Instruction *R, const Loop &L,
              std::unordered_set<const Value *> &Visiting) {
   if (V == R)
     return true;
   const auto *I = dyn_cast<Instruction>(V);
-  if (!I || !Body.count(I->parent()))
+  if (!I || !L.contains(I->parent()))
     return false;
   if (!Visiting.insert(I).second)
     return true;
   switch (I->opcode()) {
   case Opcode::Add: {
-    bool L = rootsAt(I->operand(0), R, Body, Visiting);
-    bool Rt = rootsAt(I->operand(1), R, Body, Visiting);
-    return L != Rt; // Exactly one side carries the accumulator.
+    bool Lhs = rootsAt(I->operand(0), R, L, Visiting);
+    bool Rhs = rootsAt(I->operand(1), R, L, Visiting);
+    return Lhs != Rhs; // Exactly one side carries the accumulator.
   }
   case Opcode::Phi: {
     for (unsigned PI = 0; PI < I->numIncoming(); ++PI)
-      if (!rootsAt(I->incomingValue(PI), R, Body, Visiting))
+      if (!rootsAt(I->incomingValue(PI), R, L, Visiting))
         return false;
     return true;
   }
@@ -179,24 +117,22 @@ bool rootsAt(const Value *V, const Instruction *R,
 /// Collects the adds of a confirmed accumulation chain, each paired with
 /// the operand index of its contribution (the non-accumulator side).
 void collectChainAdds(
-    Value *V, const Instruction *R,
-    const std::unordered_set<const BasicBlock *> &Body,
+    Value *V, const Instruction *R, const Loop &L,
     std::unordered_set<const Value *> &Visited,
     std::vector<std::pair<Instruction *, unsigned>> &Adds) {
   if (V == R)
     return;
   auto *I = dyn_cast<Instruction>(V);
-  if (!I || !Body.count(I->parent()) || !Visited.insert(I).second)
+  if (!I || !L.contains(I->parent()) || !Visited.insert(I).second)
     return;
   if (I->opcode() == Opcode::Add) {
     std::unordered_set<const Value *> Probe;
-    unsigned Carry =
-        rootsAt(I->operand(0), R, Body, Probe) ? 0 : 1;
+    unsigned Carry = rootsAt(I->operand(0), R, L, Probe) ? 0 : 1;
     Adds.emplace_back(I, 1 - Carry);
-    collectChainAdds(I->operand(Carry), R, Body, Visited, Adds);
+    collectChainAdds(I->operand(Carry), R, L, Visited, Adds);
   } else if (I->opcode() == Opcode::Phi) {
     for (unsigned PI = 0; PI < I->numIncoming(); ++PI)
-      collectChainAdds(I->incomingValue(PI), R, Body, Visited, Adds);
+      collectChainAdds(I->incomingValue(PI), R, L, Visited, Adds);
   }
 }
 
@@ -208,11 +144,10 @@ void collectChainAdds(
 /// refused outright once the body stores -- a join may hide loop-carried
 /// state. Stores the access analysis matched as kernel outputs refuse
 /// immediately: a skipped output pixel stays unwritten forever.
-bool memoryLegal(const Function &F, const PerforableLoop &L,
-                 const MemorySSA &MSSA,
+bool memoryLegal(const Function &F, const Loop &L, const MemorySSA &MSSA,
                  const std::unordered_set<const Instruction *> &OutputStores) {
   bool HasStore = false;
-  for (const BasicBlock *B : L.Body) {
+  for (const BasicBlock *B : L.Blocks) {
     for (const auto &I : B->instructions()) {
       if (I->opcode() == Opcode::Call &&
           I->callee() == Builtin::Barrier)
@@ -241,9 +176,9 @@ bool memoryLegal(const Function &F, const PerforableLoop &L,
         continue;
       if (C->Kind == MemorySSA::AccessKind::Phi)
         return false;
-      if (!L.Body.count(C->Inst->parent()))
+      if (!L.contains(C->Inst->parent()))
         continue;
-      if (!L.Body.count(I->parent()))
+      if (!L.contains(I->parent()))
         return false; // Post-loop read of an in-loop store.
       if (!mustOverwrite(memoryLocation(C->Inst->operand(1)),
                          memoryLocation(I->operand(0))))
@@ -253,14 +188,15 @@ bool memoryLegal(const Function &F, const PerforableLoop &L,
   return true;
 }
 
-/// Finds every loop of \p F that qualifies for perforation by \p Stride.
+/// Finds every loop of \p F that qualifies for perforation by \p Stride,
+/// innermost first: an inner accumulator's rescale lands before the
+/// enclosing loop inspects its own accumulation chain.
 std::vector<PerforableLoop> findPerforableLoops(Function &F,
                                                 AnalysisManager &AM,
                                                 unsigned Stride) {
-  const DominatorTree &DT = AM.getDominatorTree(F);
+  const LoopInfo &LI = AM.getLoopInfo(F);
   const MemorySSA &MSSA = AM.getMemorySSA(F);
   const RangeAnalysis &RA = AM.getRangeAnalysis(F);
-  auto Preds = predecessors(F);
 
   std::unordered_set<const Instruction *> OutputStores;
   if (Expected<const perf::KernelAccessInfo *> AI =
@@ -268,133 +204,40 @@ std::vector<PerforableLoop> findPerforableLoops(Function &F,
     for (const perf::StoreSite &S : (*AI)->Outputs)
       OutputStores.insert(S.Store);
 
-  std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>>
-      Latches;
-  for (const auto &BB : F.blocks()) {
-    if (!DT.isReachable(BB.get()))
-      continue;
-    for (BasicBlock *Succ : successors(BB.get()))
-      if (DT.dominates(Succ, BB.get()))
-        Latches[Succ].push_back(BB.get());
-  }
-
   std::vector<PerforableLoop> Loops;
-  for (const auto &BB : F.blocks()) {
-    BasicBlock *Header = BB.get();
-    auto LatchIt = Latches.find(Header);
-    if (LatchIt == Latches.end() || LatchIt->second.size() != 1)
-      continue;
-    PerforableLoop L;
-    L.Header = Header;
-    L.Latch = LatchIt->second.front();
-    collectLoopBody(Header, L.Latch, Preds, L.Body);
-
-    // Unique out-of-loop preheader ending in an unconditional branch.
-    BasicBlock *Preheader = nullptr;
-    bool Unique = true;
-    for (BasicBlock *P : Preds[Header]) {
-      if (L.Body.count(P))
-        continue;
-      if (Preheader)
-        Unique = false;
-      Preheader = P;
-    }
-    if (!Preheader || !Unique)
-      continue;
-    const Instruction *PT = Preheader->terminator();
-    if (!PT || PT->opcode() != Opcode::Br)
-      continue;
-    L.Preheader = Preheader;
-
-    // The only exit is the header's conditional branch; body blocks
-    // neither return nor branch out (a side exit could observe the
-    // skipped iterations' partial state).
-    Instruction *HT = Header->terminator();
-    if (!HT || HT->opcode() != Opcode::CondBr)
-      continue;
-    bool T0In = L.Body.count(HT->branchTarget(0)) != 0;
-    bool T1In = L.Body.count(HT->branchTarget(1)) != 0;
-    if (T0In == T1In)
-      continue;
-    L.TrueIsBody = T0In;
-    bool BodyOk = true;
-    for (const BasicBlock *B : L.Body) {
-      if (B == Header)
-        continue;
-      const Instruction *T = B->terminator();
-      if (!T || T->opcode() == Opcode::Ret) {
-        BodyOk = false;
-        break;
-      }
-      for (BasicBlock *Succ : successors(B))
-        BodyOk &= L.Body.count(Succ) != 0;
-    }
-    if (!BodyOk)
-      continue;
-
-    // Induction phi: the phi the exit comparison tests, advancing by a
-    // constant step (variable steps could walk arbitrary index sets;
-    // refused).
-    auto *Cond = dyn_cast<Instruction>(HT->operand(0));
-    if (!Cond || Cond->parent() != Header)
-      continue;
-    Instruction *IV = nullptr;
-    for (unsigned OpI = 0; OpI < 2 && !IV; ++OpI) {
-      auto *P = dyn_cast<Instruction>(Cond->operand(OpI));
-      if (P && P->opcode() == Opcode::Phi && P->parent() == Header &&
-          P->numIncoming() == 2 && P->type().isInt()) {
-        IV = P;
-        L.IvOnLhs = OpI == 0;
-      }
-    }
-    if (!IV)
-      continue;
-    L.IV = IV;
-    L.Cond = Cond;
-    L.Init = IV->incomingValueFor(L.Preheader);
-    L.Bound = Cond->operand(L.IvOnLhs ? 1 : 0);
-    Value *NextV = IV->incomingValueFor(L.Latch);
-    auto *Next = NextV ? dyn_cast<Instruction>(NextV) : nullptr;
-    if (!L.Init || !Next || !L.Body.count(Next->parent()))
+  for (const Loop &L : LI.loops()) {
+    // findInduction also demands a preheader, one latch and the header
+    // as the only exit: a side exit could observe the skipped
+    // iterations' partial state. Variable steps could walk arbitrary
+    // index sets and are not matched.
+    std::optional<Induction> IV = findInduction(L);
+    if (!IV || IV->Step == 0)
       continue;
     // Already perforated (fixpoint groups re-run the pass; compounding
     // the stride every round would be a different transform).
-    if (Next->name().find(".perf") != std::string::npos)
+    if (IV->Next->name().find(".perf") != std::string::npos)
       continue;
-    std::optional<int64_t> Step;
-    if (Next->opcode() == Opcode::Add) {
-      if (Next->operand(0) == IV)
-        Step = asConstInt(Next->operand(1));
-      else if (Next->operand(1) == IV)
-        Step = asConstInt(Next->operand(0));
-    } else if (Next->opcode() == Opcode::Sub && Next->operand(0) == IV) {
-      if (auto C = asConstInt(Next->operand(1)))
-        Step = -*C;
-    }
-    if (!Step || *Step == 0)
-      continue;
-    L.Step = *Step;
 
     // The bound must be loop-invariant.
-    if (const auto *BI = dyn_cast<Instruction>(L.Bound))
-      if (L.Body.count(BI->parent()))
+    if (const auto *BI = dyn_cast<Instruction>(IV->Bound))
+      if (L.contains(BI->parent()))
         continue;
 
     // Exit-test guard: the strided step must still drive the relation
     // toward termination, and the induction value -- at most one strided
     // step past the bound's interval -- must stay inside int32, or the
     // wraparound could re-enter the iteration space.
-    std::optional<ContinueRel> Rel =
-        continueRelation(Cond->opcode(), L.IvOnLhs, L.TrueIsBody);
+    std::optional<ContinueRel> Rel = continueRelation(
+        IV->Cond->opcode(), IV->IvOnLhs, L.bodyOnTrueEdge());
     if (!Rel)
       continue;
-    int64_t NewStep = L.Step * static_cast<int64_t>(Stride);
+    int64_t NewStep = IV->Step * static_cast<int64_t>(Stride);
     if (NewStep < INT32_MIN || NewStep > INT32_MAX)
       continue;
     bool Upward = *Rel == ContinueRel::Lt || *Rel == ContinueRel::Le;
-    if (Upward != (L.Step > 0))
+    if (Upward != (IV->Step > 0))
       continue;
-    Interval BoundR = RA.rangeAt(L.Bound, Header);
+    Interval BoundR = RA.rangeAt(IV->Bound, L.Header);
     if (BoundR.isEmpty())
       continue;
     if (Upward ? BoundR.Hi + NewStep > INT32_MAX
@@ -403,47 +246,42 @@ std::vector<PerforableLoop> findPerforableLoops(Function &F,
 
     if (!memoryLegal(F, L, MSSA, OutputStores))
       continue;
-    Loops.push_back(std::move(L));
+    Loops.push_back({&L, *IV});
   }
-
-  // Innermost first: an inner accumulator's rescale lands before the
-  // enclosing loop inspects its own accumulation chain.
-  std::sort(Loops.begin(), Loops.end(),
-            [&](const PerforableLoop &A, const PerforableLoop &B) {
-              if (A.Body.size() != B.Body.size())
-                return A.Body.size() < B.Body.size();
-              return F.blockIndex(A.Header) < F.blockIndex(B.Header);
-            });
   return Loops;
 }
 
-/// Rewrites \p L to advance by Step x Stride and rescales its escaping
-/// float add-reductions by origTrips/perforatedTrips.
-void perforateLoop(Function &F, Module &M, PerforableLoop &L,
+/// Rewrites \p P's loop to advance by Step x Stride and rescales its
+/// escaping float add-reductions by origTrips/perforatedTrips.
+void perforateLoop(Function &F, Module &M, const PerforableLoop &P,
                    unsigned Stride) {
-  int64_t NewStep = L.Step * static_cast<int64_t>(Stride);
+  const Loop &L = *P.L;
+  const Induction &IV = P.IV;
+  BasicBlock *Latch = L.latch();
+  int64_t NewStep = IV.Step * static_cast<int64_t>(Stride);
   auto Inc = std::make_unique<Instruction>(
-      Opcode::Add, L.IV->type(),
-      std::vector<Value *>{L.IV, M.getInt(static_cast<int32_t>(NewStep))},
-      L.IV->name() + ".perf");
+      Opcode::Add, IV.Phi->type(),
+      std::vector<Value *>{IV.Phi, M.getInt(static_cast<int32_t>(NewStep))},
+      IV.Phi->name() + ".perf");
   Instruction *IncI =
-      L.Latch->insert(L.Latch->indexOf(L.Latch->terminator()),
-                      std::move(Inc));
-  for (unsigned PI = 0; PI < L.IV->numIncoming(); ++PI)
-    if (L.IV->incomingBlock(PI) == L.Latch)
-      L.IV->setIncomingValue(PI, IncI);
+      Latch->insert(Latch->indexOf(Latch->terminator()), std::move(Inc));
+  for (unsigned PI = 0; PI < IV.Phi->numIncoming(); ++PI)
+    if (IV.Phi->incomingBlock(PI) == Latch)
+      IV.Phi->setIncomingValue(PI, IncI);
 
   // Rescale factor: exact trip ratio when the induction range is fully
   // constant, the stride itself otherwise (the bound was still proven
   // finite by the range guard, just not constant).
   double Factor = static_cast<double>(Stride);
-  auto InitC = asConstInt(L.Init);
-  auto BoundC = asConstInt(L.Bound);
+  auto InitC = asConstInt(IV.Init);
+  auto BoundC = asConstInt(IV.Bound);
   if (InitC && BoundC) {
-    auto Orig = simulateTrips(*InitC, L.Step, L.Cond->opcode(), L.IvOnLhs,
-                              *BoundC, L.TrueIsBody, 1u << 22);
-    auto Perf = simulateTrips(*InitC, NewStep, L.Cond->opcode(), L.IvOnLhs,
-                              *BoundC, L.TrueIsBody, 1u << 22);
+    auto Orig = simulateTrips(*InitC, IV.Step, IV.Cond->opcode(),
+                              IV.IvOnLhs, *BoundC, L.bodyOnTrueEdge(),
+                              1u << 22);
+    auto Perf = simulateTrips(*InitC, NewStep, IV.Cond->opcode(),
+                              IV.IvOnLhs, *BoundC, L.bodyOnTrueEdge(),
+                              1u << 22);
     if (Orig && Perf)
       Factor = *Perf == 0 ? 1.0
                           : static_cast<double>(*Orig) /
@@ -461,15 +299,15 @@ void perforateLoop(Function &F, Module &M, PerforableLoop &L,
   size_t NumPhis = L.Header->firstNonPhiIndex();
   for (size_t PI = 0; PI < NumPhis; ++PI) {
     Instruction *R = L.Header->at(PI);
-    if (R == L.IV || !R->type().isFloat() || R->numIncoming() != 2)
+    if (R == IV.Phi || !R->type().isFloat() || R->numIncoming() != 2)
       continue;
-    Value *Carried = R->incomingValueFor(L.Latch);
+    Value *Carried = R->incomingValueFor(Latch);
     std::unordered_set<const Value *> Visiting;
-    if (!Carried || !rootsAt(Carried, R, L.Body, Visiting))
+    if (!Carried || !rootsAt(Carried, R, L, Visiting))
       continue;
     bool Escapes = false;
     for (const auto &BB : F.blocks()) {
-      if (L.Body.count(BB.get()))
+      if (L.contains(BB.get()))
         continue;
       for (const auto &I : BB->instructions())
         for (const Value *Op : I->operands())
@@ -479,7 +317,7 @@ void perforateLoop(Function &F, Module &M, PerforableLoop &L,
       continue;
     std::unordered_set<const Value *> Visited;
     std::vector<std::pair<Instruction *, unsigned>> Adds;
-    collectChainAdds(Carried, R, L.Body, Visited, Adds);
+    collectChainAdds(Carried, R, L, Visited, Adds);
     for (auto [A, LeafOp] : Adds) {
       auto Scale = std::make_unique<Instruction>(
           Opcode::Mul, A->type(),
@@ -500,7 +338,7 @@ unsigned ir::perforateLoops(Function &F, Module &M, AnalysisManager &AM,
   if (Stride <= 1)
     return 0; // Structural no-op: the function is untouched.
   std::vector<PerforableLoop> Loops = findPerforableLoops(F, AM, Stride);
-  for (PerforableLoop &L : Loops)
-    perforateLoop(F, M, L, Stride);
+  for (const PerforableLoop &P : Loops)
+    perforateLoop(F, M, P, Stride);
   return static_cast<unsigned>(Loops.size());
 }

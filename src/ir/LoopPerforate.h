@@ -11,10 +11,11 @@
 /// filter-window loops the fixed schemes never touch -- by advancing the
 /// loop's induction phi by `stride` times its original step.
 ///
-/// A loop qualifies when it is a single-back-edge natural loop with a
-/// unique preheader and its only exit in the header (the same shape
-/// LICM and the unroller accept), its induction phi advances by a
-/// constant step, and three legality proofs hold:
+/// Loops come from ir::LoopInfo and their induction variable from
+/// ir::findInduction, which requires a preheader, a single latch and the
+/// header's branch as the only exit. A loop qualifies when its induction
+/// phi advances by a nonzero constant step and three legality proofs
+/// hold:
 ///
 ///  * **exit test** (RangeAnalysis): the header comparison is an order
 ///    relation (<, <=, >, >=; equality tests could be hopped over) that
@@ -30,7 +31,7 @@
 ///    by the store, must-overwritten element) -- same-iteration scratch
 ///    is fine, anything escaping the iteration refuses;
 ///  * **shape**: no barriers in the body (work items would diverge on
-///    synchronization), no side exits or returns.
+///    synchronization).
 ///
 /// Escaping float add-reduction phis are rescaled: a header phi whose
 /// loop-carried value is a chain of float adds rooted at the phi (the

@@ -8,298 +8,96 @@
 
 #include "ir/Dominators.h"
 #include "ir/InstructionUtils.h"
+#include "ir/LoopInfo.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace kperf;
 using namespace kperf::ir;
 
 namespace {
 
-/// Everything known about one qualifying loop.
-struct UnrollableLoop {
-  BasicBlock *Header = nullptr;
-  BasicBlock *Preheader = nullptr;
-  BasicBlock *Latch = nullptr;
-  BasicBlock *BodyEntry = nullptr; ///< Header's in-loop successor.
-  BasicBlock *Exit = nullptr;      ///< Header's out-of-loop successor.
-  std::unordered_set<const BasicBlock *> Body; ///< Header included.
-  std::vector<BasicBlock *> BodyOrder;         ///< Function order.
-  unsigned Trips = 0;
-};
+/// Returns the trip count of \p L when it qualifies for full unrolling
+/// within \p Budget; nullopt otherwise.
+std::optional<unsigned> unrollTrips(const Function &F, const Loop &L,
+                                    unsigned Budget) {
+  // A preheader, one latch, and the header's branch as the only exit.
+  if (!L.Preheader || !L.latch() || !L.Exit)
+    return std::nullopt;
 
-/// Collects the natural loop of back edge \p Latch -> \p Header.
-void collectLoopBody(BasicBlock *Header, BasicBlock *Latch,
-                     const std::unordered_map<const BasicBlock *,
-                                              std::vector<BasicBlock *>>
-                         &Preds,
-                     std::unordered_set<const BasicBlock *> &Body) {
-  Body.insert(Header);
-  std::vector<BasicBlock *> Work;
-  if (Body.insert(Latch).second)
-    Work.push_back(Latch);
-  while (!Work.empty()) {
-    BasicBlock *BB = Work.back();
-    Work.pop_back();
-    auto It = Preds.find(BB);
-    if (It == Preds.end())
-      continue;
-    for (BasicBlock *P : It->second)
-      if (Body.insert(P).second)
-        Work.push_back(P);
-  }
-}
+  // No allocas: an alloca names one storage slot shared by all
+  // iterations; duplicating it would split that storage.
+  for (const BasicBlock *B : L.Blocks)
+    for (const auto &I : B->instructions())
+      if (I->opcode() == Opcode::Alloca)
+        return std::nullopt;
 
-std::optional<int64_t> asConstInt(const Value *V) {
-  if (const auto *C = dyn_cast<ConstantInt>(V))
-    return C->value();
-  return std::nullopt;
-}
-
-bool isCmp(Opcode Op) {
-  switch (Op) {
-  case Opcode::CmpEq:
-  case Opcode::CmpNe:
-  case Opcode::CmpLt:
-  case Opcode::CmpLe:
-  case Opcode::CmpGt:
-  case Opcode::CmpGe:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// Computes the trip count of the loop by simulating the induction
-/// arithmetic: iv starts at \p Init, advances by \p Step, and the loop
-/// body runs while the header condition keeps selecting the body edge.
-/// \returns nullopt when the loop does not terminate within \p MaxTrips
-/// or the induction variable leaves the int32 range the interpreter
-/// computes in.
-std::optional<unsigned> simulateTripCount(int64_t Init, int64_t Step,
-                                          Opcode CmpOp, bool IvOnLhs,
-                                          int64_t Bound, bool TrueIsBody,
-                                          unsigned MaxTrips) {
-  int64_t V = Init;
-  unsigned Trips = 0;
-  while (true) {
-    bool Cond = IvOnLhs ? evalIntCmp(CmpOp, V, Bound)
-                        : evalIntCmp(CmpOp, Bound, V);
-    if (Cond != TrueIsBody)
-      return Trips;
-    if (++Trips > MaxTrips)
-      return std::nullopt;
-    V += Step;
-    if (V < INT32_MIN || V > INT32_MAX)
-      return std::nullopt;
-  }
-}
-
-/// Finds the first (innermost-first) loop of \p F that qualifies for
-/// full unrolling within \p Budget.
-std::optional<UnrollableLoop> findUnrollableLoop(Function &F,
-                                                 const DominatorTree &DT,
-                                                 unsigned Budget) {
-  auto Preds = predecessors(F);
-
-  // Back edges grouped by header; headers with several back edges are
-  // not unrolled (the frontend never produces them).
-  std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>>
-      Latches;
-  for (const auto &BB : F.blocks()) {
-    if (!DT.isReachable(BB.get()))
-      continue;
-    for (BasicBlock *Succ : successors(BB.get()))
-      if (DT.dominates(Succ, BB.get()))
-        Latches[Succ].push_back(BB.get());
-  }
-
-  std::vector<UnrollableLoop> Candidates;
-  for (const auto &BB : F.blocks()) {
-    BasicBlock *Header = BB.get();
-    auto LatchIt = Latches.find(Header);
-    if (LatchIt == Latches.end() || LatchIt->second.size() != 1)
-      continue;
-    UnrollableLoop L;
-    L.Header = Header;
-    L.Latch = LatchIt->second.front();
-    collectLoopBody(Header, L.Latch, Preds, L.Body);
-    Candidates.push_back(std::move(L));
-  }
-  // Innermost first: smaller bodies unroll before their enclosing loop.
-  std::sort(Candidates.begin(), Candidates.end(),
-            [&](const UnrollableLoop &A, const UnrollableLoop &B) {
-              if (A.Body.size() != B.Body.size())
-                return A.Body.size() < B.Body.size();
-              return F.blockIndex(A.Header) < F.blockIndex(B.Header);
-            });
-
-  for (UnrollableLoop &L : Candidates) {
-    // Unique preheader ending in an unconditional branch.
-    BasicBlock *Preheader = nullptr;
-    bool Unique = true;
-    for (BasicBlock *P : Preds[L.Header]) {
-      if (L.Body.count(P))
-        continue;
-      if (Preheader)
-        Unique = false;
-      Preheader = P;
+  // Layout: the unrolled copies are inserted at the header's position,
+  // so the verifier's def-before-use block ordering survives iff the
+  // header leads the body in function order, the preheader and every
+  // outside definition the body reads sit before it, and the exit
+  // (which will read the final header copy) sits behind it. The body
+  // need not be contiguous -- the frontend puts for.end between a
+  // loop's header and the blocks of a nested if or inner loop.
+  size_t Start = F.blockIndex(L.Header);
+  if (F.blockIndex(L.Preheader) >= Start ||
+      F.blockIndex(L.Exit) <= Start || L.Blocks.front() != L.Header)
+    return std::nullopt;
+  for (const BasicBlock *B : L.Blocks)
+    for (const auto &I : B->instructions()) {
+      if (I->opcode() == Opcode::Phi)
+        continue; // Edge values; cloning resolves them per copy.
+      for (const Value *Op : I->operands())
+        if (const auto *OpI = dyn_cast<Instruction>(Op))
+          if (!L.contains(OpI->parent()) &&
+              F.blockIndex(OpI->parent()) >= Start)
+            return std::nullopt;
     }
-    if (!Preheader || !Unique)
-      continue;
-    const Instruction *PT = Preheader->terminator();
-    if (!PT || PT->opcode() != Opcode::Br)
-      continue;
-    L.Preheader = Preheader;
 
-    // The only exit is the header's conditional branch.
-    Instruction *HT = L.Header->terminator();
-    if (!HT || HT->opcode() != Opcode::CondBr)
+  // Values defined below the header must stay inside the loop; values
+  // escaping through the header (phis and its straight-line code) are
+  // rewired to the final header copy.
+  for (const auto &U : F.blocks()) {
+    if (L.contains(U.get()))
       continue;
-    bool T0In = L.Body.count(HT->branchTarget(0)) != 0;
-    bool T1In = L.Body.count(HT->branchTarget(1)) != 0;
-    if (T0In == T1In)
-      continue;
-    bool TrueIsBody = T0In;
-    L.BodyEntry = HT->branchTarget(TrueIsBody ? 0 : 1);
-    L.Exit = HT->branchTarget(TrueIsBody ? 1 : 0);
-
-    // Body blocks: no side exits, no returns, no allocas (an alloca
-    // names one storage slot shared by all iterations; duplicating it
-    // would split that storage).
-    bool BodyOk = true;
-    for (const BasicBlock *B : L.Body) {
-      if (B == L.Header)
-        continue;
-      const Instruction *T = B->terminator();
-      if (!T || T->opcode() == Opcode::Ret) {
-        BodyOk = false;
-        break;
-      }
-      for (BasicBlock *Succ : successors(B))
-        BodyOk &= L.Body.count(Succ) != 0;
-    }
-    for (const BasicBlock *B : L.Body)
-      for (const auto &I : B->instructions())
-        BodyOk &= I->opcode() != Opcode::Alloca;
-    if (!BodyOk)
-      continue;
-
-    // Layout: the unrolled copies are inserted at the header's position,
-    // so the verifier's def-before-use block ordering survives iff the
-    // header leads the body in function order, the preheader and every
-    // outside definition the body reads sit before it, and the exit
-    // (which will read the final header copy) sits behind it. The body
-    // need not be contiguous -- the frontend puts for.end between a
-    // loop's header and the blocks of a nested if or inner loop.
-    size_t Start = F.blockIndex(L.Header);
-    if (F.blockIndex(L.Preheader) >= Start ||
-        F.blockIndex(L.Exit) <= Start)
-      continue;
-    L.BodyOrder.clear();
-    for (const auto &B : F.blocks())
-      if (L.Body.count(B.get()))
-        L.BodyOrder.push_back(B.get());
-    if (L.BodyOrder.front() != L.Header)
-      continue;
-    bool OperandsOk = true;
-    for (const BasicBlock *B : L.Body)
-      for (const auto &I : B->instructions()) {
-        if (I->opcode() == Opcode::Phi)
-          continue; // Edge values; cloning resolves them per copy.
-        for (const Value *Op : I->operands())
-          if (const auto *OpI = dyn_cast<Instruction>(Op))
-            if (!L.Body.count(OpI->parent()))
-              OperandsOk &= F.blockIndex(OpI->parent()) < Start;
-      }
-    if (!OperandsOk)
-      continue;
-
-    // Values defined below the header must stay inside the loop; values
-    // escaping through the header (phis and its straight-line code) are
-    // rewired to the final header copy.
-    bool UsesOk = true;
-    for (const auto &U : F.blocks()) {
-      if (L.Body.count(U.get()))
-        continue;
-      for (const auto &I : U->instructions())
-        for (const Value *Op : I->operands())
-          if (const auto *OpI = dyn_cast<Instruction>(Op))
-            UsesOk &= !L.Body.count(OpI->parent()) ||
-                      OpI->parent() == L.Header;
-    }
-    if (!UsesOk)
-      continue;
-
-    // Induction variable: iv = phi [const, preheader], [iv +/- const,
-    // latch], compared against a constant bound in the header.
-    const auto *Cond = dyn_cast<Instruction>(HT->operand(0));
-    if (!Cond || !isCmp(Cond->opcode()) || Cond->parent() != L.Header)
-      continue;
-    std::optional<unsigned> Trips;
-    for (size_t PI = 0; PI < L.Header->firstNonPhiIndex(); ++PI) {
-      Instruction *IV = L.Header->at(PI);
-      if (IV->numIncoming() != 2)
-        continue;
-      Value *InitV = IV->incomingValueFor(L.Preheader);
-      Value *NextV = IV->incomingValueFor(L.Latch);
-      auto Init = InitV ? asConstInt(InitV) : std::nullopt;
-      const auto *Next = dyn_cast<Instruction>(NextV);
-      if (!Init || !Next || !L.Body.count(Next->parent()))
-        continue;
-      std::optional<int64_t> Step;
-      if (Next->opcode() == Opcode::Add) {
-        if (Next->operand(0) == IV)
-          Step = asConstInt(Next->operand(1));
-        else if (Next->operand(1) == IV)
-          Step = asConstInt(Next->operand(0));
-      } else if (Next->opcode() == Opcode::Sub &&
-                 Next->operand(0) == IV) {
-        if (auto C = asConstInt(Next->operand(1)))
-          Step = -*C;
-      }
-      if (!Step)
-        continue;
-      std::optional<int64_t> Bound;
-      bool IvOnLhs = false;
-      if (Cond->operand(0) == IV) {
-        Bound = asConstInt(Cond->operand(1));
-        IvOnLhs = true;
-      } else if (Cond->operand(1) == IV) {
-        Bound = asConstInt(Cond->operand(0));
-      }
-      if (!Bound)
-        continue;
-      Trips = simulateTripCount(*Init, *Step, Cond->opcode(), IvOnLhs,
-                                *Bound, TrueIsBody, Budget);
-      if (Trips)
-        break;
-    }
-    if (!Trips)
-      continue;
-
-    size_t LoopSize = 0;
-    for (const BasicBlock *B : L.Body)
-      LoopSize += B->size();
-    if (static_cast<size_t>(*Trips) * LoopSize > Budget)
-      continue;
-
-    L.Trips = *Trips;
-    return L;
+    for (const auto &I : U->instructions())
+      for (const Value *Op : I->operands())
+        if (const auto *OpI = dyn_cast<Instruction>(Op))
+          if (L.contains(OpI->parent()) && OpI->parent() != L.Header)
+            return std::nullopt;
   }
-  return std::nullopt;
+
+  // A constant-start induction variable tested against a constant bound.
+  std::optional<Induction> IV = findInduction(L);
+  if (!IV)
+    return std::nullopt;
+  auto Init = asConstInt(IV->Init);
+  auto Bound = asConstInt(IV->Bound);
+  if (!Init || !Bound)
+    return std::nullopt;
+  std::optional<unsigned> Trips =
+      simulateTrips(*Init, IV->Step, IV->Cond->opcode(), IV->IvOnLhs,
+                    *Bound, L.bodyOnTrueEdge(), Budget);
+  if (!Trips)
+    return std::nullopt;
+
+  size_t LoopSize = 0;
+  for (const BasicBlock *B : L.Blocks)
+    LoopSize += B->size();
+  if (static_cast<size_t>(*Trips) * LoopSize > Budget)
+    return std::nullopt;
+  return Trips;
 }
 
 /// Clones the loop body Trips times (plus a final header copy computing
 /// the loop-exit values) in place of the original blocks, collapsing the
 /// header phis to the per-iteration reaching values, then deletes the
 /// original loop.
-void unrollLoop(Function &F, Module &M, const UnrollableLoop &L) {
+void unrollLoop(Function &F, Module &M, const Loop &L, unsigned Trips) {
+  BasicBlock *Latch = L.latch();
   using ValueMap = std::unordered_map<const Value *, Value *>;
   auto mapped = [](const ValueMap &Map, Value *V) -> Value * {
     auto It = Map.find(V);
@@ -320,7 +118,7 @@ void unrollLoop(Function &F, Module &M, const UnrollableLoop &L) {
                                     static_cast<int32_t>(*LC),
                                     static_cast<int32_t>(*RC)))
       return M.getInt(*Folded);
-    if (isCmp(I->opcode()))
+    if (isCmpOpcode(I->opcode()))
       return M.getBool(evalIntCmp(I->opcode(), *LC, *RC));
     return nullptr;
   };
@@ -330,36 +128,36 @@ void unrollLoop(Function &F, Module &M, const UnrollableLoop &L) {
   // header's position so block order stays def-before-use.
   size_t InsertAt = F.blockIndex(L.Header);
   std::vector<std::unordered_map<const BasicBlock *, BasicBlock *>>
-      BlockMaps(L.Trips);
-  for (unsigned It = 0; It < L.Trips; ++It)
-    for (BasicBlock *B : L.BodyOrder)
+      BlockMaps(Trips);
+  for (unsigned It = 0; It < Trips; ++It)
+    for (BasicBlock *B : L.Blocks)
       BlockMaps[It][B] = F.createBlockAt(
           InsertAt++, B->name() + format(".it%u", It));
   BasicBlock *FinalHeader =
       F.createBlockAt(InsertAt++, L.Header->name() + ".done");
   auto headerOf = [&](unsigned It) {
-    return It < L.Trips ? BlockMaps[It][L.Header] : FinalHeader;
+    return It < Trips ? BlockMaps[It][L.Header] : FinalHeader;
   };
 
   // Phase 2: per iteration, seed the map with the header phis' reaching
   // values, then clone every body block (phis in interior blocks are
   // created empty and filled once the whole copy exists, mirroring
   // cloneFunction's back-edge handling for inner loops left rolled).
-  std::vector<ValueMap> Maps(L.Trips + 1);
+  std::vector<ValueMap> Maps(Trips + 1);
   size_t NumPhis = L.Header->firstNonPhiIndex();
-  for (unsigned It = 0; It <= L.Trips; ++It) {
+  for (unsigned It = 0; It <= Trips; ++It) {
     ValueMap &Map = Maps[It];
     for (size_t PI = 0; PI < NumPhis; ++PI) {
       Instruction *Phi = L.Header->at(PI);
       Map[Phi] = It == 0
                      ? Phi->incomingValueFor(L.Preheader)
                      : mapped(Maps[It - 1],
-                              Phi->incomingValueFor(L.Latch));
+                              Phi->incomingValueFor(Latch));
     }
-    bool IsFinal = It == L.Trips;
+    bool IsFinal = It == Trips;
     std::vector<std::pair<const Instruction *, Instruction *>> Phis;
     for (BasicBlock *B : IsFinal ? std::vector<BasicBlock *>{L.Header}
-                                 : L.BodyOrder) {
+                                 : L.Blocks) {
       BasicBlock *NewB = IsFinal ? FinalHeader : BlockMaps[It][B];
       bool IsHeader = B == L.Header;
       for (const auto &IPtr : B->instructions()) {
@@ -424,7 +222,7 @@ void unrollLoop(Function &F, Module &M, const UnrollableLoop &L) {
         NewPhi->addIncoming(mapped(Map, OldPhi->incomingValue(PI)),
                             BlockMaps[It][OldPhi->incomingBlock(PI)]);
   }
-  ValueMap &FinalMap = Maps[L.Trips];
+  ValueMap &FinalMap = Maps[Trips];
 
   // Rewire the loop's surroundings: the preheader enters the first
   // iteration, exit phis take the final header copy's edge, and every
@@ -438,7 +236,7 @@ void unrollLoop(Function &F, Module &M, const UnrollableLoop &L) {
     }
   }
   for (const auto &BB : F.blocks()) {
-    if (L.Body.count(BB.get()))
+    if (L.contains(BB.get()))
       continue;
     for (const auto &I : BB->instructions())
       for (unsigned OpI = 0; OpI < I->numOperands(); ++OpI) {
@@ -447,7 +245,7 @@ void unrollLoop(Function &F, Module &M, const UnrollableLoop &L) {
           I->setOperand(OpI, R);
       }
   }
-  for (BasicBlock *B : L.BodyOrder)
+  for (BasicBlock *B : L.Blocks)
     F.removeBlock(B);
 }
 
@@ -540,13 +338,21 @@ unsigned mergeStraightChains(Function &F) {
 
 unsigned ir::unrollConstantLoops(Function &F, Module &M, unsigned Budget) {
   unsigned Changes = 0;
-  while (true) {
+  // Each unroll rewrites the CFG, so the loops are re-found from a fresh
+  // dominator tree; the first qualifying loop innermost-first goes next.
+  bool Unrolled = true;
+  while (Unrolled) {
+    Unrolled = false;
     DominatorTree DT = DominatorTree::compute(F);
-    std::optional<UnrollableLoop> L = findUnrollableLoop(F, DT, Budget);
-    if (!L)
-      break;
-    unrollLoop(F, M, *L);
-    ++Changes;
+    LoopInfo LI = LoopInfo::compute(F, DT);
+    for (const Loop &L : LI.loops()) {
+      if (std::optional<unsigned> Trips = unrollTrips(F, L, Budget)) {
+        unrollLoop(F, M, L, *Trips);
+        ++Changes;
+        Unrolled = true;
+        break;
+      }
+    }
   }
   if (Changes)
     Changes += mergeStraightChains(F);

@@ -7,19 +7,20 @@
 /// \file
 /// Full unrolling of constant-trip natural loops under an IR-size budget,
 /// targeting the 3x3/5x5 filter-window loops of the perforation apps.
-/// A loop qualifies when:
+/// Loops, their preheader, latch and header exit come from ir::LoopInfo;
+/// the induction variable from ir::findInduction. A loop qualifies when:
 ///
-///  * it has a unique preheader (unconditional branch in) and a single
-///    back edge (one latch);
-///  * the only exit is the header's conditional branch -- no body block
-///    branches or returns out of the loop;
-///  * the header has an induction phi `iv = phi [init, preheader],
-///    [next, latch]` with `init` a constant, `next = iv +/- step` for a
-///    constant step, and the exit condition a comparison of `iv` against
-///    a constant bound;
-///  * the trip count -- found by simulating the induction arithmetic
-///    exactly as the interpreter would execute it -- times the loop's
-///    instruction count fits the budget.
+///  * it has a preheader and a single latch, and the header's
+///    conditional branch is its only exit;
+///  * its body holds no alloca, and the layout keeps definitions before
+///    uses once the copies replace it: the header leads the body, the
+///    preheader and the body's outside operands sit before it, the exit
+///    after it, and only header values escape the loop;
+///  * its induction variable starts at a constant and is compared
+///    against a constant bound;
+///  * the trip count -- found by ir::simulateTrips, which runs the
+///    induction arithmetic exactly as the interpreter would -- times the
+///    loop's instruction count fits the budget.
 ///
 /// The body (including the header's non-phi instructions) is cloned once
 /// per iteration with the induction phi collapsed to the iteration's

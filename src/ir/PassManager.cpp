@@ -78,17 +78,16 @@ public:
 };
 
 /// Loop-invariant code motion. Moves instructions between existing
-/// blocks; the block set and branch edges stay intact, so the dominator
-/// tree it reads from the AnalysisManager remains valid across its own
-/// mutations -- this is the pass the analysis cache exists for. The
-/// memory SSA it hands to the load-hoisting rule stays accurate too:
-/// LICM never moves a store or barrier, so no def chain changes.
+/// blocks; the block set and branch edges stay intact, so the loops it
+/// reads from the AnalysisManager remain valid across its own mutations
+/// -- this is the pass the analysis cache exists for. The memory SSA it
+/// hands to the load-hoisting rule stays accurate too: LICM never moves
+/// a store or barrier, so no def chain changes.
 class LICMPass : public FunctionPass {
 public:
   const char *name() const override { return "licm"; }
   unsigned run(Function &F, Module &, AnalysisManager &AM) override {
-    return hoistLoopInvariants(F, AM.getDominatorTree(F),
-                               AM.getMemorySSA(F));
+    return hoistLoopInvariants(F, AM);
   }
   bool preservesCFG() const override { return true; }
 };

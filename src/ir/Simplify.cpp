@@ -213,14 +213,14 @@ private:
       if (LC && RC) {
         // Add/sub/mul fold through the shared helper (the same
         // semantics loop unrolling folds with); div/rem keep their
-        // divide-by-zero guard here.
+        // divide-by-zero guard here and wrap like the simulator.
         if (auto Folded = foldIntBinary(I.opcode(), *LC, *RC))
           return M.getInt(*Folded);
         switch (I.opcode()) {
         case Opcode::Div:
-          return *RC == 0 ? nullptr : M.getInt(*LC / *RC);
+          return *RC == 0 ? nullptr : M.getInt(wrapIntDiv(*LC, *RC));
         case Opcode::Rem:
-          return *RC == 0 ? nullptr : M.getInt(*LC % *RC);
+          return *RC == 0 ? nullptr : M.getInt(wrapIntRem(*LC, *RC));
         default:
           return nullptr;
         }

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -358,6 +359,40 @@ TEST_F(BytecodeTest, DivisionByZeroFaultsOnAllTiers) {
               std::string::npos)
         << execTierName(AllTiers[T]) << ": "
         << Runs[T].Report.error().message();
+  }
+}
+
+TEST_F(BytecodeTest, IntMinDivMinusOneWrapsOnAllTiers) {
+  // a is INT32_MIN at w == 1 (computed without overflowing). Dividing
+  // it by -1 overflows int32: every tier must define the result by
+  // wraparound (quotient INT32_MIN, remainder 0) rather than trap the
+  // host. d is a uniform -1, which the batched tier's double-precision
+  // fast path skips; e alternates -1 and 1 to reach its non-uniform
+  // path.
+  ir::Function *F = compile("kernel void f(global const float* in, "
+                            "global float* out, int w, int h) {"
+                            "  int x = get_global_id(0);"
+                            "  int a = w * (0 - 2147483647) - 1;"
+                            "  int d = h - 2;"
+                            "  int e = (x % 2) * 2 - 1;"
+                            "  out[4 * x] = (float)(a / d);"
+                            "  out[4 * x + 1] = (float)(a % d);"
+                            "  out[4 * x + 2] = (float)(a / e);"
+                            "  out[4 * x + 3] = (float)(a % e);"
+                            "}");
+  ASSERT_NE(F, nullptr);
+  std::vector<TierRun> Runs =
+      runAllTiers(F, {16, 1}, {16, 1}, iota(16), 64,
+                  {KernelArg::makeInt(1), KernelArg::makeInt(1)});
+  expectParity(Runs);
+  if (!Runs[0].Report)
+    return;
+  const float Min = static_cast<float>(INT32_MIN);
+  for (size_t X = 0; X < 16; ++X) {
+    EXPECT_EQ(Runs[0].Output[4 * X], Min) << X;
+    EXPECT_EQ(Runs[0].Output[4 * X + 1], 0.0f) << X;
+    EXPECT_EQ(Runs[0].Output[4 * X + 2], Min) << X; // a / 1 or a / -1.
+    EXPECT_EQ(Runs[0].Output[4 * X + 3], 0.0f) << X;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "apps/App.h"
 #include "img/Generators.h"
+#include "ir/AnalysisManager.h"
 #include "ir/Dominators.h"
 #include "ir/IRBuilder.h"
 #include "ir/LICM.h"
@@ -157,6 +158,12 @@ unsigned countInBlock(const BasicBlock &BB, Opcode Op) {
   return N;
 }
 
+/// Runs LICM on \p F over a fresh analysis cache.
+unsigned hoist(Function &F) {
+  AnalysisManager AM;
+  return hoistLoopInvariants(F, AM);
+}
+
 const char *LoopKernel = R"(
 kernel void k(global const float* in, global float* out, int w, int h) {
   int x = get_global_id(0);
@@ -178,7 +185,7 @@ TEST(LicmTest, HoistsInvariantLoadsOutOfLoop) {
   unsigned LoadsBefore = countInBlock(*Body, Opcode::Load);
   EXPECT_GE(LoadsBefore, 4u);
 
-  unsigned Hoisted = hoistLoopInvariants(*F);
+  unsigned Hoisted = hoist(*F);
   EXPECT_GT(Hoisted, 0u);
   Error E = verifyFunction(*F);
   EXPECT_FALSE(E) << E.message();
@@ -192,7 +199,7 @@ TEST(LicmTest, HoistsInvariantLoadsOutOfLoop) {
 TEST(LicmTest, DoesNotHoistLoopCarriedLoads) {
   rt::Session Ctx;
   Function *F = compileKernel(Ctx, LoopKernel);
-  hoistLoopInvariants(*F);
+  hoist(*F);
   // The induction variable's load must stay inside the loop: its alloca
   // is stored to by the increment.
   bool FoundLoopLoadOfK = false;
@@ -227,7 +234,7 @@ kernel void k(global const float* in, global float* out, int w, int h) {
 )";
   rt::Session Ctx;
   Function *F = compileKernel(Ctx, InvariantGlobalLoad);
-  hoistLoopInvariants(*F);
+  hoist(*F);
   BasicBlock *Body = blockNamed(*F, "for.body0");
   ASSERT_NE(Body, nullptr);
   // The gep'd load from 'in' is still in the body.
@@ -255,7 +262,7 @@ kernel void k(global const float* in, global float* out, int w, int h) {
 )";
   rt::Session Ctx;
   Function *F = compileKernel(Ctx, DivKernel);
-  hoistLoopInvariants(*F);
+  hoist(*F);
   Error E = verifyFunction(*F);
   EXPECT_FALSE(E) << E.message();
   // x / (h-1) could fault for h == 1, so the div must stay in the loop
@@ -275,9 +282,9 @@ TEST(LicmTest, SemanticsPreservedOnAllApps) {
     std::vector<float> Ref = TheApp->reference(W);
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-    unsigned Hoisted = hoistLoopInvariants(*BK.K.F);
+    unsigned Hoisted = hoist(*BK.K.F);
     if (BK.isTwoPass())
-      Hoisted += hoistLoopInvariants(*BK.K2.F);
+      Hoisted += hoist(*BK.K2.F);
     Error E = verifyFunction(*BK.K.F);
     ASSERT_FALSE(E) << E.message();
     apps::RunOutcome R = cantFail(TheApp->run(Ctx, BK, W));
@@ -296,7 +303,7 @@ TEST(LicmTest, ReducesDynamicAluWork) {
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
     if (Licm)
-      hoistLoopInvariants(*BK.K.F);
+      hoist(*BK.K.F);
     sim::SimReport R = cantFail(TheApp->run(Ctx, BK, W)).Report;
     return static_cast<double>(R.Totals.AluOps) / R.Totals.WorkItems;
   };
@@ -338,7 +345,7 @@ TEST(LicmTest, SkipsLoopsWithoutUniquePreheader) {
   B.createRet();
   ASSERT_FALSE(verifyFunction(*F));
 
-  EXPECT_EQ(hoistLoopInvariants(*F), 0u);
+  EXPECT_EQ(hoist(*F), 0u);
   EXPECT_EQ(countInBlock(*Body, Opcode::Mul), 1u); // Still in the loop.
   EXPECT_FALSE(verifyFunction(*F));
 }
@@ -371,16 +378,16 @@ TEST(LicmTest, SkipsConditionalPreheader) {
   B.createRet();
   ASSERT_FALSE(verifyFunction(*F));
 
-  EXPECT_EQ(hoistLoopInvariants(*F), 0u);
+  EXPECT_EQ(hoist(*F), 0u);
   EXPECT_EQ(countInBlock(*Body, Opcode::Mul), 1u);
 }
 
 TEST(LicmTest, IdempotentAfterFixpoint) {
   rt::Session Ctx;
   Function *F = compileKernel(Ctx, LoopKernel);
-  unsigned First = hoistLoopInvariants(*F);
+  unsigned First = hoist(*F);
   EXPECT_GT(First, 0u);
-  EXPECT_EQ(hoistLoopInvariants(*F), 0u);
+  EXPECT_EQ(hoist(*F), 0u);
 }
 
 } // namespace

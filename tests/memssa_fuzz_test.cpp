@@ -13,9 +13,12 @@
 // (empty pipeline vs the full default pipeline, verified after every
 // pass) and run under both execution tiers. All four runs must
 // agree byte for byte on the output buffer and exactly on fault
-// behavior. A run of >= 200 seeds is cheap (tiny NDRanges) and every
-// failure message carries the seed and the generated source, so any
-// miscompile reproduces from the log alone.
+// behavior. The same seeds also run through two perforating pipelines,
+// whose outputs may legitimately differ: there a build must run clean
+// wherever the baseline does, agree across tiers and lint error-free.
+// A run of >= 200 seeds is cheap (tiny NDRanges) and every failure
+// message carries the seed and the generated source, so any miscompile
+// reproduces from the log alone.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +26,7 @@
 #include "ir/Lint.h"
 #include "ir/PassManager.h"
 #include "pcl/Compiler.h"
+#include "perforation/Tuner.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -310,22 +314,19 @@ struct TierRun {
   std::vector<float> Output;
 };
 
-/// Compiles \p Source under \p Spec and runs it under every tier over
-/// identical buffers. Returns one entry per tier, or nullopt-style empty
-/// on compile failure (reported by the caller via \p CompileError).
-std::vector<TierRun> compileAndRunAllTiers(const std::string &Source,
-                                           const std::string &Spec,
-                                           const std::vector<float> &Input,
-                                           std::string &CompileError) {
-  ir::Module M;
+/// Compiles \p Source into \p M under \p Spec, verified after every pass.
+Expected<ir::Function *> compileVerified(ir::Module &M,
+                                         const std::string &Source,
+                                         const std::string &Spec) {
   pcl::CompileOptions Opts;
   Opts.PipelineSpec = Spec;
   Opts.VerifyEach = true;
-  Expected<ir::Function *> F = pcl::compileKernel(M, Source, "k", Opts);
-  if (!F) {
-    CompileError = F.error().message();
-    return {};
-  }
+  return pcl::compileKernel(M, Source, "k", Opts);
+}
+
+/// Runs \p F under every tier over identical buffers; one entry per tier.
+std::vector<TierRun> runAllTiers(const ir::Function &F,
+                                 const std::vector<float> &Input) {
   DeviceConfig Device;
   std::vector<TierRun> Runs;
   for (ExecTier Tier : Tiers) {
@@ -338,7 +339,7 @@ std::vector<TierRun> compileAndRunAllTiers(const std::string &Source,
     LaunchOptions LOpts;
     LOpts.Tier = Tier;
     Expected<SimReport> Rep = launchKernel(
-        **F, {GlobalItems, 1}, {GroupItems, 1}, Args, Bank, Device, LOpts);
+        F, {GlobalItems, 1}, {GroupItems, 1}, Args, Bank, Device, LOpts);
     TierRun R;
     R.Ok = static_cast<bool>(Rep);
     if (!Rep)
@@ -347,6 +348,39 @@ std::vector<TierRun> compileAndRunAllTiers(const std::string &Source,
     Runs.push_back(std::move(R));
   }
   return Runs;
+}
+
+/// Compiles \p Source under \p Spec and runs it under every tier over
+/// identical buffers. Returns one entry per tier, or nullopt-style empty
+/// on compile failure (reported by the caller via \p CompileError).
+std::vector<TierRun> compileAndRunAllTiers(const std::string &Source,
+                                           const std::string &Spec,
+                                           const std::vector<float> &Input,
+                                           std::string &CompileError) {
+  ir::Module M;
+  Expected<ir::Function *> F = compileVerified(M, Source, Spec);
+  if (!F) {
+    CompileError = F.error().message();
+    return {};
+  }
+  return runAllTiers(**F, Input);
+}
+
+/// The input buffer of seed \p Seed.
+std::vector<float> seedInput(uint64_t Seed) {
+  Rng InputRng(Seed ^ 0x9e3779b97f4a7c15ull);
+  std::vector<float> Input(InputSize);
+  for (float &V : Input)
+    V = static_cast<float>(InputRng.below(1024)) * 0.125f - 32.0f;
+  return Input;
+}
+
+/// Lint options matching the fuzzer's launch geometry.
+ir::lint::LintOptions fuzzLintOptions() {
+  ir::lint::LintOptions LO;
+  LO.Bounds.GlobalSize[0] = GlobalItems;
+  LO.Bounds.LocalSize[0] = GroupItems;
+  return LO;
 }
 
 bool bitIdentical(const std::vector<float> &A, const std::vector<float> &B) {
@@ -362,10 +396,7 @@ void runSeed(uint64_t Seed) {
   std::string Source = G.generate();
   SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
 
-  Rng InputRng(Seed ^ 0x9e3779b97f4a7c15ull);
-  std::vector<float> Input(InputSize);
-  for (float &V : Input)
-    V = static_cast<float>(InputRng.below(1024)) * 0.125f - 32.0f;
+  std::vector<float> Input = seedInput(Seed);
 
   std::string BaseErr, OptErr;
   std::vector<TierRun> Base =
@@ -425,10 +456,7 @@ TEST(MemSSAFuzzTest, PlantedFaultsAreFlaggedStatically) {
     Expected<ir::Function *> F = pcl::compileKernel(M, Source, "k", Opts);
     ASSERT_TRUE(static_cast<bool>(F)) << F.error().message();
     ir::AnalysisManager AM;
-    ir::lint::LintOptions LO;
-    LO.Bounds.GlobalSize[0] = GlobalItems;
-    LO.Bounds.LocalSize[0] = GroupItems;
-    ir::lint::LintResult R = ir::lint::run(**F, AM, LO);
+    ir::lint::LintResult R = ir::lint::run(**F, AM, fuzzLintOptions());
     if (G.plantedFault()) {
       ++Planted;
       bool FlaggedOob = false;
@@ -442,6 +470,49 @@ TEST(MemSSAFuzzTest, PlantedFaultsAreFlaggedStatically) {
     }
   }
   EXPECT_GT(Planted, 10u); // The 1-in-8 payload actually exercised.
+}
+
+TEST(MemSSAFuzzTest, PerforatedBuildsStayFaultFreeAndTierIdentical) {
+  // The approximating path on random loops. Perforation may change the
+  // output, so robustness is what is checked: wherever the baseline runs
+  // clean, the perforated build (verified after every pass) runs clean
+  // too, agrees byte for byte across tiers, and lints free of errors.
+  const std::string Specs[] = {
+      "mem2reg,perforate-loop(2)",
+      perf::jointPipelineSpec(ir::defaultPipelineSpec(), 3)};
+  unsigned Trials = 0, Changed = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    KernelGenerator G(Seed);
+    std::string Source = G.generate();
+    SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
+    std::vector<float> Input = seedInput(Seed);
+    std::string BaseErr;
+    std::vector<TierRun> Base =
+        compileAndRunAllTiers(Source, "", Input, BaseErr);
+    ASSERT_FALSE(Base.empty()) << "baseline compile failed: " << BaseErr;
+    if (!Base[0].Ok)
+      continue;
+    for (const std::string &Spec : Specs) {
+      SCOPED_TRACE("spec " + Spec);
+      ir::Module M;
+      Expected<ir::Function *> F = compileVerified(M, Source, Spec);
+      ASSERT_TRUE(static_cast<bool>(F)) << F.error().message();
+      std::vector<TierRun> Perf = runAllTiers(**F, Input);
+      ++Trials;
+      for (size_t T = 0; T < std::size(Tiers); ++T)
+        EXPECT_TRUE(Perf[T].Ok)
+            << "perforated tier " << T << " faulted: " << Perf[T].Fault;
+      for (size_t T = 1; T < std::size(Tiers); ++T)
+        EXPECT_TRUE(bitIdentical(Perf[0].Output, Perf[T].Output))
+            << "perforated tier " << T << " diverged from the tree walker";
+      Changed += bitIdentical(Base[0].Output, Perf[0].Output) ? 0 : 1;
+      ir::AnalysisManager AM;
+      ir::lint::LintResult R = ir::lint::run(**F, AM, fuzzLintOptions());
+      EXPECT_EQ(R.numErrors(), 0u) << R.str();
+    }
+  }
+  // Perforation must actually bite, or the checks above are vacuous.
+  EXPECT_GT(Changed, 100u) << "of " << Trials << " trials";
 }
 
 TEST(MemSSAFuzzTest, GeneratorIsDeterministic) {

@@ -258,10 +258,15 @@ TEST(AnalysisManagerTest, CfgPreservingInvalidationKeepsDomTree) {
   Function *F = compileKernel(Ctx, LoopKernel);
   AnalysisManager AM;
   const DominatorTree &DT1 = AM.getDominatorTree(*F);
+  const LoopInfo &LI1 = AM.getLoopInfo(*F);
   AM.invalidate(*F, /*CFGPreserved=*/true);
   const DominatorTree &DT2 = AM.getDominatorTree(*F);
   EXPECT_EQ(&DT1, &DT2);
   EXPECT_EQ(AM.counters().DomTreeComputes, 1u);
+  // The loops are a CFG fact too: kept with the tree.
+  EXPECT_EQ(&LI1, &AM.getLoopInfo(*F));
+  EXPECT_EQ(AM.counters().LoopComputes, 1u);
+  EXPECT_EQ(AM.counters().LoopHits, 1u);
 }
 
 TEST(AnalysisManagerTest, MutatingInvalidationRecomputesCorrectTree) {
@@ -292,6 +297,8 @@ TEST(AnalysisManagerTest, MutatingInvalidationRecomputesCorrectTree) {
   const DominatorTree &Before = AM.getDominatorTree(*F);
   EXPECT_TRUE(Before.isReachable(Else));
   EXPECT_EQ(AM.counters().DomTreeComputes, 1u);
+  AM.getLoopInfo(*F);
+  EXPECT_EQ(AM.counters().LoopComputes, 1u);
 
   // Run simplify through the pipeline: it folds the branch (a CFG
   // mutation), so the manager must drop the cached tree.
@@ -302,6 +309,11 @@ TEST(AnalysisManagerTest, MutatingInvalidationRecomputesCorrectTree) {
 
   const DominatorTree &After = AM.getDominatorTree(*F);
   EXPECT_EQ(AM.counters().DomTreeComputes, 2u);
+  // The loops were dropped with the tree and recompute on the next
+  // query.
+  AM.getLoopInfo(*F);
+  EXPECT_EQ(AM.counters().LoopComputes, 2u);
+  EXPECT_EQ(AM.counters().LoopHits, 0u);
 
   // The recomputed tree matches a fresh recompute on the mutated
   // function block-for-block.
@@ -377,6 +389,10 @@ TEST(AnalysisManagerTest, CseOnlyPipelineReusesOneTreeAcrossRounds) {
   // LICM also queries the tree through memory SSA (and its dominance
   // frontier), so hits exceed the one-direct-query-per-round floor.
   EXPECT_GE(AM.counters().DomTreeHits, Stats->Iterations - 1);
+  // LICM reads the loops once per round: one compute, then a hit in
+  // every later round.
+  EXPECT_EQ(AM.counters().LoopComputes, 1u);
+  EXPECT_EQ(AM.counters().LoopHits, Stats->Iterations - 1);
 }
 
 //===----------------------------------------------------------------------===//

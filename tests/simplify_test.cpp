@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace kperf;
 using namespace kperf::ir;
 
@@ -113,6 +115,22 @@ TEST_F(SimplifyTest, DivByZeroNotFolded) {
   Value *V = B.createDiv(M.getInt(5), M.getInt(0));
   finishWith(V);
   EXPECT_TRUE(isa<Instruction>(storedValue())); // Left for runtime fault.
+}
+
+TEST_F(SimplifyTest, IntMinDivMinusOneWraps) {
+  // INT32_MIN / -1 overflows int32; the fold wraps like the simulator
+  // instead of trapping the compiler.
+  finishWith(B.createDiv(M.getInt(INT32_MIN), M.getInt(-1)));
+  auto *C = dyn_cast<ConstantInt>(storedValue());
+  ASSERT_TRUE(C);
+  EXPECT_EQ(C->value(), INT32_MIN);
+}
+
+TEST_F(SimplifyTest, IntMinRemMinusOneIsZero) {
+  finishWith(B.createRem(M.getInt(INT32_MIN), M.getInt(-1)));
+  auto *C = dyn_cast<ConstantInt>(storedValue());
+  ASSERT_TRUE(C);
+  EXPECT_EQ(C->value(), 0);
 }
 
 TEST_F(SimplifyTest, FoldsComparisons) {
