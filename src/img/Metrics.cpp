@@ -27,7 +27,9 @@ double img::meanRelativeError(const std::vector<float> &TrueValues,
     if (std::fabs(T) < Eps)
       continue;
     double Rel = std::fabs(T - TestValues[I]) / std::fabs(T);
-    Sum += std::min(Rel, Cap);
+    // std::min(NaN, Cap) is NaN, which would poison the whole mean: a
+    // non-finite sample error counts as completely wrong instead.
+    Sum += std::isfinite(Rel) ? std::min(Rel, Cap) : Cap;
     ++Counted;
   }
   return Counted == 0 ? 0 : Sum / static_cast<double>(Counted);

@@ -24,7 +24,8 @@ namespace img {
 /// Samples with |t| < Eps are skipped entirely, following the paper's
 /// observation that MRE is undefined near zero; the per-sample cap keeps
 /// single almost-zero outputs from dominating the mean (a 100% error on
-/// one pixel is already "completely wrong").
+/// one pixel is already "completely wrong"). A non-finite sample error
+/// (a NaN or infinite sample on either side) counts as Cap.
 double meanRelativeError(const std::vector<float> &TrueValues,
                          const std::vector<float> &TestValues,
                          double Eps = 1e-2, double Cap = 1.0);

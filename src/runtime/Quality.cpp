@@ -6,6 +6,8 @@
 
 #include "runtime/Quality.h"
 
+#include <cmath>
+
 using namespace kperf;
 using namespace kperf::rt;
 
@@ -13,11 +15,38 @@ QualityMonitor::QualityMonitor(Session &S, Kernel Accurate, Variant Approx,
                                sim::Range2 Global,
                                sim::Range2 AccurateLocal,
                                double ErrorBudget, unsigned CheckEvery)
-    : S(S), Accurate(Accurate), Approx(std::move(Approx)), Global(Global),
+    : S(S), Accurate(Accurate), Global(Global),
       AccurateLocal(AccurateLocal), ErrorBudget(ErrorBudget),
-      CheckEvery(CheckEvery == 0 ? 1 : CheckEvery) {}
+      CheckEvery(CheckEvery == 0 ? 1 : CheckEvery),
+      Approx(std::move(Approx)) {}
+
+bool QualityMonitor::fellBack() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return FellBack;
+}
+
+unsigned QualityMonitor::launches() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Launches;
+}
+
+std::deque<double> QualityMonitor::history() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return History;
+}
+
+unsigned QualityMonitor::historyCapacity() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return HistoryCapacity;
+}
+
+Variant QualityMonitor::approx() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Approx;
+}
 
 void QualityMonitor::setHistoryCapacity(unsigned N) {
+  std::lock_guard<std::mutex> Lock(Mu);
   HistoryCapacity = N;
   if (HistoryCapacity != 0)
     while (History.size() > HistoryCapacity)
@@ -25,24 +54,42 @@ void QualityMonitor::setHistoryCapacity(unsigned N) {
 }
 
 void QualityMonitor::reset() {
+  std::lock_guard<std::mutex> Lock(Mu);
   FellBack = false;
   Launches = 0;
   History.clear();
+  ++Generation;
 }
 
 void QualityMonitor::rearm(const Variant &NewApprox) {
+  std::lock_guard<std::mutex> Lock(Mu);
   Approx = NewApprox;
   FellBack = false;
   History.clear();
+  ++Generation;
 }
 
 Expected<MonitoredLaunch>
 QualityMonitor::launch(const std::vector<sim::KernelArg> &Args,
                        unsigned OutBuffer, const ScoreFn &Score) {
-  ++Launches;
+  // Decide under the lock what this launch runs; run it outside.
+  bool Accurately = false;
+  bool Check = false;
+  Variant V;
+  unsigned Gen = 0;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    ++Launches;
+    Accurately = FellBack;
+    if (!Accurately) {
+      Check = Launches % CheckEvery == 0;
+      V = Approx;
+      Gen = Generation;
+    }
+  }
   MonitoredLaunch Result;
 
-  if (FellBack) {
+  if (Accurately) {
     Expected<sim::SimReport> R =
         S.launch(Accurate, Global, AccurateLocal, Args);
     if (!R)
@@ -51,10 +98,8 @@ QualityMonitor::launch(const std::vector<sim::KernelArg> &Args,
     return Result;
   }
 
-  bool Check = Launches % CheckEvery == 0;
-
   if (!Check) {
-    Expected<sim::SimReport> R = S.launch(Approx, Global, Args);
+    Expected<sim::SimReport> R = S.launch(V, Global, Args);
     if (!R)
       return R.takeError();
     Result.Report = *R;
@@ -73,22 +118,31 @@ QualityMonitor::launch(const std::vector<sim::KernelArg> &Args,
   std::vector<float> Reference = S.buffer(OutBuffer).downloadFloats();
 
   S.buffer(OutBuffer).uploadFloats(Initial);
-  Expected<sim::SimReport> AppR = S.launch(Approx, Global, Args);
+  Expected<sim::SimReport> AppR = S.launch(V, Global, Args);
   if (!AppR)
     return AppR.takeError();
   std::vector<float> Test = S.buffer(OutBuffer).downloadFloats();
 
-  double Err = Score(Reference, Test);
-  History.push_back(Err);
-  if (HistoryCapacity != 0)
-    while (History.size() > HistoryCapacity)
-      History.pop_front();
+  const double Err = Score(Reference, Test);
+  // NaN compares false against any budget, so a degenerate score would
+  // otherwise pass every check. Non-finite error violates the budget.
+  const bool Violated = !std::isfinite(Err) || Err > ErrorBudget;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (Gen == Generation) {
+      History.push_back(Err);
+      if (HistoryCapacity != 0)
+        while (History.size() > HistoryCapacity)
+          History.pop_front();
+      if (Violated)
+        FellBack = true;
+    }
+  }
   Result.Checked = true;
   Result.MeasuredError = Err;
 
-  if (Err > ErrorBudget) {
+  if (Violated) {
     // Budget violated: restore the accurate result and stop approximating.
-    FellBack = true;
     S.buffer(OutBuffer).uploadFloats(Reference);
     Result.Report = *AccR;
     Result.UsedApproximate = false;

@@ -23,6 +23,13 @@
 ///   }
 /// \endcode
 ///
+/// Thread-safety: every method may be called concurrently. Several
+/// threads may launch() at once, each with its own argument buffers; an
+/// internal mutex guards the launch counter, the fell-back flag, the
+/// history and the current variant. It is held only to decide what a
+/// launch runs and to record a check's result, never across a kernel
+/// launch or the scorer, so concurrent launches overlap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KPERF_RUNTIME_QUALITY_H
@@ -32,11 +39,15 @@
 
 #include <deque>
 #include <functional>
+#include <mutex>
 
 namespace kperf {
 namespace rt {
 
-/// Computes the error of a test output against a reference output.
+/// Computes the error of a test output against a reference output. A
+/// non-finite error counts as over every budget. May be called from
+/// several threads at once (concurrent launches, background re-tunes),
+/// so it must be thread-safe.
 using ScoreFn = std::function<double(const std::vector<float> &Reference,
                                      const std::vector<float> &Test)>;
 
@@ -60,11 +71,12 @@ public:
                  sim::Range2 Global, sim::Range2 AccurateLocal,
                  double ErrorBudget, unsigned CheckEvery = 8);
 
-  /// Launches the currently selected kernel; on check iterations, also
-  /// runs the accurate kernel into a scratch buffer and scores the
+  /// Launches the currently selected kernel; on check iterations, runs
+  /// the accurate kernel first, then the approximate one, and scores the
   /// outputs with \p Score. \p OutBuffer is the kernel's output buffer
-  /// index inside the context (its pre-launch contents are restored
-  /// before each kernel runs, so both see the same initial state).
+  /// index inside the session (its pre-launch contents are restored
+  /// before the approximate run, so both see the same initial state);
+  /// concurrent callers must each pass their own.
   Expected<MonitoredLaunch> launch(const std::vector<sim::KernelArg> &Args,
                                    unsigned OutBuffer,
                                    const ScoreFn &Score);
@@ -72,23 +84,23 @@ public:
   /// True once the monitor has given up on the approximate kernel. No
   /// longer necessarily permanent: rearm() (e.g. after an online re-tune
   /// hot-swaps the variant) puts the monitor back in approximate mode.
-  bool fellBack() const { return FellBack; }
+  bool fellBack() const;
 
   /// Number of launches performed so far.
-  unsigned launches() const { return Launches; }
+  unsigned launches() const;
 
-  /// Errors measured at check points, oldest first. Capped to the history
-  /// capacity: a long-lived monitor keeps a sliding window, not an
-  /// unbounded log.
-  const std::deque<double> &history() const { return History; }
+  /// Errors measured at check points, oldest first (a copy). Capped to
+  /// the history capacity: a long-lived monitor keeps a sliding window,
+  /// not an unbounded log.
+  std::deque<double> history() const;
 
   /// Caps history() to the most recent \p N checks (0 = unbounded;
   /// default 64). Shrinking drops the oldest entries immediately.
   void setHistoryCapacity(unsigned N);
-  unsigned historyCapacity() const { return HistoryCapacity; }
+  unsigned historyCapacity() const;
 
-  /// The variant currently monitored.
-  const Variant &approx() const { return Approx; }
+  /// The variant currently monitored (a copy).
+  Variant approx() const;
   double errorBudget() const { return ErrorBudget; }
 
   /// Returns the monitor to its initial state: approximate mode, zero
@@ -97,23 +109,29 @@ public:
 
   /// Swaps in \p NewApprox (e.g. a re-tuned variant) and re-arms the
   /// monitor: FellBack clears and history restarts so stale errors from
-  /// the replaced variant never count against the new one. The launch
-  /// counter keeps running.
+  /// the replaced variant never count against the new one -- a check
+  /// still in flight across the swap reports its own result to its
+  /// caller but records nothing. The launch counter keeps running.
   void rearm(const Variant &NewApprox);
 
 private:
   Session &S;
-  Kernel Accurate;
-  Variant Approx;
-  sim::Range2 Global;
-  sim::Range2 AccurateLocal;
-  double ErrorBudget;
-  unsigned CheckEvery;
-  unsigned HistoryCapacity = 64;
+  const Kernel Accurate;
+  const sim::Range2 Global;
+  const sim::Range2 AccurateLocal;
+  const double ErrorBudget;
+  const unsigned CheckEvery;
 
+  /// Guards every member below; never held across a launch or a score.
+  mutable std::mutex Mu;
+  Variant Approx;
+  unsigned HistoryCapacity = 64;
   bool FellBack = false;
   unsigned Launches = 0;
   std::deque<double> History;
+  /// Bumped by rearm() and reset(): a check records its result only if
+  /// the generation it launched under is still current.
+  unsigned Generation = 0;
 };
 
 } // namespace rt

@@ -29,17 +29,20 @@ struct Server::Shard {
 struct Server::Service {
   ServiceConfig C;
   unsigned ShardIdx = 0;
-  /// Serializes requests to this service: the monitor and the frame
-  /// buffers below are single-stream state. Requests to other services
-  /// never wait on this.
-  std::mutex Mu;
   Kernel Accurate;
-  unsigned In = 0;  ///< Persistent input frame buffer (shard session).
-  unsigned Out = 0; ///< Persistent output frame buffer.
+  /// Internally synchronized; null when the service registered
+  /// accurate-only.
   std::unique_ptr<QualityMonitor> Mon;
+
+  /// Guards the mode flags below. Never held across a launch or a
+  /// re-tune: requests to this service run concurrently.
+  std::mutex Mu;
   /// Degraded: the budget proved unreachable (or the lint gate rejected
   /// every perforation); serve accurate-only from now on.
   bool AccurateOnly = false;
+  /// A re-tune is queued or running: serve accurate, unchecked, and
+  /// queue no second one.
+  bool ReTunePending = false;
   unsigned ReTunesLeft = 0;
 };
 
@@ -62,6 +65,32 @@ void accumulate(SessionStats &Into, const SessionStats &From) {
   Into.DiskVariantHits += From.DiskVariantHits.load();
   Into.DiskVariantStores += From.DiskVariantStores.load();
 }
+
+/// One frame's input and output buffers, checked out of a session for
+/// the lifetime of a request or an evaluation and released on every
+/// path out of it.
+struct FrameBuffers {
+  Session &S;
+  const unsigned In;
+  const unsigned Out;
+
+  FrameBuffers(Session &S, const std::vector<float> &Input)
+      : S(S), In(S.createBufferFrom(Input)),
+        Out(S.createBuffer(Input.size())) {}
+  ~FrameBuffers() {
+    S.releaseBuffer(In);
+    S.releaseBuffer(Out);
+  }
+  FrameBuffers(const FrameBuffers &) = delete;
+  FrameBuffers &operator=(const FrameBuffers &) = delete;
+
+  /// The standard image-kernel arguments (in, out, w, h) of \p C.
+  std::vector<sim::KernelArg> args(const ServiceConfig &C) const {
+    return {arg::buffer(In), arg::buffer(Out),
+            arg::i32(static_cast<int32_t>(C.Width)),
+            arg::i32(static_cast<int32_t>(C.Height))};
+  }
+};
 
 } // namespace
 
@@ -88,7 +117,16 @@ Server::Server(ServerConfig C) : Config(std::move(C)) {
   }
 }
 
-Server::~Server() = default;
+Server::~Server() {
+  {
+    std::lock_guard<std::mutex> Lock(ReTuneMutex);
+    StopReTunes = true;
+    ReTuneQueue.clear();
+  }
+  ReTuneCV.notify_all();
+  if (ReTuneWorker.joinable())
+    ReTuneWorker.join();
+}
 
 Expected<Variant>
 Server::buildVariant(Service &Svc, const perf::PerforationScheme &Scheme,
@@ -141,8 +179,6 @@ Error Server::addService(const ServiceConfig &C) {
   if (!K)
     return Error(K.error());
   Svc->Accurate = *K;
-  Svc->In = S.createBuffer(size_t(Cfg.Width) * Cfg.Height);
-  Svc->Out = S.createBuffer(size_t(Cfg.Width) * Cfg.Height);
   Svc->ReTunesLeft = Config.MaxReTunesPerService;
 
   Expected<Variant> V = buildVariant(*Svc, Cfg.Scheme);
@@ -167,29 +203,23 @@ Error Server::addService(const ServiceConfig &C) {
   return Error::success();
 }
 
-bool Server::retune(Service &Svc, const std::vector<float> &Input) {
+std::optional<Variant> Server::retune(Service &Svc,
+                                      const std::vector<float> &Input) {
   Session &S = Shards[Svc.ShardIdx]->S;
   const sim::Range2 Global{Svc.C.Width, Svc.C.Height};
-  const size_t N = size_t(Svc.C.Width) * Svc.C.Height;
 
   // Reference output and time on the offending input.
-  unsigned RefIn = S.createBufferFrom(Input);
-  unsigned RefOut = S.createBuffer(N);
-  std::vector<sim::KernelArg> RefArgs = {
-      arg::buffer(RefIn), arg::buffer(RefOut),
-      arg::i32(static_cast<int32_t>(Svc.C.Width)),
-      arg::i32(static_cast<int32_t>(Svc.C.Height))};
-  Expected<sim::SimReport> AccR =
-      S.launch(Svc.Accurate, Global, sim::Range2{16, 16}, RefArgs);
-  if (!AccR) {
-    S.releaseBuffer(RefIn);
-    S.releaseBuffer(RefOut);
-    return false;
+  std::vector<float> Reference;
+  double AccurateMs = 0;
+  {
+    FrameBuffers Ref(S, Input);
+    Expected<sim::SimReport> AccR = S.launch(
+        Svc.Accurate, Global, sim::Range2{16, 16}, Ref.args(Svc.C));
+    if (!AccR)
+      return std::nullopt;
+    Reference = S.buffer(Ref.Out).downloadFloats();
+    AccurateMs = AccR->TimeMs;
   }
-  const std::vector<float> Reference = S.buffer(RefOut).downloadFloats();
-  const double AccurateMs = AccR->TimeMs;
-  S.releaseBuffer(RefIn);
-  S.releaseBuffer(RefOut);
 
   // Candidate space: the scheme families at the service tile crossed
   // with loop-perforation strides {1, 2}, mildest first. The current
@@ -213,24 +243,14 @@ bool Server::retune(Service &Svc, const std::vector<float> &Input) {
     Expected<Variant> V = buildVariant(Svc, TC.Scheme, TC.LoopStride);
     if (!V)
       return V.takeError();
-    unsigned EvalIn = S.createBufferFrom(Input);
-    unsigned EvalOut = S.createBuffer(N);
-    std::vector<sim::KernelArg> Args = {
-        arg::buffer(EvalIn), arg::buffer(EvalOut),
-        arg::i32(static_cast<int32_t>(Svc.C.Width)),
-        arg::i32(static_cast<int32_t>(Svc.C.Height))};
-    Expected<sim::SimReport> R = S.launch(*V, Global, Args);
-    if (!R) {
-      S.releaseBuffer(EvalIn);
-      S.releaseBuffer(EvalOut);
+    FrameBuffers Eval(S, Input);
+    Expected<sim::SimReport> R = S.launch(*V, Global, Eval.args(Svc.C));
+    if (!R)
       return R.takeError();
-    }
     perf::Measurement M;
-    M.Error = Svc.C.Score(Reference, S.buffer(EvalOut).downloadFloats());
+    M.Error = Svc.C.Score(Reference, S.buffer(Eval.Out).downloadFloats());
     M.Speedup = R->TimeMs > 0 ? AccurateMs / R->TimeMs : 0;
     M.PassStats = V->PassStats;
-    S.releaseBuffer(EvalIn);
-    S.releaseBuffer(EvalOut);
     return M;
   };
 
@@ -238,16 +258,65 @@ bool Server::retune(Service &Svc, const std::vector<float> &Input) {
       perf::tuneParallel(Space, Evaluate, Config.TuneJobs);
   size_t Best = perf::bestWithinErrorBudget(Results, Svc.C.ErrorBudget);
   if (Best == ~size_t(0))
-    return false;
+    return std::nullopt;
 
-  // Hot-swap: the winner was already compiled (and cached) during the
-  // evaluation, so this hits the shard's variant cache.
+  // The winner was already compiled (and cached) during the evaluation,
+  // so this hits the shard's variant cache.
   Expected<Variant> Winner = buildVariant(
       Svc, Results[Best].Config.Scheme, Results[Best].Config.LoopStride);
   if (!Winner)
-    return false;
-  Svc.Mon->rearm(*Winner);
-  return true;
+    return std::nullopt;
+  return Winner.takeValue();
+}
+
+void Server::queueReTune(Service &Svc, const std::vector<float> &Input) {
+  std::lock_guard<std::mutex> Lock(ReTuneMutex);
+  ReTuneQueue.push_back(ReTuneJob{&Svc, Input});
+  if (!ReTuneWorker.joinable())
+    ReTuneWorker = std::thread([this] { reTuneLoop(); });
+  ReTuneCV.notify_all();
+}
+
+void Server::reTuneLoop() {
+  std::unique_lock<std::mutex> Lock(ReTuneMutex);
+  for (;;) {
+    ReTuneCV.wait(Lock,
+                  [this] { return StopReTunes || !ReTuneQueue.empty(); });
+    if (StopReTunes)
+      return;
+    ReTuneJob Job = std::move(ReTuneQueue.front());
+    ReTuneQueue.pop_front();
+    ReTuneRunning = true;
+    Lock.unlock();
+
+    std::optional<Variant> Winner;
+    try {
+      Winner = retune(*Job.Svc, Job.Input);
+    } catch (...) {
+      // A throwing scorer fails the re-tune like an infeasible space
+      // does: the service degrades to accurate below.
+      Winner.reset();
+    }
+    {
+      // Hot-swap the winner, or give up on approximating.
+      std::lock_guard<std::mutex> SvcLock(Job.Svc->Mu);
+      if (Winner)
+        Job.Svc->Mon->rearm(*Winner);
+      else
+        Job.Svc->AccurateOnly = true;
+      Job.Svc->ReTunePending = false;
+    }
+
+    Lock.lock();
+    ReTuneRunning = false;
+    ReTuneCV.notify_all();
+  }
+}
+
+void Server::waitForReTunes() {
+  std::unique_lock<std::mutex> Lock(ReTuneMutex);
+  ReTuneCV.wait(Lock,
+                [this] { return ReTuneQueue.empty() && !ReTuneRunning; });
 }
 
 Expected<ServeResult> Server::serve(const std::string &ServiceName,
@@ -262,21 +331,22 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
   }
   ++Requests;
 
-  std::lock_guard<std::mutex> Lock(Svc->Mu);
-  Session &S = Shards[Svc->ShardIdx]->S;
   const size_t N = size_t(Svc->C.Width) * Svc->C.Height;
   if (Input.size() != N)
     return makeError("service '%s': expected %zu samples, got %zu",
                      Svc->C.Name.c_str(), N, Input.size());
-  S.buffer(Svc->In).uploadFloats(Input);
-  std::vector<sim::KernelArg> Args = {
-      arg::buffer(Svc->In), arg::buffer(Svc->Out),
-      arg::i32(static_cast<int32_t>(Svc->C.Width)),
-      arg::i32(static_cast<int32_t>(Svc->C.Height))};
+  bool Accurately = false;
+  {
+    std::lock_guard<std::mutex> Lock(Svc->Mu);
+    Accurately = Svc->AccurateOnly || Svc->ReTunePending;
+  }
+  Session &S = Shards[Svc->ShardIdx]->S;
+  FrameBuffers Frame(S, Input);
+  const std::vector<sim::KernelArg> Args = Frame.args(Svc->C);
   const sim::Range2 Global{Svc->C.Width, Svc->C.Height};
 
   ServeResult Result;
-  if (Svc->AccurateOnly) {
+  if (Accurately) {
     Expected<sim::SimReport> R =
         S.launch(Svc->Accurate, Global, sim::Range2{16, 16}, Args);
     if (!R)
@@ -284,7 +354,7 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
     Result.Report = *R;
   } else {
     Expected<MonitoredLaunch> L =
-        Svc->Mon->launch(Args, Svc->Out, Svc->C.Score);
+        Svc->Mon->launch(Args, Frame.Out, Svc->C.Score);
     if (!L)
       return L.takeError();
     Result.Report = L->Report;
@@ -293,22 +363,31 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
     Result.MeasuredError = L->MeasuredError;
     if (L->Checked)
       ++Checks;
-    if (Svc->Mon->fellBack()) {
-      // Quality loop: the budget was violated. Instead of falling back
-      // forever, re-tune online on the offending input and hot-swap the
-      // winner -- unless this service already spent its re-tunes.
-      if (Svc->ReTunesLeft > 0) {
-        --Svc->ReTunesLeft;
-        ++ReTunes;
-        Result.ReTuned = true;
-        if (!retune(*Svc, Input))
+    // A checked launch that served accurate is a tripped check. Instead
+    // of falling back forever, queue an online re-tune on the offending
+    // input -- unless another request's trip already queued one, a
+    // re-tune has since replaced the variant this check measured
+    // (the monitor is re-armed), or the service spent its re-tunes.
+    bool Queue = false;
+    if (L->Checked && !L->UsedApproximate) {
+      std::lock_guard<std::mutex> Lock(Svc->Mu);
+      if (!Svc->ReTunePending && !Svc->AccurateOnly &&
+          Svc->Mon->fellBack()) {
+        if (Svc->ReTunesLeft > 0) {
+          --Svc->ReTunesLeft;
+          Svc->ReTunePending = Queue = true;
+        } else {
           Svc->AccurateOnly = true;
-      } else {
-        Svc->AccurateOnly = true;
+        }
       }
     }
+    if (Queue) {
+      ++ReTunes;
+      Result.ReTuned = true;
+      queueReTune(*Svc, Input);
+    }
   }
-  Result.Output = S.buffer(Svc->Out).downloadFloats();
+  Result.Output = S.buffer(Frame.Out).downloadFloats();
   return Result;
 }
 
@@ -335,8 +414,10 @@ ServerStats Server::stats() const {
   St.Shards = static_cast<unsigned>(Shards.size());
   std::lock_guard<std::mutex> Lock(ServicesMutex);
   St.Services = static_cast<unsigned>(ServiceMap.size());
-  for (const auto &Entry : ServiceMap)
+  for (const auto &Entry : ServiceMap) {
+    std::lock_guard<std::mutex> SvcLock(Entry.second->Mu);
     if (Entry.second->AccurateOnly)
       ++St.DegradedServices;
+  }
   return St;
 }

@@ -22,22 +22,29 @@
 /// (global const float* in, global float* out, int w, int h) with a fixed
 /// frame shape, an initial perforation scheme, and an error budget. serve()
 /// launches the current variant through a rt::QualityMonitor; when the
-/// monitor falls back (measured error past budget), the server runs an
-/// online perf::tuneParallel re-tune over a candidate scheme space using
-/// the offending request's input as the tuning workload, and hot-swaps the
-/// winning variant into the monitor (QualityMonitor::rearm) under the
-/// service lock. Only when no candidate fits the budget does the service
-/// degrade to permanently accurate.
+/// request's own check trips the monitor (measured error past budget), the
+/// request returns the accurate output at once and the service turns
+/// re-tune pending: it serves the accurate kernel, unchecked, while the
+/// server's one background worker runs an online perf::tuneParallel
+/// re-tune over a candidate scheme space, using the offending request's
+/// input as the tuning workload. The worker then hot-swaps the winning
+/// variant into the monitor (QualityMonitor::rearm). Only when no
+/// candidate fits the budget does the service degrade to permanently
+/// accurate.
 ///
 /// Thread-safety: every public method may be called from any client
-/// thread. Requests to one service serialize on that service's lock (the
-/// monitor and its frame buffers are per-service state); requests to
-/// different services proceed concurrently, sharing nothing but their
-/// shard's session (whose compile caches are internally synchronized and
-/// whose launches run lock-free).
+/// thread. A request waits only for its own launches: it checks its
+/// frame buffers out of the shard session, and the service lock guards
+/// only the service's mode flags, so requests to one service run
+/// concurrently just as requests to different services do. They share
+/// the monitor (internally synchronized) and the shard's session (whose
+/// compile caches are internally synchronized and whose launches run
+/// lock-free).
 ///
-/// Lock order: service lock -> shard session internals (CompileMutex ->
-/// BytecodeMutex -> BufferMutex). See docs/ARCHITECTURE.md ("Serving").
+/// Lock order: registry lock -> service lock -> monitor lock; the service
+/// lock is never held across a launch or a re-tune, and the re-tune
+/// queue's lock is never held together with any other. See
+/// docs/ARCHITECTURE.md ("Serving").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,9 +55,13 @@
 #include "runtime/Quality.h"
 #include "runtime/Session.h"
 
+#include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace kperf {
@@ -68,7 +79,9 @@ struct ServerConfig {
   unsigned VariantCapacity = 0;
   /// Run every generated kernel through the static lint gate.
   bool LintGate = false;
-  /// Worker threads for online re-tunes (0 = one per hardware thread).
+  /// Worker threads inside one online re-tune (0 = one per hardware
+  /// thread). Re-tunes themselves run one at a time on the server's
+  /// background worker.
   unsigned TuneJobs = 1;
   /// Re-tunes allowed per service before it degrades to permanently
   /// accurate.
@@ -91,7 +104,8 @@ struct ServiceConfig {
   sim::Range2 Tile{16, 16};
   double ErrorBudget = 0.05;
   unsigned CheckEvery = 8;
-  /// Output scorer (defaults to img::meanRelativeError).
+  /// Output scorer (defaults to img::meanRelativeError). Called from
+  /// request threads and from the re-tune worker, possibly at once.
   ScoreFn Score;
   /// Cleanup pipeline spec ("" = library default).
   std::string PipelineSpec;
@@ -104,7 +118,9 @@ struct ServeResult {
   bool UsedApproximate = false;
   bool Checked = false; ///< This request included a quality check.
   double MeasuredError = 0;
-  bool ReTuned = false; ///< This request triggered an online re-tune.
+  /// This request's check tripped the monitor and queued an online
+  /// re-tune; the request itself carries the accurate output.
+  bool ReTuned = false;
 };
 
 /// Aggregated serving counters. Session is the sum over all shard
@@ -113,7 +129,7 @@ struct ServerStats {
   SessionStats Sessions;
   unsigned Requests = 0;
   unsigned Checks = 0;
-  unsigned ReTunes = 0;
+  unsigned ReTunes = 0; ///< Re-tunes queued (pending ones included).
   /// Services currently degraded to permanently accurate.
   unsigned DegradedServices = 0;
   unsigned Services = 0;
@@ -127,6 +143,8 @@ struct ServerStats {
 class Server {
 public:
   explicit Server(ServerConfig Config = ServerConfig());
+  /// Lets a running re-tune finish, drops queued ones, and joins the
+  /// re-tune worker.
   ~Server();
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
@@ -142,10 +160,15 @@ public:
 
   /// Serves one frame: \p Input must hold Width*Height samples. Returns
   /// the filtered frame plus what ran (approximate or accurate), whether
-  /// this request carried a quality check, and whether it triggered an
-  /// online re-tune.
+  /// this request carried a quality check, and whether it queued an
+  /// online re-tune. Never waits for a re-tune.
   Expected<ServeResult> serve(const std::string &Service,
                               const std::vector<float> &Input);
+
+  /// Blocks until no re-tune is queued or running, e.g. before reading
+  /// final stats. Re-tunes that requests queue meanwhile are waited for
+  /// too.
+  void waitForReTunes();
 
   /// Registered service names, in registration order.
   std::vector<std::string> services() const;
@@ -170,10 +193,19 @@ private:
                                  const perf::PerforationScheme &Scheme,
                                  unsigned LoopStride = 1);
 
-  /// Online re-tune of \p Svc using \p Input as the workload; hot-swaps
-  /// the winner into the monitor. Returns true if a variant within
-  /// budget was found. Service lock held.
-  bool retune(Service &Svc, const std::vector<float> &Input);
+  /// Online re-tune of \p Svc using \p Input as the workload. Returns
+  /// the fastest variant within budget, or nothing. Runs on the re-tune
+  /// worker without the service lock.
+  std::optional<Variant> retune(Service &Svc,
+                                const std::vector<float> &Input);
+
+  /// Queues a re-tune of \p Svc on \p Input, starting the worker on
+  /// first use.
+  void queueReTune(Service &Svc, const std::vector<float> &Input);
+
+  /// The re-tune worker's loop: runs queued re-tunes in FIFO order and
+  /// applies each result under the service lock.
+  void reTuneLoop();
 
   ServerConfig Config;
   std::vector<std::unique_ptr<Shard>> Shards;
@@ -186,6 +218,21 @@ private:
   std::atomic<unsigned> Requests{0};
   std::atomic<unsigned> Checks{0};
   std::atomic<unsigned> ReTunes{0};
+
+  /// A queued re-tune: the service and a copy of the offending frame.
+  struct ReTuneJob {
+    Service *Svc = nullptr;
+    std::vector<float> Input;
+  };
+  /// Guards the re-tune queue and the worker's state; signalled when a
+  /// job is queued, when the worker goes idle, and at shutdown.
+  std::mutex ReTuneMutex;
+  std::condition_variable ReTuneCV;
+  std::deque<ReTuneJob> ReTuneQueue;
+  bool ReTuneRunning = false;
+  bool StopReTunes = false;
+  /// Started on the first re-tune; declared after everything it uses.
+  std::thread ReTuneWorker;
 };
 
 } // namespace rt

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <gtest/gtest.h>
+#include <limits>
 
 using namespace kperf;
 using namespace kperf::img;
@@ -66,6 +67,13 @@ TEST(MetricsTest, MreSkipsNearZeroTruth) {
 TEST(MetricsTest, MreCapsOutliers) {
   // Relative error 10 on one sample is capped to 1.
   EXPECT_NEAR(meanRelativeError({0.1f}, {1.1f}), 1.0, 1e-6);
+}
+
+TEST(MetricsTest, MreCountsNonFiniteSampleAsCap) {
+  // std::min(NaN, Cap) is NaN; one NaN sample must count as Cap, not
+  // turn the whole mean into NaN.
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_DOUBLE_EQ(meanRelativeError({1, 2, 3}, {1, NaN, 3}), 1.0 / 3.0);
 }
 
 TEST(MetricsTest, MreEmptyIsZero) {

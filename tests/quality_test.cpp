@@ -11,6 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <limits>
+#include <mutex>
+#include <thread>
+
 using namespace kperf;
 using namespace kperf::rt;
 
@@ -110,6 +116,100 @@ TEST(QualityMonitorTest, CheckEveryZeroMeansAlways) {
   QualityMonitor Mon = S.monitor(0.5, 0);
   MonitoredLaunch L = cantFail(Mon.launch(S.Args, S.Out, mre()));
   EXPECT_TRUE(L.Checked);
+}
+
+TEST(QualityMonitorTest, NanScoreFallsBack) {
+  // NaN compares false against any budget; a NaN score must still count
+  // as a violation, so the first check falls back and serves accurate.
+  MonitorSetup S(img::ImageClass::Smooth);
+  QualityMonitor Mon = S.monitor(/*Budget=*/0.5, /*CheckEvery=*/1);
+  ScoreFn NaN = [](const std::vector<float> &, const std::vector<float> &) {
+    return std::numeric_limits<double>::quiet_NaN();
+  };
+  MonitoredLaunch L = cantFail(Mon.launch(S.Args, S.Out, NaN));
+  EXPECT_TRUE(L.Checked);
+  EXPECT_FALSE(L.UsedApproximate);
+  EXPECT_TRUE(Mon.fellBack());
+
+  std::vector<float> Kept = S.Ctx->buffer(S.Out).downloadFloats();
+  cantFail(S.Ctx->launch(S.Accurate, {64, 64}, {16, 16}, S.Args));
+  EXPECT_EQ(Kept, S.Ctx->buffer(S.Out).downloadFloats());
+}
+
+TEST(QualityMonitorTest, ConcurrentLaunchesKeepTheCheckCadence) {
+  // 64 launches from 8 threads, each on its own buffers: exactly every
+  // 8th launch checks, and every output is the approximate kernel's.
+  MonitorSetup S(img::ImageClass::Smooth);
+  QualityMonitor Mon = S.monitor(/*Budget=*/0.5, /*CheckEvery=*/8);
+  const std::vector<float> Input = S.Ctx->buffer(S.In).downloadFloats();
+  cantFail(S.Ctx->launch(S.Approx, {64, 64}, S.Args));
+  const std::vector<float> Want = S.Ctx->buffer(S.Out).downloadFloats();
+
+  std::atomic<unsigned> Checks{0};
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < 8; ++T)
+    Threads.emplace_back([&]() {
+      unsigned In = S.Ctx->createBufferFrom(Input);
+      unsigned Out = S.Ctx->createBuffer(Input.size());
+      std::vector<sim::KernelArg> Args = {arg::buffer(In),
+                                          arg::buffer(Out), arg::i32(64),
+                                          arg::i32(64)};
+      for (unsigned I = 0; I < 8; ++I) {
+        Expected<MonitoredLaunch> L = Mon.launch(Args, Out, mre());
+        if (!L || !L->UsedApproximate ||
+            S.Ctx->buffer(Out).downloadFloats() != Want)
+          ++Mismatches;
+        else if (L->Checked)
+          ++Checks;
+      }
+      S.Ctx->releaseBuffer(In);
+      S.Ctx->releaseBuffer(Out);
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_EQ(Checks.load(), 8u);
+  EXPECT_EQ(Mon.launches(), 64u);
+  EXPECT_EQ(Mon.history().size(), 8u);
+  EXPECT_FALSE(Mon.fellBack());
+}
+
+TEST(QualityMonitorTest, CheckStraddlingRearmRecordsNothing) {
+  // A check still scoring when rearm() swaps the variant measured the
+  // replaced one: its caller gets its own (over-budget, accurate)
+  // result, but the re-armed monitor neither falls back nor records it.
+  MonitorSetup S(img::ImageClass::Smooth);
+  QualityMonitor Mon = S.monitor(/*Budget=*/0.5, /*CheckEvery=*/1);
+  std::mutex Mu;
+  std::condition_variable CV;
+  bool Scoring = false;
+  bool Release = false;
+  ScoreFn Held = [&](const std::vector<float> &, const std::vector<float> &) {
+    std::unique_lock<std::mutex> Lock(Mu);
+    Scoring = true;
+    CV.notify_all();
+    CV.wait(Lock, [&] { return Release; });
+    return 1.0;
+  };
+  MonitoredLaunch L;
+  std::thread Launcher([&] { L = cantFail(Mon.launch(S.Args, S.Out, Held)); });
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    CV.wait(Lock, [&] { return Scoring; });
+  }
+  Mon.rearm(S.Approx);
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Release = true;
+  }
+  CV.notify_all();
+  Launcher.join();
+
+  EXPECT_TRUE(L.Checked);
+  EXPECT_FALSE(L.UsedApproximate);
+  EXPECT_FALSE(Mon.fellBack());
+  EXPECT_TRUE(Mon.history().empty());
 }
 
 TEST(QualityMonitorTest, HistoryAccumulates) {

@@ -6,9 +6,11 @@
 //
 // rt::Server: service registration and shard routing, serve() parity
 // with a direct session launch, the online re-tune hot-swap (quality
-// loop), degradation when the budget proves unreachable, the lint-gate
-// accurate-only path, disk-cache warm restarts with zero variant
-// compiles, and concurrent clients across services.
+// loop) on the background worker, degradation when the budget proves
+// unreachable or the scorer returns NaN, the lint-gate accurate-only
+// path, disk-cache warm restarts with zero variant compiles, fresh
+// output buffers per request, concurrent clients across services and on
+// one service, and shutdown with re-tunes in flight.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 
 using namespace kperf;
@@ -44,6 +51,46 @@ std::vector<float> frame(img::ImageClass Class, unsigned Size,
                          uint64_t Seed) {
   return img::generateImage(Class, Size, Size, Seed).pixels();
 }
+
+/// Holds back scorer calls made by any thread other than the one that
+/// built the gate -- the re-tune worker's, in particular -- until open().
+/// A 60 s safety timeout turns a regression into a failure, not a hang.
+class ScoreGate {
+public:
+  /// True on the owning thread; elsewhere blocks until open(), then
+  /// returns false.
+  bool pass() {
+    if (std::this_thread::get_id() == Owner)
+      return true;
+    std::unique_lock<std::mutex> Lock(Mu);
+    ++Held;
+    CV.notify_all();
+    CV.wait_for(Lock, std::chrono::seconds(60), [this] { return Open; });
+    return false;
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Open = true;
+    }
+    CV.notify_all();
+  }
+
+  /// Waits until another thread is held in pass().
+  bool awaitHeld() {
+    std::unique_lock<std::mutex> Lock(Mu);
+    return CV.wait_for(Lock, std::chrono::seconds(60),
+                       [this] { return Held > 0; });
+  }
+
+private:
+  const std::thread::id Owner = std::this_thread::get_id();
+  std::mutex Mu;
+  std::condition_variable CV;
+  bool Open = false;
+  unsigned Held = 0;
+};
 
 TEST(ServerTest, RegistrationAndStableRouting) {
   Server Srv(ServerConfig{});
@@ -146,6 +193,7 @@ TEST(ServerTest, QualityLoopReTunesAndHotSwaps) {
   EXPECT_FALSE(First.UsedApproximate); // The violating check serves accurate.
   EXPECT_GT(First.MeasuredError, 0.05);
   EXPECT_TRUE(First.ReTuned);
+  Srv.waitForReTunes();
 
   ServeResult Second = cantFail(Srv.serve("gaussian", Input));
   EXPECT_TRUE(Second.UsedApproximate); // Hot-swapped monitor is re-armed.
@@ -179,6 +227,7 @@ TEST(ServerTest, UnreachableBudgetDegradesToAccurate) {
   ServeResult First = cantFail(Srv.serve("mean", Input));
   EXPECT_TRUE(First.ReTuned);
   EXPECT_FALSE(First.UsedApproximate);
+  Srv.waitForReTunes();
 
   ServeResult Second = cantFail(Srv.serve("mean", Input));
   EXPECT_FALSE(Second.UsedApproximate);
@@ -187,6 +236,170 @@ TEST(ServerTest, UnreachableBudgetDegradesToAccurate) {
   ServerStats St = Srv.stats();
   EXPECT_EQ(St.ReTunes, 1u);
   EXPECT_EQ(St.DegradedServices, 1u);
+}
+
+TEST(ServerTest, NanScoreReTunesThenDegradesToAccurate) {
+  // NaN compares false against any budget, yet a NaN score must trip
+  // the monitor; the re-tune finds every candidate infeasible and the
+  // service degrades to accurate.
+  Server Srv(ServerConfig{});
+  ServiceConfig C = imageService("gaussian", apps::gaussianSource());
+  C.CheckEvery = 1;
+  C.Score = [](const std::vector<float> &, const std::vector<float> &) {
+    return std::numeric_limits<double>::quiet_NaN();
+  };
+  ASSERT_FALSE(static_cast<bool>(Srv.addService(C)));
+
+  std::vector<float> Input = frame(img::ImageClass::Smooth, 64, 4);
+  ServeResult First = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_TRUE(First.Checked);
+  EXPECT_FALSE(First.UsedApproximate);
+  EXPECT_TRUE(First.ReTuned);
+  Srv.waitForReTunes();
+
+  ServeResult Second = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_FALSE(Second.UsedApproximate);
+  EXPECT_FALSE(Second.Checked);
+  EXPECT_EQ(Second.Output, First.Output);
+
+  ServerStats St = Srv.stats();
+  EXPECT_EQ(St.ReTunes, 1u);
+  EXPECT_EQ(St.DegradedServices, 1u);
+}
+
+TEST(ServerTest, ThrowingReTuneScorerDegradesToAccurate) {
+  // A scorer that throws on the re-tune worker fails that re-tune like
+  // an infeasible space: the service degrades and keeps serving. (On
+  // the client thread it trips the first check, then passes.)
+  Server Srv(ServerConfig{});
+  ServiceConfig C = imageService("gaussian", apps::gaussianSource());
+  C.CheckEvery = 1;
+  const std::thread::id Client = std::this_thread::get_id();
+  auto Calls = std::make_shared<unsigned>(0);
+  C.Score = [Client, Calls](const std::vector<float> &,
+                            const std::vector<float> &) -> double {
+    if (std::this_thread::get_id() != Client)
+      throw std::runtime_error("scorer failed");
+    return ++*Calls == 1 ? 1.0 : 0.0;
+  };
+  ASSERT_FALSE(static_cast<bool>(Srv.addService(C)));
+
+  std::vector<float> Input = frame(img::ImageClass::Smooth, 64, 8);
+  EXPECT_TRUE(cantFail(Srv.serve("gaussian", Input)).ReTuned);
+  Srv.waitForReTunes();
+  ServeResult Next = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_FALSE(Next.UsedApproximate);
+  EXPECT_FALSE(Next.Checked);
+  EXPECT_EQ(Srv.stats().DegradedServices, 1u);
+}
+
+TEST(ServerTest, TrippingRequestReturnsBeforeItsReTune) {
+  // The request whose check trips returns the accurate output its check
+  // computed without waiting for the re-tune it queued: the re-tune's
+  // scorer calls are held until the next request has been served. While
+  // the re-tune is pending the service serves accurate, unchecked.
+  Server Srv(ServerConfig{});
+  ServiceConfig C = imageService("gaussian", apps::gaussianSource());
+  C.CheckEvery = 1;
+  auto Gate = std::make_shared<ScoreGate>();
+  auto TestCalls = std::make_shared<unsigned>(0);
+  C.Score = [Gate, TestCalls](const std::vector<float> &,
+                              const std::vector<float> &) {
+    if (!Gate->pass())
+      return 0.0; // Re-tune candidates: all within budget.
+    return ++*TestCalls == 1 ? 1.0 : 0.0;
+  };
+  ASSERT_FALSE(static_cast<bool>(Srv.addService(C)));
+
+  std::vector<float> Input = frame(img::ImageClass::Pattern, 64, 5);
+  ServeResult First = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_TRUE(First.Checked);
+  EXPECT_FALSE(First.UsedApproximate);
+  EXPECT_TRUE(First.ReTuned);
+
+  Session S;
+  Kernel K = cantFail(S.compile(apps::gaussianSource(), "gaussian"));
+  unsigned In = S.createBufferFrom(Input);
+  unsigned Out = S.createBuffer(Input.size());
+  cantFail(S.launch(K, {64, 64}, {16, 16},
+                    {arg::buffer(In), arg::buffer(Out), arg::i32(64),
+                     arg::i32(64)}));
+  EXPECT_EQ(First.Output, S.buffer(Out).downloadFloats());
+
+  ServeResult Pending = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_FALSE(Pending.UsedApproximate);
+  EXPECT_FALSE(Pending.Checked);
+  EXPECT_FALSE(Pending.ReTuned);
+  EXPECT_EQ(Pending.Output, First.Output);
+  EXPECT_EQ(*TestCalls, 1u); // The pending request ran no check.
+
+  Gate->open();
+  Srv.waitForReTunes();
+  ServeResult After = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_TRUE(After.UsedApproximate);
+  EXPECT_TRUE(After.Checked);
+  EXPECT_FALSE(After.ReTuned);
+
+  ServerStats St = Srv.stats();
+  EXPECT_EQ(St.ReTunes, 1u);
+  EXPECT_EQ(St.DegradedServices, 0u);
+  EXPECT_EQ(St.Requests, 3u);
+  EXPECT_EQ(St.Checks, 2u);
+}
+
+TEST(ServerTest, ShutdownWithReTuneRunningAndQueued) {
+  // Destroying the server lets the running re-tune finish, drops the
+  // queued one and joins the worker, which holds Service pointers and a
+  // copied frame per job. The sanitizer jobs run this for lifetime and
+  // data-race errors.
+  auto Srv = std::make_unique<Server>(ServerConfig{});
+  auto Gate = std::make_shared<ScoreGate>();
+  for (const auto &D : {std::make_pair("gaussian", apps::gaussianSource()),
+                        std::make_pair("sharpen", apps::sharpenSource())}) {
+    ServiceConfig C = imageService(D.first, D.second);
+    C.CheckEvery = 1;
+    C.Score = [Gate](const std::vector<float> &,
+                     const std::vector<float> &) {
+      return Gate->pass() ? 1.0 : 0.0; // Requests always trip.
+    };
+    ASSERT_FALSE(static_cast<bool>(Srv->addService(C)));
+  }
+
+  std::vector<float> Input = frame(img::ImageClass::Smooth, 64, 6);
+  EXPECT_TRUE(cantFail(Srv->serve("gaussian", Input)).ReTuned);
+  ASSERT_TRUE(Gate->awaitHeld()); // gaussian's re-tune is running...
+  EXPECT_TRUE(cantFail(Srv->serve("sharpen", Input)).ReTuned); // ...queued.
+  EXPECT_EQ(Srv->stats().ReTunes, 2u);
+
+  std::thread Destroy([&Srv] { Srv.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Gate->open();
+  Destroy.join();
+  EXPECT_EQ(Srv, nullptr);
+}
+
+TEST(ServerTest, ResponseNeverCarriesPreviousFramePixels) {
+  // A kernel that leaves pixels unwritten must return zeros there, not
+  // the previous request's output: each request gets fresh buffers.
+  const char *ThresholdSource = R"(
+kernel void threshold(global const float* in, global float* out, int w,
+                      int h) {
+  int x = get_global_id(0);
+  int y = get_global_id(1);
+  float v = in[y * w + x];
+  if (v > 0.5) {
+    out[y * w + x] = v;
+  }
+}
+)";
+  Server Srv(ServerConfig{});
+  ASSERT_FALSE(static_cast<bool>(
+      Srv.addService(imageService("threshold", ThresholdSource))));
+  const std::vector<float> Bright(64 * 64, 0.9f);
+  const std::vector<float> Dark(64 * 64, 0.1f);
+  EXPECT_EQ(cantFail(Srv.serve("threshold", Bright)).Output, Bright);
+  EXPECT_EQ(cantFail(Srv.serve("threshold", Dark)).Output,
+            std::vector<float>(64 * 64, 0.0f));
 }
 
 TEST(ServerTest, LintGateRejectionServesAccurateOnly) {
@@ -306,6 +519,49 @@ TEST(ServerTest, ConcurrentClientsAcrossServices) {
     Th.join();
   EXPECT_EQ(Mismatches.load(), 0u);
   EXPECT_EQ(Srv.stats().Requests, 24u);
+}
+
+TEST(ServerTest, ConcurrentClientsOnOneService) {
+  // Four clients share one service. No service lock spans a launch, so
+  // their requests overlap in one monitor; every output must still equal
+  // a single-threaded server's for the same frame, and the check cadence
+  // stays exact.
+  auto Config = [] {
+    ServiceConfig C = imageService("gaussian", apps::gaussianSource());
+    C.CheckEvery = 4;
+    C.ErrorBudget = 0.5; // No check trips on smooth frames.
+    return C;
+  };
+  Server Srv(ServerConfig{});
+  ASSERT_FALSE(static_cast<bool>(Srv.addService(Config())));
+  Server Ref(ServerConfig{});
+  ASSERT_FALSE(static_cast<bool>(Ref.addService(Config())));
+
+  std::vector<std::vector<float>> Frames;
+  std::vector<std::vector<float>> Want;
+  for (unsigned I = 0; I < 32; ++I) {
+    Frames.push_back(frame(img::ImageClass::Smooth, 64, 100 + I));
+    Want.push_back(cantFail(Ref.serve("gaussian", Frames.back())).Output);
+  }
+  ASSERT_EQ(Ref.stats().ReTunes, 0u); // Every reference is approximate.
+
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < 4; ++T)
+    Threads.emplace_back([&, T]() {
+      for (unsigned I = T * 8; I < T * 8 + 8; ++I) {
+        Expected<ServeResult> R = Srv.serve("gaussian", Frames[I]);
+        if (!R || !R->UsedApproximate || R->Output != Want[I])
+          ++Mismatches;
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  ServerStats St = Srv.stats();
+  EXPECT_EQ(St.Requests, 32u);
+  EXPECT_EQ(St.Checks, 8u);
+  EXPECT_EQ(St.ReTunes, 0u);
 }
 
 } // namespace

@@ -243,6 +243,9 @@ int main(int Argc, char **Argv) {
     Threads.emplace_back(Client);
   for (std::thread &T : Threads)
     T.join();
+  // Re-tunes run in the background; let them land so the degraded count
+  // on the stats line is final.
+  Server.waitForReTunes();
 
   std::printf("\n%-12s %8s %8s %8s %8s\n", "service", "served", "approx",
               "checks", "retunes");
