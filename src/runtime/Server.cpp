@@ -29,6 +29,12 @@ struct Server::Shard {
 struct Server::Service {
   ServiceConfig C;
   unsigned ShardIdx = 0;
+  /// Frontend IR: the only input of the perforating transforms. Unroll
+  /// would leave perforate-loop no loop to stride, and variant keys stay
+  /// those of the unoptimized kernel.
+  Kernel Frontend;
+  /// The same source under the library default pipeline (exact passes
+  /// only): what every accurate launch runs.
   Kernel Accurate;
   /// Internally synchronized; null when the service registered
   /// accurate-only.
@@ -139,7 +145,7 @@ Server::buildVariant(Service &Svc, const perf::PerforationScheme &Scheme,
     Plan.PipelineSpec = Svc.C.PipelineSpec;
   Plan.PipelineSpec =
       perf::jointPipelineSpec(Plan.PipelineSpec, LoopStride);
-  return Shards[Svc.ShardIdx]->S.perforate(Svc.Accurate, Plan);
+  return Shards[Svc.ShardIdx]->S.perforate(Svc.Frontend, Plan);
 }
 
 Error Server::addService(const ServiceConfig &C) {
@@ -149,6 +155,13 @@ Error Server::addService(const ServiceConfig &C) {
   if (Cfg.Width == 0 || Cfg.Height == 0)
     return makeError("service '%s': frame shape must be nonzero",
                      Cfg.Name.c_str());
+  // The tile is the work group of every launch, accurate ones included.
+  if (Cfg.Tile.X == 0 || Cfg.Tile.Y == 0 || Cfg.Width % Cfg.Tile.X != 0 ||
+      Cfg.Height % Cfg.Tile.Y != 0)
+    return makeError("service '%s': the %ux%u tile must be nonzero and "
+                     "divide the %ux%u frame",
+                     Cfg.Name.c_str(), Cfg.Tile.X, Cfg.Tile.Y, Cfg.Width,
+                     Cfg.Height);
   if (!Cfg.Score)
     Cfg.Score = [](const std::vector<float> &R,
                    const std::vector<float> &T) {
@@ -175,10 +188,16 @@ Error Server::addService(const ServiceConfig &C) {
   Svc->C = Cfg;
   Session &S = Shards[Svc->ShardIdx]->S;
 
-  Expected<Kernel> K = S.compile(Cfg.Source, Cfg.Kernel);
-  if (!K)
-    return Error(K.error());
-  Svc->Accurate = *K;
+  Expected<Kernel> Frontend = S.compile(Cfg.Source, Cfg.Kernel);
+  if (!Frontend)
+    return Error(Frontend.error());
+  pcl::CompileOptions Optimized;
+  Optimized.PipelineSpec = ir::defaultPipelineSpec();
+  Expected<Kernel> Accurate = S.compile(Cfg.Source, Cfg.Kernel, Optimized);
+  if (!Accurate)
+    return Error(Accurate.error());
+  Svc->Frontend = *Frontend;
+  Svc->Accurate = *Accurate;
   Svc->ReTunesLeft = Config.MaxReTunesPerService;
 
   Expected<Variant> V = buildVariant(*Svc, Cfg.Scheme);
@@ -191,8 +210,8 @@ Error Server::addService(const ServiceConfig &C) {
     Svc->AccurateOnly = true;
   } else {
     Svc->Mon = std::make_unique<QualityMonitor>(
-        S, Svc->Accurate, *V, sim::Range2{Cfg.Width, Cfg.Height},
-        sim::Range2{16, 16}, Cfg.ErrorBudget, Cfg.CheckEvery);
+        S, Svc->Accurate, *V, sim::Range2{Cfg.Width, Cfg.Height}, Cfg.Tile,
+        Cfg.ErrorBudget, Cfg.CheckEvery);
   }
 
   std::lock_guard<std::mutex> Lock(ServicesMutex);
@@ -203,23 +222,10 @@ Error Server::addService(const ServiceConfig &C) {
   return Error::success();
 }
 
-std::optional<Variant> Server::retune(Service &Svc,
-                                      const std::vector<float> &Input) {
+std::optional<Variant> Server::retune(const ReTuneJob &Job) {
+  Service &Svc = *Job.Svc;
   Session &S = Shards[Svc.ShardIdx]->S;
   const sim::Range2 Global{Svc.C.Width, Svc.C.Height};
-
-  // Reference output and time on the offending input.
-  std::vector<float> Reference;
-  double AccurateMs = 0;
-  {
-    FrameBuffers Ref(S, Input);
-    Expected<sim::SimReport> AccR = S.launch(
-        Svc.Accurate, Global, sim::Range2{16, 16}, Ref.args(Svc.C));
-    if (!AccR)
-      return std::nullopt;
-    Reference = S.buffer(Ref.Out).downloadFloats();
-    AccurateMs = AccR->TimeMs;
-  }
 
   // Candidate space: the scheme families at the service tile crossed
   // with loop-perforation strides {1, 2}, mildest first. The current
@@ -243,13 +249,14 @@ std::optional<Variant> Server::retune(Service &Svc,
     Expected<Variant> V = buildVariant(Svc, TC.Scheme, TC.LoopStride);
     if (!V)
       return V.takeError();
-    FrameBuffers Eval(S, Input);
+    FrameBuffers Eval(S, Job.Input);
     Expected<sim::SimReport> R = S.launch(*V, Global, Eval.args(Svc.C));
     if (!R)
       return R.takeError();
     perf::Measurement M;
-    M.Error = Svc.C.Score(Reference, S.buffer(Eval.Out).downloadFloats());
-    M.Speedup = R->TimeMs > 0 ? AccurateMs / R->TimeMs : 0;
+    M.Error =
+        Svc.C.Score(Job.Reference, S.buffer(Eval.Out).downloadFloats());
+    M.Speedup = R->TimeMs > 0 ? Job.AccurateMs / R->TimeMs : 0;
     M.PassStats = V->PassStats;
     return M;
   };
@@ -269,9 +276,9 @@ std::optional<Variant> Server::retune(Service &Svc,
   return Winner.takeValue();
 }
 
-void Server::queueReTune(Service &Svc, const std::vector<float> &Input) {
+void Server::queueReTune(ReTuneJob Job) {
   std::lock_guard<std::mutex> Lock(ReTuneMutex);
-  ReTuneQueue.push_back(ReTuneJob{&Svc, Input});
+  ReTuneQueue.push_back(std::move(Job));
   if (!ReTuneWorker.joinable())
     ReTuneWorker = std::thread([this] { reTuneLoop(); });
   ReTuneCV.notify_all();
@@ -291,7 +298,7 @@ void Server::reTuneLoop() {
 
     std::optional<Variant> Winner;
     try {
-      Winner = retune(*Job.Svc, Job.Input);
+      Winner = retune(Job);
     } catch (...) {
       // A throwing scorer fails the re-tune like an infeasible space
       // does: the service degrades to accurate below.
@@ -346,9 +353,10 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
   const sim::Range2 Global{Svc->C.Width, Svc->C.Height};
 
   ServeResult Result;
+  bool Queue = false;
   if (Accurately) {
     Expected<sim::SimReport> R =
-        S.launch(Svc->Accurate, Global, sim::Range2{16, 16}, Args);
+        S.launch(Svc->Accurate, Global, Svc->C.Tile, Args);
     if (!R)
       return R.takeError();
     Result.Report = *R;
@@ -368,7 +376,6 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
     // input -- unless another request's trip already queued one, a
     // re-tune has since replaced the variant this check measured
     // (the monitor is re-armed), or the service spent its re-tunes.
-    bool Queue = false;
     if (L->Checked && !L->UsedApproximate) {
       std::lock_guard<std::mutex> Lock(Svc->Mu);
       if (!Svc->ReTunePending && !Svc->AccurateOnly &&
@@ -381,13 +388,15 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
         }
       }
     }
-    if (Queue) {
-      ++ReTunes;
-      Result.ReTuned = true;
-      queueReTune(*Svc, Input);
-    }
   }
   Result.Output = S.buffer(Frame.Out).downloadFloats();
+  if (Queue) {
+    // The tripped check already measured the accurate output and time on
+    // this input: they are the re-tune's reference.
+    ++ReTunes;
+    Result.ReTuned = true;
+    queueReTune(ReTuneJob{Svc, Input, Result.Output, Result.Report.TimeMs});
+  }
   return Result;
 }
 

@@ -20,17 +20,26 @@
 ///
 /// Each registered service wraps one standard-signature image kernel
 /// (global const float* in, global float* out, int w, int h) with a fixed
-/// frame shape, an initial perforation scheme, and an error budget. serve()
-/// launches the current variant through a rt::QualityMonitor; when the
-/// request's own check trips the monitor (measured error past budget), the
-/// request returns the accurate output at once and the service turns
-/// re-tune pending: it serves the accurate kernel, unchecked, while the
-/// server's one background worker runs an online perf::tuneParallel
-/// re-tune over a candidate scheme space, using the offending request's
-/// input as the tuning workload. The worker then hot-swaps the winning
-/// variant into the monitor (QualityMonitor::rearm). Only when no
-/// candidate fits the budget does the service degrade to permanently
-/// accurate.
+/// frame shape, an initial perforation scheme, and an error budget. The
+/// service compiles its source twice on its shard: as frontend IR, the
+/// only input of the perforating transforms (so every variant and cache
+/// key is that of the frontend kernel), and under the library default
+/// pipeline, which every accurate launch runs -- check references,
+/// accurate-only and re-tune-pending requests. The default pipeline holds
+/// only exact passes, so both kernels produce the same bytes and the same
+/// modeled time; the optimized one just simulates faster.
+///
+/// serve() launches the current variant through a rt::QualityMonitor;
+/// when the request's own check trips the monitor (measured error past
+/// budget), the request returns the accurate output at once and the
+/// service turns re-tune pending: it serves the accurate kernel,
+/// unchecked, while the server's one background worker runs an online
+/// perf::tuneParallel re-tune over a candidate scheme space, using the
+/// offending request's input as the tuning workload and its check's
+/// accurate output and time as the reference. The worker then hot-swaps
+/// the winning variant into the monitor (QualityMonitor::rearm). Only
+/// when no candidate fits the budget does the service degrade to
+/// permanently accurate.
 ///
 /// Thread-safety: every public method may be called from any client
 /// thread. A request waits only for its own launches: it checks its
@@ -98,16 +107,19 @@ struct ServiceConfig {
   std::string Kernel; ///< Kernel function name within Source.
   unsigned Width = 0; ///< Served frame shape (required, nonzero).
   unsigned Height = 0;
-  /// Initial perforation scheme and tile; the online re-tune may replace
-  /// the scheme later.
+  /// Initial perforation scheme; the online re-tune may replace it later.
   perf::PerforationScheme Scheme;
+  /// Perforation tile, and the work group of every accurate launch. It
+  /// must be nonzero and divide the frame shape.
   sim::Range2 Tile{16, 16};
   double ErrorBudget = 0.05;
   unsigned CheckEvery = 8;
   /// Output scorer (defaults to img::meanRelativeError). Called from
   /// request threads and from the re-tune worker, possibly at once.
   ScoreFn Score;
-  /// Cleanup pipeline spec ("" = library default).
+  /// Cleanup pipeline spec of the perforated variants ("" = library
+  /// default). The accurate kernel always runs the library default, whose
+  /// passes are all exact; a custom spec may approximate (perforate-loop).
   std::string PipelineSpec;
 };
 
@@ -151,11 +163,12 @@ public:
 
   const ServerConfig &config() const { return Config; }
 
-  /// Registers a service: compiles the kernel on its shard, builds the
-  /// initial perforated variant, and arms the quality monitor. Fails if
-  /// the name is taken, the shape is zero, or compilation/perforation
-  /// fails (a lint-gate rejection arms the service in accurate-only
-  /// mode instead of failing registration).
+  /// Registers a service: compiles the kernel on its shard (frontend and
+  /// optimized), builds the initial perforated variant, and arms the
+  /// quality monitor. Fails if the name is taken, the shape or tile is
+  /// zero, the tile does not divide the shape, or compilation/perforation
+  /// fails (a lint-gate rejection arms the service in accurate-only mode
+  /// instead of failing registration).
   Error addService(const ServiceConfig &C);
 
   /// Serves one frame: \p Input must hold Width*Height samples. Returns
@@ -183,25 +196,33 @@ private:
   struct Shard;
   struct Service;
 
-  /// Builds the perforated variant of \p Svc for \p Scheme through its
-  /// shard session (cached by VariantKey, so re-tunes that pick a
-  /// previously built scheme hit the cache). \p LoopStride > 1 splices
-  /// perforate-loop(stride) into the service's cleanup pipeline
-  /// (perf::jointPipelineSpec); the spec is part of the VariantKey, so
-  /// strided variants cache under distinct keys.
+  /// Builds the perforated variant of \p Svc for \p Scheme from its
+  /// frontend kernel through its shard session (cached by VariantKey,
+  /// so re-tunes that pick a previously built scheme hit the cache).
+  /// \p LoopStride > 1 splices perforate-loop(stride) into the service's
+  /// cleanup pipeline (perf::jointPipelineSpec); the spec is part of the
+  /// VariantKey, so strided variants cache under distinct keys.
   Expected<Variant> buildVariant(Service &Svc,
                                  const perf::PerforationScheme &Scheme,
                                  unsigned LoopStride = 1);
 
-  /// Online re-tune of \p Svc using \p Input as the workload. Returns
-  /// the fastest variant within budget, or nothing. Runs on the re-tune
-  /// worker without the service lock.
-  std::optional<Variant> retune(Service &Svc,
-                                const std::vector<float> &Input);
+  /// A queued re-tune: the service, a copy of the offending frame, and
+  /// the accurate output and modeled time its tripped check measured.
+  struct ReTuneJob {
+    Service *Svc = nullptr;
+    std::vector<float> Input;
+    std::vector<float> Reference;
+    double AccurateMs = 0;
+  };
 
-  /// Queues a re-tune of \p Svc on \p Input, starting the worker on
-  /// first use.
-  void queueReTune(Service &Svc, const std::vector<float> &Input);
+  /// Online re-tune of \p Job's service using its input as the workload
+  /// and its reference as the accurate output. Returns the fastest
+  /// variant within budget, or nothing. Runs on the re-tune worker
+  /// without the service lock.
+  std::optional<Variant> retune(const ReTuneJob &Job);
+
+  /// Queues \p Job, starting the worker on first use.
+  void queueReTune(ReTuneJob Job);
 
   /// The re-tune worker's loop: runs queued re-tunes in FIFO order and
   /// applies each result under the service lock.
@@ -219,11 +240,6 @@ private:
   std::atomic<unsigned> Checks{0};
   std::atomic<unsigned> ReTunes{0};
 
-  /// A queued re-tune: the service and a copy of the offending frame.
-  struct ReTuneJob {
-    Service *Svc = nullptr;
-    std::vector<float> Input;
-  };
   /// Guards the re-tune queue and the worker's state; signalled when a
   /// job is queued, when the worker goes idle, and at shutdown.
   std::mutex ReTuneMutex;

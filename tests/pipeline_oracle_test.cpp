@@ -22,11 +22,18 @@
 // must reproduce the tree walker's output byte for byte and its
 // SimReport counters bit for bit.
 //
+// Finally, the accurate kernels themselves: rt::Server runs every
+// accurate launch on the kernel compiled under the default pipeline, so
+// that kernel must be interchangeable with the frontend one -- same
+// bytes, same modeled time -- at every work-group shape the tuner uses.
+//
 //===----------------------------------------------------------------------===//
 
 #include "apps/App.h"
+#include "apps/Kernels.h"
 #include "img/Generators.h"
 #include "ir/PassManager.h"
+#include "perforation/Tuner.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 
@@ -239,6 +246,64 @@ TEST(PipelineOracleTest, OutputApproxVariantsAreStableToo) {
         EXPECT_TRUE(bitIdentical(Baseline, R->Output))
             << Name << ": output-approx pipeline '" << Spec
             << "' changed the output";
+    }
+  }
+}
+
+TEST(PipelineOracleTest, OptimizedAccurateKernelsMatchFrontend) {
+  // The nine standard-signature kernels (in, out, w, h), compiled as
+  // frontend IR and under the default pipeline, launched at every Fig. 9
+  // shape on both tiers. The default pipeline is exact, and these
+  // kernels are memory-bound under the max(compute, memory) cost model,
+  // so dropping ALU and private traffic leaves the modeled time alone.
+  const std::pair<const char *, const char *> Kernels[] = {
+      {"gaussian", apps::gaussianSource()},
+      {"inversion", apps::inversionSource()},
+      {"median", apps::medianSource()},
+      {"sobel3", apps::sobel3Source()},
+      {"sobel5", apps::sobel5Source()},
+      {"mean", apps::meanSource()},
+      {"sharpen", apps::sharpenSource()},
+      {"convsep_row", apps::convSepRowSource()},
+      {"convsep_col", apps::convSepColSource()}};
+  const int Size = 128;
+  const std::vector<float> Input =
+      img::generateImage(img::ImageClass::Natural, Size, Size, 11).pixels();
+  // A sentinel no kernel writes: a pixel either one leaves unwritten shows.
+  const std::vector<float> Unwritten(Input.size(), -1e30f);
+  pcl::CompileOptions Optimized;
+  Optimized.PipelineSpec = ir::defaultPipelineSpec();
+
+  for (const auto &[Name, Source] : Kernels) {
+    rt::Session S;
+    const rt::Kernel Frontend = cantFail(S.compile(Source, Name));
+    const rt::Kernel Opt = cantFail(S.compile(Source, Name, Optimized));
+    const unsigned In = S.createBufferFrom(Input);
+    const unsigned Out = S.createBuffer(Input.size());
+    const std::vector<sim::KernelArg> Args = {
+        rt::arg::buffer(In), rt::arg::buffer(Out), rt::arg::i32(Size),
+        rt::arg::i32(Size)};
+    auto Run = [&](const rt::Kernel &K, sim::Range2 Local,
+                   std::vector<float> &Output) {
+      S.buffer(Out).uploadFloats(Unwritten);
+      sim::SimReport R = cantFail(S.launch(
+          K, {unsigned(Size), unsigned(Size)}, Local, Args));
+      Output = S.buffer(Out).downloadFloats();
+      return R;
+    };
+    for (sim::ExecTier Tier : AllTiers) {
+      S.setExecTier(Tier);
+      for (auto [X, Y] : perf::figure9WorkGroupShapes()) {
+        std::vector<float> Want, Got;
+        const sim::SimReport F = Run(Frontend, {X, Y}, Want);
+        const sim::SimReport O = Run(Opt, {X, Y}, Got);
+        const std::string At = format("%s at %ux%u (%s)", Name, X, Y,
+                                      sim::execTierName(Tier));
+        EXPECT_TRUE(bitIdentical(Want, Got)) << At;
+        EXPECT_EQ(F.TimeMs, O.TimeMs) << At;
+        EXPECT_LE(O.Totals.AluOps, F.Totals.AluOps) << At;
+        EXPECT_LE(O.Totals.PrivateAccesses, F.Totals.PrivateAccesses) << At;
+      }
     }
   }
 }

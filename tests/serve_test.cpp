@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // rt::Server: service registration and shard routing, serve() parity
-// with a direct session launch, the online re-tune hot-swap (quality
+// with a direct session launch, accurate launches on the optimized
+// kernel at the service tile, the online re-tune hot-swap (quality
 // loop) on the background worker, degradation when the budget proves
 // unreachable or the scorer returns NaN, the lint-gate accurate-only
 // path, disk-cache warm restarts with zero variant compiles, fresh
@@ -22,6 +23,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -50,6 +52,12 @@ ServiceConfig imageService(const char *Name, const char *Source,
 std::vector<float> frame(img::ImageClass Class, unsigned Size,
                          uint64_t Seed) {
   return img::generateImage(Class, Size, Size, Seed).pixels();
+}
+
+bool bitIdentical(const std::vector<float> &A,
+                  const std::vector<float> &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(float)) == 0;
 }
 
 /// Holds back scorer calls made by any thread other than the one that
@@ -169,6 +177,50 @@ TEST(ServerTest, ServeErrors) {
   Error E = Srv.addService(Bad);
   ASSERT_TRUE(static_cast<bool>(E));
   EXPECT_NE(E.message().find("nonzero"), std::string::npos);
+
+  // The tile is every launch's work group, so it must divide the frame:
+  // a 40x40 service at the default 16x16 tile could serve nothing.
+  Error Ragged = Srv.addService(imageService("ragged", apps::meanSource(), 40));
+  ASSERT_TRUE(static_cast<bool>(Ragged));
+  EXPECT_NE(Ragged.message().find("16x16 tile"), std::string::npos);
+  EXPECT_NE(Ragged.message().find("40x40 frame"), std::string::npos);
+
+  ServiceConfig ZeroTile = imageService("zerotile", apps::meanSource());
+  ZeroTile.Tile = {0, 16};
+  Error Z = Srv.addService(ZeroTile);
+  ASSERT_TRUE(static_cast<bool>(Z));
+  EXPECT_NE(Z.message().find("0x16 tile"), std::string::npos);
+  EXPECT_EQ(Srv.services(), std::vector<std::string>{"inversion"});
+}
+
+TEST(ServerTest, NonSquareTileServesEveryRequestChecksIncluded) {
+  // Accurate launches use the service tile as their work group: a 96x40
+  // frame at a 32x8 tile is not a multiple of 16x16, yet its checks
+  // (every second request) must run.
+  Server Srv(ServerConfig{});
+  ServiceConfig C = imageService("mean", apps::meanSource());
+  C.Width = 96;
+  C.Height = 40;
+  C.Tile = {32, 8};
+  C.CheckEvery = 2;
+  C.ErrorBudget = 10; // No check trips: every request stays approximate.
+  ASSERT_FALSE(static_cast<bool>(Srv.addService(C)));
+
+  for (unsigned I = 0; I < 6; ++I) {
+    std::vector<float> Input =
+        img::generateImage(img::ImageClass::Natural, 96, 40, 20 + I)
+            .pixels();
+    Expected<ServeResult> R = Srv.serve("mean", Input);
+    ASSERT_TRUE(static_cast<bool>(R)) << "request " << I << ": "
+                                      << R.error().message();
+    EXPECT_TRUE(R->UsedApproximate) << "request " << I;
+    EXPECT_EQ(R->Checked, I % 2 == 1) << "request " << I;
+    EXPECT_EQ(R->Output.size(), Input.size());
+  }
+  ServerStats St = Srv.stats();
+  EXPECT_EQ(St.Requests, 6u);
+  EXPECT_EQ(St.Checks, 3u);
+  EXPECT_EQ(St.ReTunes, 0u);
 }
 
 TEST(ServerTest, QualityLoopReTunesAndHotSwaps) {
@@ -207,12 +259,18 @@ TEST(ServerTest, QualityLoopReTunesAndHotSwaps) {
   // The re-tune evaluated its candidate space through the shard's
   // variant cache, and the winner's rebuild was a pure cache hit.
   EXPECT_GE(St.Sessions.VariantCacheHits, 1u);
-  EXPECT_EQ(St.Sessions.SourceCompiles, 1u);
+  // Registration compiled the source twice (frontend and optimized); the
+  // re-tune compiled none.
+  EXPECT_EQ(St.Sessions.SourceCompiles, 2u);
 }
 
 TEST(ServerTest, UnreachableBudgetDegradesToAccurate) {
   // Every comparison reports over budget: the re-tune finds no candidate
   // within budget and the service degrades to permanently accurate.
+  // Both accurate responses -- the tripped check's and the degraded
+  // service's -- come from the kernel compiled under the default
+  // pipeline, with no private traffic left, yet must match a launch of
+  // the frontend kernel byte for byte and in modeled time.
   ServerConfig SC;
   SC.MaxReTunesPerService = 1;
   Server Srv(SC);
@@ -236,6 +294,22 @@ TEST(ServerTest, UnreachableBudgetDegradesToAccurate) {
   ServerStats St = Srv.stats();
   EXPECT_EQ(St.ReTunes, 1u);
   EXPECT_EQ(St.DegradedServices, 1u);
+
+  Session S;
+  Kernel K = cantFail(S.compile(apps::meanSource(), "mean"));
+  unsigned In = S.createBufferFrom(Input);
+  unsigned Out = S.createBuffer(Input.size());
+  sim::SimReport Frontend = cantFail(
+      S.launch(K, {64, 64}, {16, 16},
+               {arg::buffer(In), arg::buffer(Out), arg::i32(64),
+                arg::i32(64)}));
+  const std::vector<float> Want = S.buffer(Out).downloadFloats();
+  EXPECT_GT(Frontend.Totals.PrivateAccesses, 0u);
+  for (const ServeResult *R : {&First, &Second}) {
+    EXPECT_TRUE(bitIdentical(R->Output, Want));
+    EXPECT_EQ(R->Report.TimeMs, Frontend.TimeMs);
+    EXPECT_EQ(R->Report.Totals.PrivateAccesses, 0u);
+  }
 }
 
 TEST(ServerTest, NanScoreReTunesThenDegradesToAccurate) {

@@ -15,7 +15,7 @@
 //          [--requests N]    total requests to serve         (default 360)
 //          [--size N]        frame edge length               (default 128)
 //          [--cache DIR]     on-disk variant cache (persists across runs;
-//                            a warm restart recompiles nothing)
+//                            a warm restart compiles no variant)
 //          [--budget E]      per-service error budget        (default 0.05)
 //          [--check-every N] quality-check cadence           (default 8)
 //          [--variant-cap N] per-shard variant cache cap     (default 0)
