@@ -29,13 +29,10 @@ struct Server::Shard {
 struct Server::Service {
   ServiceConfig C;
   unsigned ShardIdx = 0;
-  /// Frontend IR: the only input of the perforating transforms. Unroll
-  /// would leave perforate-loop no loop to stride, and variant keys stay
-  /// those of the unoptimized kernel.
-  Kernel Frontend;
-  /// The same source under the library default pipeline (exact passes
-  /// only): what every accurate launch runs.
-  Kernel Accurate;
+  /// The compiled kernel: its frontend IR is the only input of the
+  /// perforating transforms, and launching it -- every accurate launch --
+  /// runs the shard session's copy optimized under the default pipeline.
+  Kernel K;
   /// Internally synchronized; null when the service registered
   /// accurate-only.
   std::unique_ptr<QualityMonitor> Mon;
@@ -117,10 +114,17 @@ Server::Server(ServerConfig C) : Config(std::move(C)) {
     if (Config.VariantCapacity != 0)
       Sh->S.setVariantCapacity(Config.VariantCapacity);
     Sh->S.setLintGate(Config.LintGate);
-    if (!Config.DiskCacheDir.empty())
-      cantFail(Sh->S.setDiskCache(Config.DiskCacheDir));
     Shards.push_back(std::move(Sh));
   }
+  // An unusable cache directory costs warm restarts, not service: come
+  // up without the disk cache on every shard and keep the reason.
+  for (const auto &Sh : Shards)
+    if (Error E = Sh->S.setDiskCache(Config.DiskCacheDir)) {
+      DiskCacheError = E.message();
+      for (const auto &Off : Shards)
+        cantFail(Off->S.setDiskCache(""));
+      break;
+    }
 }
 
 Server::~Server() {
@@ -145,7 +149,7 @@ Server::buildVariant(Service &Svc, const perf::PerforationScheme &Scheme,
     Plan.PipelineSpec = Svc.C.PipelineSpec;
   Plan.PipelineSpec =
       perf::jointPipelineSpec(Plan.PipelineSpec, LoopStride);
-  return Shards[Svc.ShardIdx]->S.perforate(Svc.Frontend, Plan);
+  return Shards[Svc.ShardIdx]->S.perforate(Svc.K, Plan);
 }
 
 Error Server::addService(const ServiceConfig &C) {
@@ -188,16 +192,10 @@ Error Server::addService(const ServiceConfig &C) {
   Svc->C = Cfg;
   Session &S = Shards[Svc->ShardIdx]->S;
 
-  Expected<Kernel> Frontend = S.compile(Cfg.Source, Cfg.Kernel);
-  if (!Frontend)
-    return Error(Frontend.error());
-  pcl::CompileOptions Optimized;
-  Optimized.PipelineSpec = ir::defaultPipelineSpec();
-  Expected<Kernel> Accurate = S.compile(Cfg.Source, Cfg.Kernel, Optimized);
-  if (!Accurate)
-    return Error(Accurate.error());
-  Svc->Frontend = *Frontend;
-  Svc->Accurate = *Accurate;
+  Expected<Kernel> K = S.compile(Cfg.Source, Cfg.Kernel);
+  if (!K)
+    return Error(K.error());
+  Svc->K = *K;
   Svc->ReTunesLeft = Config.MaxReTunesPerService;
 
   Expected<Variant> V = buildVariant(*Svc, Cfg.Scheme);
@@ -210,7 +208,7 @@ Error Server::addService(const ServiceConfig &C) {
     Svc->AccurateOnly = true;
   } else {
     Svc->Mon = std::make_unique<QualityMonitor>(
-        S, Svc->Accurate, *V, sim::Range2{Cfg.Width, Cfg.Height}, Cfg.Tile,
+        S, Svc->K, *V, sim::Range2{Cfg.Width, Cfg.Height}, Cfg.Tile,
         Cfg.ErrorBudget, Cfg.CheckEvery);
   }
 
@@ -356,7 +354,7 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
   bool Queue = false;
   if (Accurately) {
     Expected<sim::SimReport> R =
-        S.launch(Svc->Accurate, Global, Svc->C.Tile, Args);
+        S.launch(Svc->K, Global, Svc->C.Tile, Args);
     if (!R)
       return R.takeError();
     Result.Report = *R;

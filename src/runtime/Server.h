@@ -21,13 +21,14 @@
 /// Each registered service wraps one standard-signature image kernel
 /// (global const float* in, global float* out, int w, int h) with a fixed
 /// frame shape, an initial perforation scheme, and an error budget. The
-/// service compiles its source twice on its shard: as frontend IR, the
-/// only input of the perforating transforms (so every variant and cache
-/// key is that of the frontend kernel), and under the library default
-/// pipeline, which every accurate launch runs -- check references,
-/// accurate-only and re-tune-pending requests. The default pipeline holds
-/// only exact passes, so both kernels produce the same bytes and the same
-/// modeled time; the optimized one just simulates faster.
+/// service compiles its source once on its shard. The kernel's frontend
+/// IR is the only input of the perforating transforms (so every variant
+/// and cache key is that of the frontend kernel); every accurate launch
+/// -- check references, accurate-only and re-tune-pending requests --
+/// runs the session's launch copy of it, optimized under the library
+/// default pipeline (see Session.h). The default pipeline holds only
+/// exact passes, so both produce the same bytes and the same modeled
+/// time; the optimized copy just simulates faster.
 ///
 /// serve() launches the current variant through a rt::QualityMonitor;
 /// when the request's own check trips the monitor (measured error past
@@ -83,6 +84,8 @@ struct ServerConfig {
   unsigned Shards = 4;
   /// Root of the content-addressed on-disk variant cache shared by all
   /// shards ("" = off). Warm restarts then skip recompilation entirely.
+  /// A directory that cannot be created leaves the cache off; see
+  /// Server::diskCacheError().
   std::string DiskCacheDir;
   /// Per-shard variant cache capacity (0 = unlimited).
   unsigned VariantCapacity = 0;
@@ -118,7 +121,7 @@ struct ServiceConfig {
   /// request threads and from the re-tune worker, possibly at once.
   ScoreFn Score;
   /// Cleanup pipeline spec of the perforated variants ("" = library
-  /// default). The accurate kernel always runs the library default, whose
+  /// default). Accurate launches always run the library default, whose
   /// passes are all exact; a custom spec may approximate (perforate-loop).
   std::string PipelineSpec;
 };
@@ -163,12 +166,18 @@ public:
 
   const ServerConfig &config() const { return Config; }
 
-  /// Registers a service: compiles the kernel on its shard (frontend and
-  /// optimized), builds the initial perforated variant, and arms the
-  /// quality monitor. Fails if the name is taken, the shape or tile is
-  /// zero, the tile does not divide the shape, or compilation/perforation
-  /// fails (a lint-gate rejection arms the service in accurate-only mode
-  /// instead of failing registration).
+  /// Why the configured disk cache is off, e.g. "disk cache: cannot
+  /// create directory '...'"; "" when it is on or none was configured.
+  /// The server serves without it either way.
+  const std::string &diskCacheError() const { return DiskCacheError; }
+
+  /// Registers a service: compiles the kernel on its shard (frontend IR
+  /// plus its optimized launch copy, one source compile), builds the
+  /// initial perforated variant, and arms the quality monitor. Fails if
+  /// the name is taken, the shape or tile is zero, the tile does not
+  /// divide the shape, or compilation/perforation fails (a lint-gate
+  /// rejection arms the service in accurate-only mode instead of failing
+  /// registration).
   Error addService(const ServiceConfig &C);
 
   /// Serves one frame: \p Input must hold Width*Height samples. Returns
@@ -229,6 +238,7 @@ private:
   void reTuneLoop();
 
   ServerConfig Config;
+  std::string DiskCacheError;
   std::vector<std::unique_ptr<Shard>> Shards;
 
   /// Guards the service registry (not the per-service state).

@@ -7,7 +7,9 @@
 #include "runtime/Session.h"
 
 #include "gpusim/Bytecode.h"
+#include "ir/Clone.h"
 #include "ir/Lint.h"
+#include "ir/Passes.h"
 #include "ir/Printer.h"
 #include "ir/Serializer.h"
 #include "ir/Verifier.h"
@@ -153,15 +155,50 @@ Session::compileAll(const std::string &Source,
         pcl::compile(*M, Source, Opts);
     if (!Fns)
       return Fns.takeError();
+    // Frontend IR stays the transforms' input; launches run a copy
+    // optimized under the default pipeline.
+    if (Opts.PipelineSpec.empty()) {
+      std::vector<ir::Function *> Copies;
+      for (ir::Function *F : *Fns) {
+        Expected<ir::Function *> Copy = buildLaunchCopy(*F);
+        if (!Copy) {
+          // Nothing of this source was handed out yet: drop it whole.
+          for (ir::Function *Built : Copies)
+            M->takeFunction(Built);
+          for (ir::Function *Frontend : *Fns)
+            M->takeFunction(Frontend);
+          return Copy.takeError();
+        }
+        Copies.push_back(*Copy);
+      }
+      for (size_t I = 0; I < Copies.size(); ++I)
+        LaunchCopies[(*Fns)[I]] = LaunchCopy{Copies[I], ""};
+    }
     It = Sources.emplace(std::move(Key), std::move(*Fns)).first;
   } else {
     ++Stats.SourceCacheHits;
   }
   std::vector<Kernel> Kernels;
   Kernels.reserve(It->second.size());
-  for (ir::Function *F : It->second)
-    Kernels.push_back(Kernel{F});
+  for (ir::Function *F : It->second) {
+    auto Copy = LaunchCopies.find(F);
+    Kernels.push_back(
+        Kernel{F, Copy == LaunchCopies.end() ? nullptr : Copy->second.F});
+  }
   return Kernels;
+}
+
+Expected<ir::Function *> Session::buildLaunchCopy(const ir::Function &F) {
+  ir::CloneMap Map;
+  ir::Function *Copy = ir::cloneFunction(*M, F, F.name(), Map);
+  ir::runDefaultPipeline(*Copy, *M);
+  if (Error E = ir::verifyFunction(*Copy)) {
+    M->takeFunction(Copy);
+    return makeError("launch copy of kernel '%s': the default pipeline's "
+                     "output failed verification: %s",
+                     F.name().c_str(), E.message().c_str());
+  }
+  return Copy;
 }
 
 Expected<Kernel> Session::compile(const std::string &Source,
@@ -375,19 +412,20 @@ void Session::evictOneVariant() {
   auto It = Variants.find(Lru.back());
   assert(It != Variants.end() && "LRU list out of sync with the cache");
   ++Stats.VariantEvictions;
-  retireVariantKernels(It->second.V);
+  retireKernels({It->second.V.K.F, It->second.V.K2.F});
   Lru.pop_back();
   Variants.erase(It);
   reclaimAtQuiescence();
 }
 
-void Session::retireVariantKernels(const Variant &V) {
+void Session::retireKernels(
+    std::initializer_list<const ir::Function *> Fns) {
   // Detach the generated kernels from the module (bounding its footprint
   // in a long-lived service) but defer their destruction to the next
   // quiescent point -- a worker thread may still be launching them. Any
   // analyses cached for them go now: a later function allocated at the
   // same address must not hit them.
-  for (const ir::Function *F : {V.K.F, V.K2.F}) {
+  for (const ir::Function *F : Fns) {
     if (!F)
       continue;
     Analyses.invalidate(*F);
@@ -431,6 +469,7 @@ Expected<sim::SimReport>
 Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,
                 const std::vector<sim::KernelArg> &Args) {
   assert(K.F && "launch of null kernel");
+  const ir::Function *Run = K.Launch ? K.Launch : K.F;
   // Pin first, check later: the increment and the KernelsRetired read
   // below are both seq_cst, so in the total order either our increment
   // precedes a retirer's in-flight check (it defers reclamation until
@@ -443,11 +482,20 @@ Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,
     // handle may refer to a dead kernel: confirm it is still alive -- in
     // the module, or in the graveyard awaiting reclamation. Both scans
     // are bounded by the variant capacity (plus source kernels), so this
-    // stays cheap.
+    // stays cheap. A launch copy is looked up afresh instead: the one
+    // the handle holds may be a retired copy of a since-mutated kernel.
     std::lock_guard<std::mutex> Lock(CompileMutex);
-    bool Alive = M->contains(K.F);
+    if (K.Launch) {
+      auto Copy = LaunchCopies.find(K.F);
+      if (Copy != LaunchCopies.end() && !Copy->second.F) {
+        --InFlightLaunches;
+        return makeError("launch: %s", Copy->second.Rejection.c_str());
+      }
+      Run = Copy == LaunchCopies.end() ? K.F : Copy->second.F;
+    }
+    bool Alive = M->contains(Run);
     for (const auto &Dead : Graveyard)
-      Alive = Alive || Dead.get() == K.F;
+      Alive = Alive || Dead.get() == Run;
     if (!Alive) {
       --InFlightLaunches;
       return makeError("launch: kernel variant was evicted from the "
@@ -464,7 +512,7 @@ Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,
   std::shared_ptr<const sim::bc::Program> Pinned;
   if (Options.Tier != sim::ExecTier::Tree) {
     Expected<std::shared_ptr<const sim::bc::Program>> Prog =
-        bytecodeFor(*K.F);
+        bytecodeFor(*Run);
     if (!Prog) {
       if (KernelsRetired.load()) {
         std::lock_guard<std::mutex> Lock(CompileMutex);
@@ -479,7 +527,7 @@ Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,
     Options.Program = Pinned.get();
   }
   Expected<sim::SimReport> Report = sim::launchKernel(
-      *K.F, Global, Local, Args, snapshotBufferBank(), Device, Options);
+      *Run, Global, Local, Args, snapshotBufferBank(), Device, Options);
   if (KernelsRetired.load()) {
     std::lock_guard<std::mutex> Lock(CompileMutex);
     if (--InFlightLaunches == 0)
@@ -554,13 +602,25 @@ void Session::invalidate(const Kernel &K) {
   bool Retired = false;
   for (auto It = Variants.begin(); It != Variants.end();) {
     if (It->second.Source == K.F) {
-      retireVariantKernels(It->second.V);
+      retireKernels({It->second.V.K.F, It->second.V.K2.F});
       Retired = true;
       Lru.erase(It->second.LruIt);
       It = Variants.erase(It);
     } else {
       ++It;
     }
+  }
+  // The launch copy was optimized from the old body: retire it the same
+  // way and rebuild it from the mutated one. A rejected rebuild leaves no
+  // copy, and launches of K fail with the verifier's message until a
+  // later invalidate() rebuilds one.
+  auto Copy = LaunchCopies.find(K.F);
+  if (Copy != LaunchCopies.end()) {
+    retireKernels({Copy->second.F});
+    Retired = true;
+    Expected<ir::Function *> Rebuilt = buildLaunchCopy(*K.F);
+    Copy->second = Rebuilt ? LaunchCopy{*Rebuilt, ""}
+                           : LaunchCopy{nullptr, Rebuilt.error().message()};
   }
   if (Retired)
     reclaimAtQuiescence();

@@ -24,6 +24,15 @@
 /// the kernel source exactly once. Hit/miss/compile counters are surfaced
 /// in stats().
 ///
+/// A kernel compiled without a pipeline spec lives twice in the module:
+/// as frontend IR (Kernel::F), which the transforms, variant keys and
+/// printers read -- unroll would leave perforate-loop no loop to stride
+/// -- and as a copy optimized under ir::defaultPipelineSpec()
+/// (Kernel::Launch), which every launch of the handle runs. The default
+/// pipeline holds only exact passes, so both produce the same bytes and
+/// the same modeled time, as an OpenCL compiler's optimized accurate
+/// kernel would; the copy just simulates faster.
+///
 /// \code
 ///   rt::Session S;
 ///   rt::Kernel K = cantFail(S.compile(Source, "gaussian"));
@@ -63,6 +72,7 @@
 
 #include <atomic>
 #include <deque>
+#include <initializer_list>
 #include <list>
 #include <map>
 #include <memory>
@@ -75,7 +85,13 @@ namespace rt {
 
 /// Handle to a compiled kernel (owned by the Session's module).
 struct Kernel {
+  /// The kernel as compiled: what perforate()/approximateOutput(), the
+  /// variant keys and printing read.
   ir::Function *F = nullptr;
+  /// What launch() runs in F's place: the Session's optimized copy of a
+  /// kernel compiled without a pipeline spec. Null -- every variant's
+  /// handle, or a handle built as Kernel{F} -- launches F itself.
+  ir::Function *Launch = nullptr;
   const std::string &name() const { return F->name(); }
 };
 
@@ -202,19 +218,24 @@ public:
   /// Compiles all kernels in \p Source; returns the one named \p Name.
   /// Compilation is cached per (source text, options): repeated calls --
   /// a tuning sweep, an app building several variants -- run the frontend
-  /// once.
+  /// once. The handle's F is frontend IR; launching it runs a copy
+  /// optimized under the default pipeline (see the file comment).
   Expected<Kernel> compile(const std::string &Source,
                            const std::string &Name);
 
   /// As above with frontend pipeline options (e.g. a post-verify
-  /// optimization pipeline). Note: CompileOptions::Stats only accumulates
-  /// on the actual (first) compile, not on cache hits.
+  /// optimization pipeline). With a PipelineSpec, F itself is optimized
+  /// by it and launches run F: no copy is made. Note:
+  /// CompileOptions::Stats only accumulates the spec's run on the actual
+  /// (first) compile, not on cache hits.
   Expected<Kernel> compile(const std::string &Source,
                            const std::string &Name,
                            const pcl::CompileOptions &Opts);
 
   /// Compiles (or returns the cached) kernels of \p Source in declaration
-  /// order.
+  /// order. Without a PipelineSpec each kernel is cloned once and the
+  /// clone optimized under the default pipeline as its launch copy; a
+  /// copy the verifier rejects fails the compile with its message.
   Expected<std::vector<Kernel>> compileAll(
       const std::string &Source,
       const pcl::CompileOptions &Opts = pcl::CompileOptions());
@@ -252,7 +273,8 @@ public:
                                       const perf::OutputApproxPlan &Plan);
 
   /// Wraps \p K as an untransformed Variant preferring local shape
-  /// \p Local (not cached -- there is nothing to compile).
+  /// \p Local (not cached -- there is nothing to compile). Launching it
+  /// runs K's launch copy when K has one.
   Variant accurate(const Kernel &K, sim::Range2 Local) const;
 
   /// Caps the variant cache at \p N entries, evicting least-recently-used
@@ -297,7 +319,9 @@ public:
   Expected<sim::SimReport> launch(const Variant &V, sim::Range2 FullGlobal,
                                   const std::vector<sim::KernelArg> &Args);
 
-  /// Raw launch of \p K over \p Global items in groups of \p Local.
+  /// Raw launch of \p K over \p Global items in groups of \p Local. Runs
+  /// K's current launch copy if it has one -- a handle held across
+  /// invalidate() runs the rebuilt copy -- and K.F otherwise.
   Expected<sim::SimReport> launch(const Kernel &K, sim::Range2 Global,
                                   sim::Range2 Local,
                                   const std::vector<sim::KernelArg> &Args);
@@ -316,16 +340,19 @@ public:
 
   /// Drops the cached analyses and cached variants derived from \p K.
   /// Callers that mutate a compiled kernel directly must call this before
-  /// the next perforate()/approximateOutput() of that kernel, or they
-  /// will be served stale variants.
+  /// the next perforate()/approximateOutput() or launch of that kernel,
+  /// or they will be served stale variants or a stale launch copy.
   ///
-  /// The generated variant kernels are detached from the module and
-  /// retired through the same graveyard/quiescence discipline LRU
-  /// eviction uses: a launch already in flight on a dropped variant
-  /// finishes safely, and the kernel is destroyed at the next quiescent
-  /// point. A mutate/re-perforate loop therefore keeps the module's
-  /// function count bounded instead of leaking one function per
-  /// invalidated variant.
+  /// The generated variant kernels and K.F's launch copy are detached
+  /// from the module and retired through the same graveyard/quiescence
+  /// discipline LRU eviction uses: a launch already in flight on a
+  /// dropped kernel finishes safely, and the kernel is destroyed at the
+  /// next quiescent point. A mutate/re-perforate loop therefore keeps the
+  /// module's function count bounded instead of leaking one function per
+  /// invalidated variant. The launch copy is rebuilt from the mutated
+  /// K.F at once, and every handle of K.F launches the rebuilt one. If
+  /// the verifier rejects the rebuilt copy, those launches fail with its
+  /// message until a later invalidate() rebuilds a valid one.
   void invalidate(const Kernel &K);
 
   /// Enables the content-addressed on-disk variant cache rooted at
@@ -375,10 +402,18 @@ private:
   void evictOneVariant();
 
   /// Shared retirement discipline of eviction and invalidation: drops the
-  /// cached analyses and bytecode of \p V's generated kernels, detaches
-  /// them from the module, and parks them in the graveyard until the
-  /// next quiescent point (no launch in flight). CompileMutex held.
-  void retireVariantKernels(const Variant &V);
+  /// cached analyses and bytecode of the generated kernels \p Fns (null
+  /// entries skipped), detaches them from the module, and parks them in
+  /// the graveyard until the next quiescent point (no launch in flight).
+  /// CompileMutex held.
+  void retireKernels(std::initializer_list<const ir::Function *> Fns);
+
+  /// Clones \p F under its own name (the variant name counter is left
+  /// alone) and runs the default pipeline on the clone. If the verifier
+  /// rejects the clone, drops it and returns the verifier's message: the
+  /// default pipeline is exact, so that is a pipeline bug or a caller's
+  /// invalid mutation of \p F. CompileMutex held.
+  Expected<ir::Function *> buildLaunchCopy(const ir::Function &F);
 
   /// Marks that retired kernels exist and frees the graveyard if no
   /// launch is in flight. CompileMutex held.
@@ -454,6 +489,16 @@ private:
   /// Source cache: (pipeline options key + source text) -> compiled
   /// kernels in declaration order.
   std::map<std::string, std::vector<ir::Function *>> Sources;
+  /// A frontend kernel's current launch copy; null, with the verifier's
+  /// message, after invalidate() rejected the rebuild.
+  struct LaunchCopy {
+    ir::Function *F = nullptr;
+    std::string Rejection;
+  };
+  /// Frontend kernel -> its launch copy (kernels compiled without a
+  /// pipeline spec). Guarded by CompileMutex; launch() reads it only on
+  /// its validation path, which already holds that lock.
+  std::map<const ir::Function *, LaunchCopy> LaunchCopies;
 
   /// Opt-in post-perforation static-check gate (setLintGate).
   std::atomic<bool> LintGate{false};

@@ -339,6 +339,9 @@ TEST(PipelineTest, PreservesKernelSemantics) {
 
   rt::Session Ctx;
   rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
+  // Launch the optimized frontend kernel itself, not the session's own
+  // launch copy, so the run below checks this pipeline run.
+  BK.K = rt::Kernel{BK.K.F};
   size_t Before = instructionCount(*BK.K.F);
   PipelineStats S = runDefaultPipeline(*BK.K.F, Ctx.module());
   EXPECT_FALSE(verifyFunction(*BK.K.F));

@@ -282,9 +282,14 @@ TEST(LicmTest, SemanticsPreservedOnAllApps) {
     std::vector<float> Ref = TheApp->reference(W);
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
+    // Launch the hoisted frontend kernels themselves, not the session's
+    // optimized launch copies, so the run below checks the hoist.
+    BK.K = rt::Kernel{BK.K.F};
     unsigned Hoisted = hoist(*BK.K.F);
-    if (BK.isTwoPass())
+    if (BK.isTwoPass()) {
+      BK.K2 = rt::Kernel{BK.K2.F};
       Hoisted += hoist(*BK.K2.F);
+    }
     Error E = verifyFunction(*BK.K.F);
     ASSERT_FALSE(E) << E.message();
     apps::RunOutcome R = cantFail(TheApp->run(Ctx, BK, W));
@@ -302,6 +307,9 @@ TEST(LicmTest, ReducesDynamicAluWork) {
   auto AluPerItem = [&](bool Licm) {
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
+    // Launch the frontend kernel itself, not the session's optimized
+    // launch copy, so the hoist below is what the counters measure.
+    BK.K = rt::Kernel{BK.K.F};
     if (Licm)
       hoist(*BK.K.F);
     sim::SimReport R = cantFail(TheApp->run(Ctx, BK, W)).Report;

@@ -9,7 +9,8 @@
 // kernel at the service tile, the online re-tune hot-swap (quality
 // loop) on the background worker, degradation when the budget proves
 // unreachable or the scorer returns NaN, the lint-gate accurate-only
-// path, disk-cache warm restarts with zero variant compiles, fresh
+// path, disk-cache warm restarts with zero variant compiles, serving
+// without the disk cache when its directory cannot be created, fresh
 // output buffers per request, concurrent clients across services and on
 // one service, and shutdown with re-tunes in flight.
 //
@@ -259,16 +260,16 @@ TEST(ServerTest, QualityLoopReTunesAndHotSwaps) {
   // The re-tune evaluated its candidate space through the shard's
   // variant cache, and the winner's rebuild was a pure cache hit.
   EXPECT_GE(St.Sessions.VariantCacheHits, 1u);
-  // Registration compiled the source twice (frontend and optimized); the
-  // re-tune compiled none.
-  EXPECT_EQ(St.Sessions.SourceCompiles, 2u);
+  // Registration compiled the source once (frontend IR plus its launch
+  // copy); the re-tune compiled none.
+  EXPECT_EQ(St.Sessions.SourceCompiles, 1u);
 }
 
 TEST(ServerTest, UnreachableBudgetDegradesToAccurate) {
   // Every comparison reports over budget: the re-tune finds no candidate
   // within budget and the service degrades to permanently accurate.
   // Both accurate responses -- the tripped check's and the degraded
-  // service's -- come from the kernel compiled under the default
+  // service's -- come from the launch copy optimized under the default
   // pipeline, with no private traffic left, yet must match a launch of
   // the frontend kernel byte for byte and in modeled time.
   ServerConfig SC;
@@ -300,7 +301,7 @@ TEST(ServerTest, UnreachableBudgetDegradesToAccurate) {
   unsigned In = S.createBufferFrom(Input);
   unsigned Out = S.createBuffer(Input.size());
   sim::SimReport Frontend = cantFail(
-      S.launch(K, {64, 64}, {16, 16},
+      S.launch(Kernel{K.F}, {64, 64}, {16, 16},
                {arg::buffer(In), arg::buffer(Out), arg::i32(64),
                 arg::i32(64)}));
   const std::vector<float> Want = S.buffer(Out).downloadFloats();
@@ -536,6 +537,7 @@ TEST(ServerTest, DiskCacheWarmRestartCompilesNothing) {
           Cold.addService(imageService(D.first, D.second))));
     for (const auto &D : Defs)
       ColdOutputs.push_back(cantFail(Cold.serve(D.first, Input)).Output);
+    EXPECT_EQ(Cold.diskCacheError(), "");
     ServerStats St = Cold.stats();
     EXPECT_EQ(St.Sessions.VariantCompiles, 3u);
     EXPECT_EQ(St.Sessions.DiskVariantStores, 3u);
@@ -553,6 +555,31 @@ TEST(ServerTest, DiskCacheWarmRestartCompilesNothing) {
     EXPECT_EQ(cantFail(Warm.serve(Defs[I].first, Input)).Output,
               ColdOutputs[I])
         << Defs[I].first;
+}
+
+TEST(ServerTest, UncreatableCacheDirServesWithoutIt) {
+  // Fault injection: a cache directory under a missing parent cannot be
+  // created. The server used to abort in its constructor; it must come
+  // up without the disk cache, say why, and serve every request.
+  const std::string Missing = ::testing::TempDir() + "kperf_no_parent";
+  std::filesystem::remove_all(Missing);
+  ServerConfig SC;
+  SC.DiskCacheDir = Missing + "/a/b";
+  Server Srv(SC);
+  EXPECT_NE(Srv.diskCacheError().find("cannot create directory"),
+            std::string::npos)
+      << Srv.diskCacheError();
+  ASSERT_FALSE(static_cast<bool>(
+      Srv.addService(imageService("gaussian", apps::gaussianSource()))));
+  std::vector<float> Input = frame(img::ImageClass::Natural, 64, 3);
+  for (int I = 0; I < 3; ++I)
+    EXPECT_EQ(cantFail(Srv.serve("gaussian", Input)).Output.size(),
+              Input.size());
+  ServerStats St = Srv.stats();
+  EXPECT_EQ(St.Requests, 3u);
+  EXPECT_EQ(St.Sessions.VariantCompiles, 1u);
+  EXPECT_EQ(St.Sessions.DiskVariantStores, 0u);
+  EXPECT_FALSE(std::filesystem::exists(Missing));
 }
 
 TEST(ServerTest, ConcurrentClientsAcrossServices) {

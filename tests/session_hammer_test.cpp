@@ -97,8 +97,11 @@ TEST(SessionHammerTest, ConcurrentLaunchEvictInvalidate) {
   std::atomic<unsigned> WrongOutputs{0}, HardFailures{0}, Evicted{0},
       Launches{0};
 
-  // Three launcher threads on distinct variant keys, one invalidator
-  // cycling invalidate/re-perforate on the shared source kernel.
+  // Three launcher threads on distinct variant keys, one launching the
+  // source kernel (its launch copy) directly, one invalidator cycling
+  // invalidate/re-perforate on the shared source kernel. Invalidation
+  // rebuilds the launch copy; the direct launches must keep computing
+  // 2x on whichever copy is current.
   unsigned Tiles[3][2] = {{16, 16}, {8, 8}, {4, 4}};
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < 3; ++T)
@@ -131,6 +134,27 @@ TEST(SessionHammerTest, ConcurrentLaunchEvictInvalidate) {
       S.releaseBuffer(In);
       S.releaseBuffer(Out);
     });
+  Threads.emplace_back([&]() {
+    unsigned In = S.createBufferFrom(Data);
+    unsigned Out = S.createBuffer(Data.size());
+    std::vector<sim::KernelArg> Args = {arg::buffer(In), arg::buffer(Out),
+                                        arg::i32(W), arg::i32(H)};
+    for (unsigned I = 0; I < Iters; ++I) {
+      Expected<sim::SimReport> R = S.launch(K, {W, H}, {16, 16}, Args);
+      if (!R) {
+        if (Session::isEvictedError(R.error()))
+          ++Evicted;
+        else
+          ++HardFailures;
+        continue;
+      }
+      ++Launches;
+      if (S.buffer(Out).floatAt(0) != 2.0f)
+        ++WrongOutputs;
+    }
+    S.releaseBuffer(In);
+    S.releaseBuffer(Out);
+  });
   Threads.emplace_back([&]() {
     for (unsigned I = 0; I < Iters; ++I) {
       S.invalidate(K);

@@ -6,15 +6,16 @@
 //
 // The rt::Session compiled-variant cache: source-compile caching, variant
 // hit/miss accounting across identical and differing VariantKeys,
-// invalidation after direct kernel mutation, identity of cached-vs-fresh
-// variant outputs on a real app kernel, and the unified launch(Variant)
-// entry point.
+// invalidation after direct kernel mutation (variants and the optimized
+// launch copy alike), identity of cached-vs-fresh variant outputs on a
+// real app kernel, and the unified launch(Variant) entry point.
 //
 //===----------------------------------------------------------------------===//
 
 #include "apps/App.h"
 #include "apps/Kernels.h"
 #include "img/Generators.h"
+#include "ir/PassManager.h"
 #include "ir/Value.h"
 #include "runtime/Session.h"
 
@@ -35,6 +36,21 @@ kernel void scale(global const float* in, global float* out, int w, int h) {
   out[y * w + x] = in[y * w + x] * 2.0;
 }
 )";
+
+/// Mutates \p K's frontend IR in place to scale by 3 instead of 2;
+/// returns false if no 2.0 operand was found.
+bool scaleByThree(Session &S, const Kernel &K) {
+  bool Mutated = false;
+  for (auto &BB : K.F->blocks())
+    for (auto &I : BB->instructions())
+      for (unsigned OpI = 0; OpI < I->numOperands(); ++OpI)
+        if (auto *CF = ir::dyn_cast<ir::ConstantFloat>(I->operand(OpI)))
+          if (CF->value() == 2.0f) {
+            I->setOperand(OpI, S.module().getFloat(3.0f));
+            Mutated = true;
+          }
+  return Mutated;
+}
 
 perf::PerforationPlan rows1Plan(unsigned TileX = 16, unsigned TileY = 16) {
   perf::PerforationPlan Plan;
@@ -159,16 +175,7 @@ TEST(SessionTest, InvalidateAfterKernelMutation) {
   EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 2.0f);
 
   // Mutate the *source* kernel directly: scale by 3 instead of 2.
-  bool Mutated = false;
-  for (auto &BB : K.F->blocks())
-    for (auto &I : BB->instructions())
-      for (unsigned OpI = 0; OpI < I->numOperands(); ++OpI)
-        if (auto *CF = ir::dyn_cast<ir::ConstantFloat>(I->operand(OpI)))
-          if (CF->value() == 2.0f) {
-            I->setOperand(OpI, S.module().getFloat(3.0f));
-            Mutated = true;
-          }
-  ASSERT_TRUE(Mutated);
+  ASSERT_TRUE(scaleByThree(S, K));
 
   // Without invalidation the cache would keep serving the stale variant;
   // after invalidate() the next perforate() recompiles from the mutated
@@ -184,6 +191,107 @@ TEST(SessionTest, InvalidateAfterKernelMutation) {
   // reused), now computing out = 3 * in.
   EXPECT_EQ(S.stats().VariantCompiles, 2u);
   cantFail(S.launch(After, {32, 32}, Args));
+  EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 3.0f);
+}
+
+TEST(SessionTest, LaunchesRunTheOptimizedCopy) {
+  // compile() without a spec hands out frontend IR plus an optimized
+  // launch copy of the same name; the copy leaves the variant name
+  // counter alone. A spec-compiled kernel, and a handle built from a bare
+  // function, launch exactly that function.
+  Session S;
+  Kernel K = cantFail(S.compile(ScaleSource, "scale"));
+  ASSERT_NE(K.Launch, nullptr);
+  EXPECT_NE(K.Launch, K.F);
+  EXPECT_EQ(K.Launch->name(), "scale");
+  EXPECT_EQ(cantFail(S.perforate(K, rows1Plan())).K.F->name(),
+            "scale.perf0");
+  pcl::CompileOptions Optimized;
+  Optimized.PipelineSpec = ir::defaultPipelineSpec();
+  EXPECT_EQ(cantFail(S.compile(ScaleSource, "scale", Optimized)).Launch,
+            nullptr);
+
+  std::vector<float> Data(32 * 32, 1.0f);
+  unsigned In = S.createBufferFrom(Data);
+  unsigned Out = S.createBuffer(Data.size());
+  std::vector<sim::KernelArg> Args = {arg::buffer(In), arg::buffer(Out),
+                                      arg::i32(32), arg::i32(32)};
+  sim::SimReport Copy = cantFail(S.launch(K, {32, 32}, {16, 16}, Args));
+  EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 2.0f);
+  sim::SimReport Exact =
+      cantFail(S.launch(Kernel{K.F}, {32, 32}, {16, 16}, Args));
+  EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 2.0f);
+  EXPECT_EQ(Copy.TimeMs, Exact.TimeMs);
+  EXPECT_LT(Copy.Totals.AluOps, Exact.Totals.AluOps);
+}
+
+TEST(SessionTest, InvalidateRebuildsTheLaunchCopy) {
+  // A mutation of the frontend reaches launches through invalidate(),
+  // which retires the launch copy and rebuilds it from the mutated
+  // kernel: a fresh handle runs 3x, and so does a handle held across the
+  // invalidation -- with no launch in flight it runs the rebuilt copy,
+  // never the retired 2x one. (Under a concurrent launch the held handle
+  // may instead fail as evicted; session_hammer_test covers that.)
+  Session S;
+  Kernel Held = cantFail(S.compile(ScaleSource, "scale"));
+  std::vector<float> Data(32 * 32, 1.0f);
+  unsigned In = S.createBufferFrom(Data);
+  unsigned Out = S.createBuffer(Data.size());
+  std::vector<sim::KernelArg> Args = {arg::buffer(In), arg::buffer(Out),
+                                      arg::i32(32), arg::i32(32)};
+  cantFail(S.launch(Held, {32, 32}, {16, 16}, Args));
+  EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 2.0f);
+
+  ASSERT_TRUE(scaleByThree(S, Held));
+  S.invalidate(Held);
+  Kernel Fresh = cantFail(S.compile(ScaleSource, "scale"));
+  EXPECT_EQ(Fresh.F, Held.F);
+  EXPECT_EQ(S.stats().SourceCompiles, 1u);
+  cantFail(S.launch(Fresh, {32, 32}, {16, 16}, Args));
+  EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 3.0f);
+
+  S.buffer(Out).uploadFloats(std::vector<float>(Data.size(), 0.0f));
+  Expected<sim::SimReport> R = S.launch(Held, {32, 32}, {16, 16}, Args);
+  ASSERT_TRUE(static_cast<bool>(R)) << R.error().message();
+  EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 3.0f);
+}
+
+TEST(SessionTest, RejectedLaunchCopyFailsLaunchesUntilRebuilt) {
+  // A mutation the verifier rejects (a float multiply by an int) leaves
+  // the kernel without a launch copy: its launches fail with the
+  // verifier's message instead of quietly running frontend IR, until a
+  // repaired kernel is invalidated again.
+  Session S;
+  Kernel K = cantFail(S.compile(ScaleSource, "scale"));
+  ir::Instruction *Mul = nullptr;
+  unsigned OpI = 0;
+  for (auto &BB : K.F->blocks())
+    for (auto &I : BB->instructions())
+      for (unsigned Op = 0; Op < I->numOperands(); ++Op)
+        if (auto *CF = ir::dyn_cast<ir::ConstantFloat>(I->operand(Op)))
+          if (CF->value() == 2.0f) {
+            Mul = I.get();
+            OpI = Op;
+          }
+  ASSERT_NE(Mul, nullptr);
+  std::vector<float> Data(32 * 32, 1.0f);
+  unsigned In = S.createBufferFrom(Data);
+  unsigned Out = S.createBuffer(Data.size());
+  std::vector<sim::KernelArg> Args = {arg::buffer(In), arg::buffer(Out),
+                                      arg::i32(32), arg::i32(32)};
+
+  Mul->setOperand(OpI, S.module().getInt(2));
+  S.invalidate(K);
+  Expected<sim::SimReport> R = S.launch(K, {32, 32}, {16, 16}, Args);
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_NE(R.error().message().find("failed verification"),
+            std::string::npos)
+      << R.error().message();
+  EXPECT_FALSE(Session::isEvictedError(R.error()));
+
+  Mul->setOperand(OpI, S.module().getFloat(3.0f));
+  S.invalidate(K);
+  cantFail(S.launch(K, {32, 32}, {16, 16}, Args));
   EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 3.0f);
 }
 
@@ -455,12 +563,7 @@ TEST(SessionTest, DiskCacheKeyTracksSourceIR) {
   EXPECT_EQ(S.stats().DiskVariantStores, 1u);
 
   // Mutate the source kernel (scale by 3, not 2) and invalidate.
-  for (auto &BB : K.F->blocks())
-    for (auto &I : BB->instructions())
-      for (unsigned OpI = 0; OpI < I->numOperands(); ++OpI)
-        if (auto *CF = ir::dyn_cast<ir::ConstantFloat>(I->operand(OpI)))
-          if (CF->value() == 2.0f)
-            I->setOperand(OpI, S.module().getFloat(3.0f));
+  ASSERT_TRUE(scaleByThree(S, K));
   S.invalidate(K);
 
   cantFail(S.perforate(K, rows1Plan()));

@@ -544,14 +544,16 @@ int cmdTune(const Options &O, const std::string &Source) {
   std::vector<perf::TunerConfig> Space = perf::defaultTuningSpace();
 
   // Accurate output once, as the quality reference (the kernel as
-  // written is also the speedup denominator -- for arbitrary user
-  // kernels we cannot know whether a local-prefetch baseline would be
-  // faster, so the tool reports speedup vs. the unmodified kernel), and
-  // accurate timing per work-group shape in the space (timing does not
-  // depend on input content, so one launch per shape covers all schemes
-  // at it). Both are measured up front on checked-out buffers so the
-  // sweep itself only reads them -- that is what lets worker threads
-  // evaluate configurations concurrently.
+  // written, launched as the session's optimized copy of it the way an
+  // OpenCL compiler would build it, is also the speedup denominator --
+  // for arbitrary user kernels we cannot know whether a local-prefetch
+  // baseline would be faster, so the tool reports speedup vs. the
+  // unmodified kernel), and accurate timing per work-group shape in the
+  // space (timing does not depend on input content, so one launch per
+  // shape covers all schemes at it; the reference launch covers 16x16).
+  // Both are measured up front on checked-out buffers so the sweep
+  // itself only reads them -- that is what lets worker threads evaluate
+  // configurations concurrently.
   std::vector<float> Reference;
   std::map<std::pair<unsigned, unsigned>, double> AccurateMs;
   {
@@ -567,6 +569,7 @@ int cmdTune(const Options &O, const std::string &Source) {
       return 1;
     }
     Reference = S.buffer(OutBuf).downloadFloats();
+    AccurateMs.emplace(std::make_pair(16u, 16u), R->TimeMs);
     for (const perf::TunerConfig &Config : Space) {
       auto Key = std::make_pair(Config.TileX, Config.TileY);
       if (AccurateMs.count(Key) || W % Config.TileX != 0 ||

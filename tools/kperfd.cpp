@@ -15,7 +15,9 @@
 //          [--requests N]    total requests to serve         (default 360)
 //          [--size N]        frame edge length               (default 128)
 //          [--cache DIR]     on-disk variant cache (persists across runs;
-//                            a warm restart compiles no variant)
+//                            a warm restart compiles no variant; a DIR
+//                            that cannot be created is reported on
+//                            stderr and the daemon serves without it)
 //          [--budget E]      per-service error budget        (default 0.05)
 //          [--check-every N] quality-check cadence           (default 8)
 //          [--variant-cap N] per-shard variant cache cap     (default 0)
@@ -153,6 +155,11 @@ int main(int Argc, char **Argv) {
     Clients = 1;
 
   rt::Server Server(Cfg);
+  if (!Server.diskCacheError().empty()) {
+    std::fprintf(stderr, "kperfd: %s; serving without the disk cache\n",
+                 Server.diskCacheError().c_str());
+    Cfg.DiskCacheDir.clear(); // The banner below names no cache.
+  }
   std::vector<ServiceDef> Defs = serviceDefs();
   for (const ServiceDef &D : Defs) {
     rt::ServiceConfig SC;
