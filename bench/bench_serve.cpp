@@ -21,7 +21,9 @@
 // and CI pins them exactly; wall-clock fields are checked within a
 // tolerance (tools/check_bench.py). With --cache, a second run over the
 // same directory must report zero variant compiles -- the warm-restart
-// acceptance criterion (wired in CI).
+// acceptance criterion (wired in CI). Counts are decimal digits up to
+// UINT_MAX; anything else exits 2 with a "bad value" line. At most one
+// client thread starts per request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +32,7 @@
 #include "img/Generators.h"
 #include "runtime/Server.h"
 #include "support/Rng.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <atomic>
@@ -44,69 +47,36 @@ using namespace kperf;
 
 namespace {
 
-struct ServiceDef {
-  const char *Name;
-  const char *Source;
-};
-
-std::vector<ServiceDef> serviceDefs() {
-  return {{"gaussian", apps::gaussianSource()},
-          {"inversion", apps::inversionSource()},
-          {"median", apps::medianSource()},
-          {"sobel3", apps::sobel3Source()},
-          {"sobel5", apps::sobel5Source()},
-          {"mean", apps::meanSource()},
-          {"sharpen", apps::sharpenSource()},
-          {"convsep_row", apps::convSepRowSource()},
-          {"convsep_col", apps::convSepColSource()}};
-}
-
-/// Zipf(1) sampler over \p N ranks: weight of rank R is 1/(R+1).
-struct Zipf {
-  std::vector<double> Cdf;
-  explicit Zipf(size_t N) {
-    double Total = 0;
-    for (size_t I = 0; I < N; ++I)
-      Total += 1.0 / static_cast<double>(I + 1);
-    double Acc = 0;
-    for (size_t I = 0; I < N; ++I) {
-      Acc += 1.0 / static_cast<double>(I + 1) / Total;
-      Cdf.push_back(Acc);
-    }
-  }
-  size_t sample(Rng &R) const {
-    double U = R.uniform();
-    for (size_t I = 0; I < Cdf.size(); ++I)
-      if (U < Cdf[I])
-        return I;
-    return Cdf.size() - 1;
-  }
-};
-
-unsigned flagValue(int Argc, char **Argv, const char *Flag,
-                   unsigned Default) {
-  std::string Eq = std::string(Flag) + "=";
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    if (A == Flag && I + 1 < Argc)
-      return static_cast<unsigned>(std::strtoul(Argv[I + 1], nullptr, 10));
-    if (A.rfind(Eq, 0) == 0)
-      return static_cast<unsigned>(
-          std::strtoul(A.c_str() + Eq.size(), nullptr, 10));
-  }
-  return Default;
-}
-
-std::string stringFlag(int Argc, char **Argv, const char *Flag) {
+/// The value of \p Flag ("--flag V" or "--flag=V"), or null if absent.
+const char *rawFlag(int Argc, char **Argv, const char *Flag) {
   std::string Eq = std::string(Flag) + "=";
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A == Flag && I + 1 < Argc)
       return Argv[I + 1];
     if (A.rfind(Eq, 0) == 0)
-      return A.substr(Eq.size());
+      return Argv[I] + Eq.size();
   }
-  return "";
+  return nullptr;
+}
+
+unsigned flagValue(int Argc, char **Argv, const char *Flag,
+                   unsigned Default) {
+  const char *Text = rawFlag(Argc, Argv, Flag);
+  if (!Text)
+    return Default;
+  unsigned V = 0;
+  if (!parseUnsigned(Text, V)) {
+    std::fprintf(stderr, "bench_serve: bad value '%s' for %s\n", Text,
+                 Flag);
+    std::exit(2);
+  }
+  return V;
+}
+
+std::string stringFlag(int Argc, char **Argv, const char *Flag) {
+  const char *Text = rawFlag(Argc, Argv, Flag);
+  return Text ? Text : "";
 }
 
 } // namespace
@@ -114,7 +84,7 @@ std::string stringFlag(int Argc, char **Argv, const char *Flag) {
 int main(int Argc, char **Argv) {
   const unsigned Requests = flagValue(Argc, Argv, "--requests", 180);
   const unsigned Clients =
-      std::max(1u, flagValue(Argc, Argv, "--clients", 4));
+      std::min(std::max(1u, flagValue(Argc, Argv, "--clients", 4)), Requests);
   const unsigned Size = flagValue(Argc, Argv, "--size", 64);
   const unsigned Seed = flagValue(Argc, Argv, "--seed", 7);
   std::string JsonPath;
@@ -125,8 +95,8 @@ int main(int Argc, char **Argv) {
   Cfg.DiskCacheDir = stringFlag(Argc, Argv, "--cache");
 
   rt::Server Server(Cfg);
-  std::vector<ServiceDef> Defs = serviceDefs();
-  for (const ServiceDef &D : Defs) {
+  const std::vector<apps::ImageKernel> Defs = apps::standardImageKernels();
+  for (const apps::ImageKernel &D : Defs) {
     rt::ServiceConfig SC;
     SC.Name = D.Name;
     SC.Source = D.Source;

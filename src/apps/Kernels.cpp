@@ -217,3 +217,15 @@ kernel void sobel5(global const float* in, global float* out,
 }
 )";
 }
+
+std::vector<apps::ImageKernel> apps::standardImageKernels() {
+  return {{"gaussian", gaussianSource()},
+          {"inversion", inversionSource()},
+          {"median", medianSource()},
+          {"sobel3", sobel3Source()},
+          {"sobel5", sobel5Source()},
+          {"mean", meanSource()},
+          {"sharpen", sharpenSource()},
+          {"convsep_row", convSepRowSource()},
+          {"convsep_col", convSepColSource()}};
+}

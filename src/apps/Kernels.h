@@ -17,6 +17,8 @@
 #ifndef KPERF_APPS_KERNELS_H
 #define KPERF_APPS_KERNELS_H
 
+#include <vector>
+
 namespace kperf {
 namespace apps {
 
@@ -58,6 +60,18 @@ const char *convSepRowSource();
 
 /// Vertical pass of the separable 5-tap Gaussian convolution.
 const char *convSepColSource();
+
+/// A kernel of the standard image signature (global const float* in,
+/// global float* out, int w, int h): its function name and PCL source.
+struct ImageKernel {
+  const char *Name;
+  const char *Source;
+};
+
+/// The nine standard-signature kernels, in a fixed order: the paper's
+/// image apps plus the Paraprox extensions. Hotspot's ten-argument
+/// signature is not one of them.
+std::vector<ImageKernel> standardImageKernels();
 
 } // namespace apps
 } // namespace kperf

@@ -211,9 +211,8 @@ public:
   Function *functionAt(size_t I) const { return Functions[I].get(); }
 
   /// Removes \p F from the module and hands ownership to the caller
-  /// (e.g. a cached variant evicted by the runtime, which defers the
-  /// destruction until no launch references it). Returns null if \p F is
-  /// not in this module.
+  /// (e.g. a generated kernel the runtime rejects before handing it out).
+  /// Returns null if \p F is not in this module.
   std::unique_ptr<Function> takeFunction(const Function *F) {
     for (auto It = Functions.begin(); It != Functions.end(); ++It)
       if (It->get() == F) {
@@ -222,14 +221,6 @@ public:
         return Owned;
       }
     return nullptr;
-  }
-
-  /// True if \p F (by identity) is owned by this module.
-  bool contains(const Function *F) const {
-    for (const auto &Owned : Functions)
-      if (Owned.get() == F)
-        return true;
-    return false;
   }
 
   /// Interned constants; pointer identity implies value identity.

@@ -58,8 +58,6 @@ void accumulate(SessionStats &Into, const SessionStats &From) {
   Into.SourceCacheHits += From.SourceCacheHits.load();
   Into.VariantCompiles += From.VariantCompiles.load();
   Into.VariantCacheHits += From.VariantCacheHits.load();
-  Into.Invalidations += From.Invalidations.load();
-  Into.VariantEvictions += From.VariantEvictions.load();
   Into.BufferCreates += From.BufferCreates.load();
   Into.BufferReuses += From.BufferReuses.load();
   Into.BytecodeCompiles += From.BytecodeCompiles.load();
@@ -111,8 +109,6 @@ Server::Server(ServerConfig C) : Config(std::move(C)) {
     Config.Shards = 1;
   for (unsigned I = 0; I < Config.Shards; ++I) {
     auto Sh = std::make_unique<Shard>(Config.Device);
-    if (Config.VariantCapacity != 0)
-      Sh->S.setVariantCapacity(Config.VariantCapacity);
     Sh->S.setLintGate(Config.LintGate);
     Shards.push_back(std::move(Sh));
   }

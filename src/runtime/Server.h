@@ -87,8 +87,6 @@ struct ServerConfig {
   /// A directory that cannot be created leaves the cache off; see
   /// Server::diskCacheError().
   std::string DiskCacheDir;
-  /// Per-shard variant cache capacity (0 = unlimited).
-  unsigned VariantCapacity = 0;
   /// Run every generated kernel through the static lint gate.
   bool LintGate = false;
   /// Worker threads inside one online re-tune (0 = one per hardware

@@ -89,8 +89,6 @@ SessionStats &SessionStats::operator=(const SessionStats &O) {
   SourceCacheHits = O.SourceCacheHits.load();
   VariantCompiles = O.VariantCompiles.load();
   VariantCacheHits = O.VariantCacheHits.load();
-  Invalidations = O.Invalidations.load();
-  VariantEvictions = O.VariantEvictions.load();
   BufferCreates = O.BufferCreates.load();
   BufferReuses = O.BufferReuses.load();
   BytecodeCompiles = O.BytecodeCompiles.load();
@@ -112,17 +110,17 @@ std::string SessionStats::str() const {
   // and the CI stats grep.
   return format("source compiles: %u (cache hits: %u); "
                 "variant compiles: %u; variant cache: %u hits / %u "
-                "lookups (%.1f%% hit rate); evictions: %u; "
+                "lookups (%.1f%% hit rate); "
                 "buffers: %u created, %u reused; "
                 "bytecode compiles: %u (cache hits: %u); "
                 "lint rejections: %u; disk: %u hits, %u stores",
                 SourceCompiles.load(), SourceCacheHits.load(),
                 VariantCompiles.load(), VariantCacheHits.load(),
                 variantLookups(), 100.0 * variantHitRate(),
-                VariantEvictions.load(), BufferCreates.load(),
-                BufferReuses.load(), BytecodeCompiles.load(),
-                BytecodeCacheHits.load(), LintRejections.load(),
-                DiskVariantHits.load(), DiskVariantStores.load());
+                BufferCreates.load(), BufferReuses.load(),
+                BytecodeCompiles.load(), BytecodeCacheHits.load(),
+                LintRejections.load(), DiskVariantHits.load(),
+                DiskVariantStores.load());
 }
 
 //===--- Session -------------------------------------------------------------//
@@ -155,37 +153,29 @@ Session::compileAll(const std::string &Source,
         pcl::compile(*M, Source, Opts);
     if (!Fns)
       return Fns.takeError();
+    std::vector<Kernel> Kernels;
+    for (ir::Function *F : *Fns)
+      Kernels.push_back(Kernel{F});
     // Frontend IR stays the transforms' input; launches run a copy
     // optimized under the default pipeline.
-    if (Opts.PipelineSpec.empty()) {
-      std::vector<ir::Function *> Copies;
-      for (ir::Function *F : *Fns) {
-        Expected<ir::Function *> Copy = buildLaunchCopy(*F);
+    if (Opts.PipelineSpec.empty())
+      for (Kernel &K : Kernels) {
+        Expected<ir::Function *> Copy = buildLaunchCopy(*K.F);
         if (!Copy) {
           // Nothing of this source was handed out yet: drop it whole.
-          for (ir::Function *Built : Copies)
-            M->takeFunction(Built);
-          for (ir::Function *Frontend : *Fns)
-            M->takeFunction(Frontend);
+          for (const Kernel &Built : Kernels) {
+            M->takeFunction(Built.Launch);
+            M->takeFunction(Built.F);
+          }
           return Copy.takeError();
         }
-        Copies.push_back(*Copy);
+        K.Launch = *Copy;
       }
-      for (size_t I = 0; I < Copies.size(); ++I)
-        LaunchCopies[(*Fns)[I]] = LaunchCopy{Copies[I], ""};
-    }
-    It = Sources.emplace(std::move(Key), std::move(*Fns)).first;
+    It = Sources.emplace(std::move(Key), std::move(Kernels)).first;
   } else {
     ++Stats.SourceCacheHits;
   }
-  std::vector<Kernel> Kernels;
-  Kernels.reserve(It->second.size());
-  for (ir::Function *F : It->second) {
-    auto Copy = LaunchCopies.find(F);
-    Kernels.push_back(
-        Kernel{F, Copy == LaunchCopies.end() ? nullptr : Copy->second.F});
-  }
-  return Kernels;
+  return It->second;
 }
 
 Expected<ir::Function *> Session::buildLaunchCopy(const ir::Function &F) {
@@ -287,174 +277,99 @@ std::string cacheKeyFor(const ir::Function &F, const VariantKey &Key) {
 
 } // namespace
 
-Expected<Variant> Session::perforate(const Kernel &K,
-                                     const perf::PerforationPlan &Plan) {
-  assert(K.F && "perforate of null kernel");
-  const VariantKey VK = VariantKey::forPerforation(*K.F, Plan);
-  const std::string Key = cacheKeyFor(*K.F, VK);
-  // Held across the transform: N concurrent requests for one key compile
-  // it exactly once (the rest block, then hit).
+Expected<Variant>
+Session::cachedVariant(const ir::Function &Source, const VariantKey &VK,
+                       VariantKind Kind, const char *Suffix,
+                       const VariantBuilder &Build) {
+  const std::string Key = cacheKeyFor(Source, VK);
+  // Held across the build: N concurrent requests for one key compile it
+  // exactly once (the rest block, then hit).
   std::lock_guard<std::mutex> Lock(CompileMutex);
   auto It = Variants.find(Key);
   if (It != Variants.end()) {
     ++Stats.VariantCacheHits;
-    touchVariant(It);
-    return It->second.V;
+    return It->second;
   }
   const uint64_t ContentKey =
-      DiskCacheDir.empty() ? 0 : contentKeyFor(*K.F, VK);
+      DiskCacheDir.empty() ? 0 : contentKeyFor(Source, VK);
   {
     Variant V;
-    if (!DiskCacheDir.empty() &&
-        loadVariantFromDisk(ContentKey, VariantKind::Perforated, V)) {
+    if (!DiskCacheDir.empty() && loadVariantFromDisk(ContentKey, Kind, V)) {
       ++Stats.DiskVariantHits;
-      insertVariant(Key, V, K.F);
+      Variants.emplace(Key, V);
       return V;
     }
   }
-  std::string Name =
-      format("%s.perf%u", K.F->name().c_str(), NameCounter++);
-  Expected<perf::TransformResult> R =
-      perf::applyInputPerforation(*M, *K.F, Plan, Name, &Analyses);
-  if (!R)
-    return R.takeError();
-  if (LintGate.load()) {
-    // Static safety gate: reject the generated kernel on any proven
-    // fault before it can reach a launch. The range analysis is seeded
-    // with the work-group shape the variant must launch with.
-    ir::lint::LintOptions LO;
-    LO.Bounds.LocalSize[0] = R->LocalX;
-    LO.Bounds.LocalSize[1] = R->LocalY;
-    ir::lint::LintResult LR = ir::lint::run(*R->Kernel, Analyses, LO);
-    if (LR.hasErrors()) {
-      // Rejections are not VariantCompiles: nothing was inserted, so
-      // counting them there would skew the reported hit rate.
-      ++Stats.LintRejections;
-      Analyses.invalidate(*R->Kernel);
-      std::unique_ptr<ir::Function> Rejected = M->takeFunction(R->Kernel);
-      return makeError("lint gate: perforated kernel '%s' failed the "
-                       "static checks:\n%s",
-                       Name.c_str(), LR.str().c_str());
-    }
-  }
+  Expected<Variant> V =
+      Build(format("%s.%s%u", Source.name().c_str(), Suffix, NameCounter++));
+  if (!V)
+    return V.takeError();
   ++Stats.VariantCompiles;
-  Variant V;
-  V.Kind = VariantKind::Perforated;
-  V.K = Kernel{R->Kernel};
-  V.Local = sim::Range2{R->LocalX, R->LocalY};
-  V.LocalMemWords = R->LocalMemWords;
-  V.PassStats = std::move(R->PassStats);
-  insertVariant(Key, V, K.F);
+  Variants.emplace(Key, *V);
   if (!DiskCacheDir.empty())
-    storeVariantToDisk(ContentKey, V);
+    storeVariantToDisk(ContentKey, *V);
   return V;
+}
+
+Expected<Variant> Session::perforate(const Kernel &K,
+                                     const perf::PerforationPlan &Plan) {
+  assert(K.F && "perforate of null kernel");
+  return cachedVariant(
+      *K.F, VariantKey::forPerforation(*K.F, Plan), VariantKind::Perforated,
+      "perf", [&](const std::string &Name) -> Expected<Variant> {
+        Expected<perf::TransformResult> R =
+            perf::applyInputPerforation(*M, *K.F, Plan, Name, &Analyses);
+        if (!R)
+          return R.takeError();
+        if (LintGate.load()) {
+          // Static safety gate: reject the generated kernel on any proven
+          // fault before it can reach a launch. The range analysis is
+          // seeded with the work-group shape the variant must launch with.
+          ir::lint::LintOptions LO;
+          LO.Bounds.LocalSize[0] = R->LocalX;
+          LO.Bounds.LocalSize[1] = R->LocalY;
+          ir::lint::LintResult LR = ir::lint::run(*R->Kernel, Analyses, LO);
+          if (LR.hasErrors()) {
+            // Rejections are not VariantCompiles: nothing was inserted, so
+            // counting them there would skew the reported hit rate.
+            ++Stats.LintRejections;
+            Analyses.invalidate(*R->Kernel);
+            std::unique_ptr<ir::Function> Rejected =
+                M->takeFunction(R->Kernel);
+            return makeError("lint gate: perforated kernel '%s' failed the "
+                             "static checks:\n%s",
+                             Name.c_str(), LR.str().c_str());
+          }
+        }
+        Variant V;
+        V.Kind = VariantKind::Perforated;
+        V.K = Kernel{R->Kernel};
+        V.Local = sim::Range2{R->LocalX, R->LocalY};
+        V.LocalMemWords = R->LocalMemWords;
+        V.PassStats = std::move(R->PassStats);
+        return V;
+      });
 }
 
 Expected<Variant>
 Session::approximateOutput(const Kernel &K,
                            const perf::OutputApproxPlan &Plan) {
   assert(K.F && "approximateOutput of null kernel");
-  const VariantKey VK = VariantKey::forOutputApprox(*K.F, Plan);
-  const std::string Key = cacheKeyFor(*K.F, VK);
-  std::lock_guard<std::mutex> Lock(CompileMutex);
-  auto It = Variants.find(Key);
-  if (It != Variants.end()) {
-    ++Stats.VariantCacheHits;
-    touchVariant(It);
-    return It->second.V;
-  }
-  const uint64_t ContentKey =
-      DiskCacheDir.empty() ? 0 : contentKeyFor(*K.F, VK);
-  {
-    Variant V;
-    if (!DiskCacheDir.empty() &&
-        loadVariantFromDisk(ContentKey, VariantKind::OutputApprox, V)) {
-      ++Stats.DiskVariantHits;
-      insertVariant(Key, V, K.F);
-      return V;
-    }
-  }
-  std::string Name =
-      format("%s.oapprox%u", K.F->name().c_str(), NameCounter++);
-  Expected<perf::OutputApproxResult> R =
-      perf::applyOutputApproximation(*M, *K.F, Plan, Name);
-  if (!R)
-    return R.takeError();
-  ++Stats.VariantCompiles;
-  Variant V;
-  V.Kind = VariantKind::OutputApprox;
-  V.K = Kernel{R->Kernel};
-  V.DivX = R->DivX;
-  V.DivY = R->DivY;
-  V.PassStats = std::move(R->PassStats);
-  insertVariant(Key, V, K.F);
-  if (!DiskCacheDir.empty())
-    storeVariantToDisk(ContentKey, V);
-  return V;
-}
-
-void Session::touchVariant(
-    std::map<std::string, CachedVariant>::iterator It) {
-  Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-}
-
-void Session::insertVariant(std::string Key, const Variant &V,
-                            const ir::Function *Source) {
-  Lru.push_front(Key);
-  Variants.emplace(std::move(Key), CachedVariant{V, Source, Lru.begin()});
-  if (VariantCapacity != 0)
-    while (Variants.size() > VariantCapacity)
-      evictOneVariant();
-}
-
-void Session::evictOneVariant() {
-  assert(!Lru.empty() && "eviction from an empty variant cache");
-  auto It = Variants.find(Lru.back());
-  assert(It != Variants.end() && "LRU list out of sync with the cache");
-  ++Stats.VariantEvictions;
-  retireKernels({It->second.V.K.F, It->second.V.K2.F});
-  Lru.pop_back();
-  Variants.erase(It);
-  reclaimAtQuiescence();
-}
-
-void Session::retireKernels(
-    std::initializer_list<const ir::Function *> Fns) {
-  // Detach the generated kernels from the module (bounding its footprint
-  // in a long-lived service) but defer their destruction to the next
-  // quiescent point -- a worker thread may still be launching them. Any
-  // analyses cached for them go now: a later function allocated at the
-  // same address must not hit them.
-  for (const ir::Function *F : Fns) {
-    if (!F)
-      continue;
-    Analyses.invalidate(*F);
-    dropBytecode(F);
-    if (std::unique_ptr<ir::Function> Owned = M->takeFunction(F))
-      Graveyard.push_back(std::move(Owned));
-  }
-}
-
-void Session::reclaimAtQuiescence() {
-  // The flag store must precede the in-flight read (both seq_cst): a
-  // launch whose increment we miss here is then guaranteed to see the
-  // flag and validate its kernel under CompileMutex -- see launch().
-  KernelsRetired.store(true);
-  if (InFlightLaunches.load() == 0)
-    Graveyard.clear();
-}
-
-void Session::setVariantCapacity(unsigned N) {
-  std::lock_guard<std::mutex> Lock(CompileMutex);
-  VariantCapacity = N;
-  if (N != 0)
-    while (Variants.size() > N)
-      evictOneVariant();
-}
-
-unsigned Session::variantCapacity() const {
-  std::lock_guard<std::mutex> Lock(CompileMutex);
-  return VariantCapacity;
+  return cachedVariant(
+      *K.F, VariantKey::forOutputApprox(*K.F, Plan), VariantKind::OutputApprox,
+      "oapprox", [&](const std::string &Name) -> Expected<Variant> {
+        Expected<perf::OutputApproxResult> R =
+            perf::applyOutputApproximation(*M, *K.F, Plan, Name);
+        if (!R)
+          return R.takeError();
+        Variant V;
+        V.Kind = VariantKind::OutputApprox;
+        V.K = Kernel{R->Kernel};
+        V.DivX = R->DivX;
+        V.DivY = R->DivY;
+        V.PassStats = std::move(R->PassStats);
+        return V;
+      });
 }
 
 Variant Session::accurate(const Kernel &K, sim::Range2 Local) const {
@@ -469,107 +384,41 @@ Expected<sim::SimReport>
 Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,
                 const std::vector<sim::KernelArg> &Args) {
   assert(K.F && "launch of null kernel");
-  const ir::Function *Run = K.Launch ? K.Launch : K.F;
-  // Pin first, check later: the increment and the KernelsRetired read
-  // below are both seq_cst, so in the total order either our increment
-  // precedes a retirer's in-flight check (it defers reclamation until
-  // we finish) or our flag read follows its flag store (we take the
-  // validation path below). Either way no kernel is destroyed under a
-  // running launch.
-  ++InFlightLaunches;
-  if (KernelsRetired.load()) {
-    // Once any kernel has been retired (evicted or invalidated) a held
-    // handle may refer to a dead kernel: confirm it is still alive -- in
-    // the module, or in the graveyard awaiting reclamation. Both scans
-    // are bounded by the variant capacity (plus source kernels), so this
-    // stays cheap. A launch copy is looked up afresh instead: the one
-    // the handle holds may be a retired copy of a since-mutated kernel.
-    std::lock_guard<std::mutex> Lock(CompileMutex);
-    if (K.Launch) {
-      auto Copy = LaunchCopies.find(K.F);
-      if (Copy != LaunchCopies.end() && !Copy->second.F) {
-        --InFlightLaunches;
-        return makeError("launch: %s", Copy->second.Rejection.c_str());
-      }
-      Run = Copy == LaunchCopies.end() ? K.F : Copy->second.F;
-    }
-    bool Alive = M->contains(Run);
-    for (const auto &Dead : Graveyard)
-      Alive = Alive || Dead.get() == Run;
-    if (!Alive) {
-      --InFlightLaunches;
-      return makeError("launch: kernel variant was evicted from the "
-                       "session cache or invalidated; re-request it via "
-                       "perforate()/approximateOutput()");
-    }
-  }
+  const ir::Function &Run = K.Launch ? *K.Launch : *K.F;
   // Snapshot stable buffer addresses, then run without any session lock:
-  // concurrent workers each drive their own interpreter instance. The
-  // batched tier additionally pins the program with a shared_ptr copy so
-  // a concurrent invalidation cannot free it mid-launch.
+  // concurrent workers each drive their own interpreter instance over a
+  // kernel (and program) the session never frees before it dies.
   sim::LaunchOptions Options;
   Options.Tier = Tier.load();
-  std::shared_ptr<const sim::bc::Program> Pinned;
   if (Options.Tier != sim::ExecTier::Tree) {
-    Expected<std::shared_ptr<const sim::bc::Program>> Prog =
-        bytecodeFor(*Run);
-    if (!Prog) {
-      if (KernelsRetired.load()) {
-        std::lock_guard<std::mutex> Lock(CompileMutex);
-        if (--InFlightLaunches == 0)
-          Graveyard.clear();
-      } else {
-        --InFlightLaunches;
-      }
+    Expected<const sim::bc::Program *> Prog = bytecodeFor(Run);
+    if (!Prog)
       return Prog.takeError();
-    }
-    Pinned = std::move(*Prog);
-    Options.Program = Pinned.get();
+    Options.Program = *Prog;
   }
-  Expected<sim::SimReport> Report = sim::launchKernel(
-      *Run, Global, Local, Args, snapshotBufferBank(), Device, Options);
-  if (KernelsRetired.load()) {
-    std::lock_guard<std::mutex> Lock(CompileMutex);
-    if (--InFlightLaunches == 0)
-      Graveyard.clear();
-  } else {
-    --InFlightLaunches;
-  }
-  return Report;
+  return sim::launchKernel(Run, Global, Local, Args, snapshotBufferBank(),
+                           Device, Options);
 }
 
-Expected<std::shared_ptr<const sim::bc::Program>>
+Expected<const sim::bc::Program *>
 Session::bytecodeFor(const ir::Function &F) {
   // Held across the compile: concurrent launches of one kernel compile
-  // its bytecode exactly once. Never nests inside CompileMutex from here
-  // (lock order where both are needed is CompileMutex -> BytecodeMutex).
+  // its bytecode exactly once.
   std::lock_guard<std::mutex> Lock(BytecodeMutex);
   auto It = BytecodePrograms.find(&F);
   if (It != BytecodePrograms.end()) {
     ++Stats.BytecodeCacheHits;
-    return It->second;
+    return It->second.get();
   }
   ++Stats.BytecodeCompiles;
   Expected<sim::bc::Program> Prog = sim::bc::compile(F);
   if (!Prog)
     return Prog.takeError();
-  auto Shared =
-      std::make_shared<const sim::bc::Program>(Prog.takeValue());
-  BytecodePrograms.emplace(&F, Shared);
-  return Shared;
-}
-
-void Session::dropBytecode(const ir::Function *F) {
-  if (!F)
-    return;
-  std::lock_guard<std::mutex> Lock(BytecodeMutex);
-  BytecodePrograms.erase(F);
-}
-
-bool Session::isEvictedError(const Error &E) {
-  return static_cast<bool>(E) &&
-         E.message().find("evicted from the session cache") !=
-             std::string::npos;
+  auto Owned =
+      std::make_unique<const sim::bc::Program>(Prog.takeValue());
+  const sim::bc::Program *Raw = Owned.get();
+  BytecodePrograms.emplace(&F, std::move(Owned));
+  return Raw;
 }
 
 Expected<sim::SimReport>
@@ -590,42 +439,6 @@ Session::launch(const Variant &V, sim::Range2 FullGlobal,
   return launch(V.K, Global, V.Local, Args);
 }
 
-void Session::invalidate(const Kernel &K) {
-  assert(K.F && "invalidate of null kernel");
-  std::lock_guard<std::mutex> Lock(CompileMutex);
-  ++Stats.Invalidations;
-  Analyses.invalidate(*K.F);
-  dropBytecode(K.F);
-  // Retire the derived variant kernels through the same graveyard /
-  // quiescence discipline eviction uses; merely erasing the cache
-  // entries would leak one module function per invalidated variant.
-  bool Retired = false;
-  for (auto It = Variants.begin(); It != Variants.end();) {
-    if (It->second.Source == K.F) {
-      retireKernels({It->second.V.K.F, It->second.V.K2.F});
-      Retired = true;
-      Lru.erase(It->second.LruIt);
-      It = Variants.erase(It);
-    } else {
-      ++It;
-    }
-  }
-  // The launch copy was optimized from the old body: retire it the same
-  // way and rebuild it from the mutated one. A rejected rebuild leaves no
-  // copy, and launches of K fail with the verifier's message until a
-  // later invalidate() rebuilds one.
-  auto Copy = LaunchCopies.find(K.F);
-  if (Copy != LaunchCopies.end()) {
-    retireKernels({Copy->second.F});
-    Retired = true;
-    Expected<ir::Function *> Rebuilt = buildLaunchCopy(*K.F);
-    Copy->second = Rebuilt ? LaunchCopy{*Rebuilt, ""}
-                           : LaunchCopy{nullptr, Rebuilt.error().message()};
-  }
-  if (Retired)
-    reclaimAtQuiescence();
-}
-
 //===--- On-disk variant cache -----------------------------------------------//
 //
 // One file per variant under DiskCacheDir, named <16-hex-content-key>.kpv:
@@ -639,10 +452,11 @@ void Session::invalidate(const Kernel &K) {
 //   <ir::serializeFunction text, own format-version stamp included>
 //
 // The content key hashes the printed source-kernel IR, the canonical
-// VariantKey, and the lint-gate setting, so a mutated source kernel or a
-// changed gate never hits a stale entry. Only single-pass variants are
-// stored (two-pass chaining is assembled above the Session). PassStats
-// are not persisted; disk hits report default-constructed pipeline stats.
+// VariantKey, and the lint-gate setting, so a different kernel body under
+// the same name or a changed gate never hits a stale entry. Only
+// single-pass variants are stored (two-pass chaining is assembled above
+// the Session). PassStats are not persisted; disk hits report
+// default-constructed pipeline stats.
 
 namespace {
 const char *kVariantFileStamp = "KPERF-VARIANT-v1";

@@ -33,6 +33,12 @@
 /// the same modeled time, as an OpenCL compiler's optimized accurate
 /// kernel would; the copy just simulates faster.
 ///
+/// Lifetime: a Session frees no kernel or bytecode program it handed out
+/// until it is destroyed, so every Kernel and Variant handle stays
+/// launchable; the key spaces callers walk (a tuning grid, a service's
+/// schemes) are small and finite. Compiled kernels are read-only: to
+/// change a kernel, compile new source.
+///
 /// \code
 ///   rt::Session S;
 ///   rt::Kernel K = cantFail(S.compile(Source, "gaussian"));
@@ -54,7 +60,9 @@
 /// internal mutex -- concurrent requests for the same key still compile
 /// exactly once -- and buffer creation/release goes through a mutex-
 /// protected free list, so each worker checks out its own buffer set with
-/// createBuffer*/releaseBuffer. launch() itself runs outside every lock.
+/// createBuffer*/releaseBuffer. launch() runs outside the compile lock:
+/// it takes only the buffer lock, for its snapshot, and on the batched
+/// tier the bytecode lock, for its program lookup.
 /// See docs/ARCHITECTURE.md ("Concurrency model") for what callers own.
 ///
 //===----------------------------------------------------------------------===//
@@ -72,8 +80,7 @@
 
 #include <atomic>
 #include <deque>
-#include <initializer_list>
-#include <list>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -162,8 +169,6 @@ struct SessionStats {
   std::atomic<unsigned> SourceCacheHits{0}; ///< compile() cache hits.
   std::atomic<unsigned> VariantCompiles{0}; ///< Transform+pipeline runs.
   std::atomic<unsigned> VariantCacheHits{0};
-  std::atomic<unsigned> Invalidations{0};     ///< invalidate() calls.
-  std::atomic<unsigned> VariantEvictions{0};  ///< LRU cache evictions.
   std::atomic<unsigned> BufferCreates{0};     ///< Fresh buffer slots.
   std::atomic<unsigned> BufferReuses{0};      ///< Free-list checkouts.
   std::atomic<unsigned> BytecodeCompiles{0};  ///< IR-to-bytecode runs.
@@ -190,7 +195,7 @@ struct SessionStats {
   /// One report line, e.g.
   /// "source compiles: 1 (cache hits: 69); variant compiles: 60;
   ///  variant cache: 10 hits / 70 lookups (14.3% hit rate);
-  ///  evictions: 0; buffers: 4 created, 116 reused".
+  ///  buffers: 4 created, 116 reused".
   std::string str() const;
 };
 
@@ -219,7 +224,8 @@ public:
   /// Compilation is cached per (source text, options): repeated calls --
   /// a tuning sweep, an app building several variants -- run the frontend
   /// once. The handle's F is frontend IR; launching it runs a copy
-  /// optimized under the default pipeline (see the file comment).
+  /// optimized under the default pipeline (see the file comment); both
+  /// live, read-only, as long as the Session.
   Expected<Kernel> compile(const std::string &Source,
                            const std::string &Name);
 
@@ -277,16 +283,6 @@ public:
   /// runs K's launch copy when K has one.
   Variant accurate(const Kernel &K, sim::Range2 Local) const;
 
-  /// Caps the variant cache at \p N entries, evicting least-recently-used
-  /// variants as new ones are compiled; 0 (the default) means unlimited.
-  /// An evicted kernel is reclaimed once no launch is in flight; a
-  /// Variant handle held past the eviction therefore either still
-  /// launches (reclamation deferred) or fails the launch with an
-  /// "evicted" error -- never a dangling access. Re-request evicted keys
-  /// through perforate()/approximateOutput(), which recompile them.
-  void setVariantCapacity(unsigned N);
-  unsigned variantCapacity() const;
-
   /// Opt-in static safety gate: when enabled, every kernel perforate()
   /// generates is run through the ir/Lint.h checks (range analysis
   /// seeded with the variant's work-group shape) and error-severity
@@ -320,8 +316,9 @@ public:
                                   const std::vector<sim::KernelArg> &Args);
 
   /// Raw launch of \p K over \p Global items in groups of \p Local. Runs
-  /// K's current launch copy if it has one -- a handle held across
-  /// invalidate() runs the rebuilt copy -- and K.F otherwise.
+  /// K.Launch if the handle has one and K.F otherwise; both live as long
+  /// as the Session. Takes no compile lock, so launches proceed while
+  /// other threads compile through this session.
   Expected<sim::SimReport> launch(const Kernel &K, sim::Range2 Global,
                                   sim::Range2 Local,
                                   const std::vector<sim::KernelArg> &Args);
@@ -330,30 +327,14 @@ public:
 
   /// Access to the underlying module (printing, verification, tests).
   /// NOT synchronized: use only while no other thread is compiling
-  /// through this session.
+  /// through this session. The kernels in it are read-only (see the file
+  /// comment).
   ir::Module &module();
 
   /// Cached per-function analyses (access summaries, dominator trees)
   /// shared across this session's transforms. NOT synchronized; same
   /// rule as module().
   ir::AnalysisManager &analyses() { return Analyses; }
-
-  /// Drops the cached analyses and cached variants derived from \p K.
-  /// Callers that mutate a compiled kernel directly must call this before
-  /// the next perforate()/approximateOutput() or launch of that kernel,
-  /// or they will be served stale variants or a stale launch copy.
-  ///
-  /// The generated variant kernels and K.F's launch copy are detached
-  /// from the module and retired through the same graveyard/quiescence
-  /// discipline LRU eviction uses: a launch already in flight on a
-  /// dropped kernel finishes safely, and the kernel is destroyed at the
-  /// next quiescent point. A mutate/re-perforate loop therefore keeps the
-  /// module's function count bounded instead of leaking one function per
-  /// invalidated variant. The launch copy is rebuilt from the mutated
-  /// K.F at once, and every handle of K.F launches the rebuilt one. If
-  /// the verifier rejects the rebuilt copy, those launches fail with its
-  /// message until a later invalidate() rebuilds a valid one.
-  void invalidate(const Kernel &K);
 
   /// Enables the content-addressed on-disk variant cache rooted at
   /// \p Dir (created if absent). On a variant-cache miss the Session
@@ -363,8 +344,9 @@ public:
   /// into the module instead of recompiling and counted as a
   /// DiskVariantHits. Freshly compiled variants are serialized back
   /// (atomic rename), so warm restarts and cross-process sweeps skip
-  /// recompilation. Pass "" to disable. Not thread-safe against
-  /// concurrent compiles; set it before sharing the session.
+  /// recompilation; a variant loaded from disk lives as long as the
+  /// Session, like a compiled one. Pass "" to disable. Not thread-safe
+  /// against concurrent compiles; set it before sharing the session.
   Error setDiskCache(const std::string &Dir);
   const std::string &diskCache() const { return DiskCacheDir; }
 
@@ -372,52 +354,32 @@ public:
   const SessionStats &stats() const { return Stats; }
   void resetStats() { Stats = SessionStats(); }
 
-  /// True if \p E is launch()'s evicted-variant error. Callers racing a
-  /// capacity-bounded cache (a parallel sweep with --variant-cap) test
-  /// this to re-request the variant and retry instead of failing.
-  static bool isEvictedError(const Error &E);
-
 private:
-  /// Variant cache entry: the variant plus its source kernel (recorded so
-  /// invalidate() can drop the right entries) and its position in the LRU
-  /// list (front = most recently used).
-  struct CachedVariant {
-    Variant V;
-    const ir::Function *Source = nullptr;
-    std::list<std::string>::iterator LruIt;
-  };
-
   /// Snapshots stable buffer addresses for a lock-free interpreter run;
   /// released slots are nulled so a stale index fails the launch.
   std::vector<sim::BufferData *> snapshotBufferBank();
 
-  /// Moves \p It to the most-recently-used position. CompileMutex held.
-  void touchVariant(std::map<std::string, CachedVariant>::iterator It);
+  /// Builds one variant into the module under the fresh kernel name it
+  /// is given, or fails (transform refused, lint gate).
+  using VariantBuilder = std::function<Expected<Variant>(const std::string &)>;
 
-  /// Inserts a variant and evicts past the capacity. CompileMutex held.
-  void insertVariant(std::string Key, const Variant &V,
-                     const ir::Function *Source);
-
-  /// Evicts the least-recently-used variant. CompileMutex held.
-  void evictOneVariant();
-
-  /// Shared retirement discipline of eviction and invalidation: drops the
-  /// cached analyses and bytecode of the generated kernels \p Fns (null
-  /// entries skipped), detaches them from the module, and parks them in
-  /// the graveyard until the next quiescent point (no launch in flight).
-  /// CompileMutex held.
-  void retireKernels(std::initializer_list<const ir::Function *> Fns);
+  /// The cached path perforate() and approximateOutput() share for a
+  /// variant of \p Source: probes the variant cache, then the disk cache
+  /// for a \p Kind variant, then runs \p Build on the name
+  /// "<source>.<Suffix><N>", counts it as a VariantCompiles, caches it
+  /// and stores it to disk. Takes CompileMutex and holds it across the
+  /// build, so concurrent requests for one key compile it exactly once.
+  Expected<Variant> cachedVariant(const ir::Function &Source,
+                                  const VariantKey &VK, VariantKind Kind,
+                                  const char *Suffix,
+                                  const VariantBuilder &Build);
 
   /// Clones \p F under its own name (the variant name counter is left
   /// alone) and runs the default pipeline on the clone. If the verifier
   /// rejects the clone, drops it and returns the verifier's message: the
-  /// default pipeline is exact, so that is a pipeline bug or a caller's
-  /// invalid mutation of \p F. CompileMutex held.
+  /// default pipeline is exact, so that is a pipeline bug. CompileMutex
+  /// held.
   Expected<ir::Function *> buildLaunchCopy(const ir::Function &F);
-
-  /// Marks that retired kernels exist and frees the graveyard if no
-  /// launch is in flight. CompileMutex held.
-  void reclaimAtQuiescence();
 
   /// Disk-cache probe: materializes the variant stored under
   /// \p ContentKey into the module, or returns false. CompileMutex held.
@@ -429,20 +391,16 @@ private:
   void storeVariantToDisk(uint64_t ContentKey, const Variant &V);
 
   /// Content address of one (source kernel, transform, pipeline) triple:
-  /// a hash over the printed source IR and the canonical key, so a
-  /// mutated kernel never hits a stale disk entry. CompileMutex held.
+  /// a hash over the printed source IR and the canonical key, so two
+  /// same-named kernels with different bodies never share a disk entry.
+  /// CompileMutex held.
   uint64_t contentKeyFor(const ir::Function &F, const VariantKey &Key);
 
   /// Returns the cached bytecode program of \p F, compiling it on first
-  /// request. Takes only BytecodeMutex (never CompileMutex); held across
-  /// the compile so concurrent requests for one kernel compile it exactly
-  /// once.
-  Expected<std::shared_ptr<const sim::bc::Program>>
-  bytecodeFor(const ir::Function &F);
-
-  /// Drops the cached bytecode of \p F (kernel mutated or evicted).
-  /// BytecodeMutex must NOT be held.
-  void dropBytecode(const ir::Function *F);
+  /// request; it lives as long as the Session. Takes only BytecodeMutex
+  /// (never CompileMutex); held across the compile so concurrent requests
+  /// for one kernel compile it exactly once.
+  Expected<const sim::bc::Program *> bytecodeFor(const ir::Function &F);
 
   sim::DeviceConfig Device;
   std::unique_ptr<ir::Module> M;
@@ -462,43 +420,15 @@ private:
   std::vector<unsigned> FreeBuffers; ///< Released slot indices.
 
   unsigned NameCounter = 0;
-  unsigned VariantCapacity = 0; ///< 0 = unlimited.
   SessionStats Stats;
 
-  /// Deferred reclamation of retired kernels: eviction and invalidation
-  /// both move detached variant functions here (guarded by
-  /// CompileMutex), launches in flight pin them, and the graveyard is
-  /// freed at the next quiescent point (no launch in flight).
-  std::vector<std::unique_ptr<ir::Function>> Graveyard;
-  /// Every launch increments this lock-free on entry (seq_cst), so a
-  /// retirement that starts mid-launch sees it nonzero and defers the
-  /// reclamation even if that launch never took the validation path.
-  std::atomic<unsigned> InFlightLaunches{0};
-  /// Sticky: set on the first retirement (eviction or invalidation),
-  /// never cleared. Launches validate their kernel (and synchronize on
-  /// CompileMutex) only once this is set, so sessions that never retire
-  /// a kernel launch lock-free.
-  std::atomic<bool> KernelsRetired{false};
-
   /// Variant cache keyed by source-function identity + VariantKey::str()
-  /// (the identity prefix keeps two same-named functions from colliding),
-  /// plus the LRU order for eviction.
-  std::map<std::string, CachedVariant> Variants;
-  std::list<std::string> Lru;
+  /// (the identity prefix keeps two same-named functions from colliding).
+  std::map<std::string, Variant> Variants;
 
-  /// Source cache: (pipeline options key + source text) -> compiled
-  /// kernels in declaration order.
-  std::map<std::string, std::vector<ir::Function *>> Sources;
-  /// A frontend kernel's current launch copy; null, with the verifier's
-  /// message, after invalidate() rejected the rebuild.
-  struct LaunchCopy {
-    ir::Function *F = nullptr;
-    std::string Rejection;
-  };
-  /// Frontend kernel -> its launch copy (kernels compiled without a
-  /// pipeline spec). Guarded by CompileMutex; launch() reads it only on
-  /// its validation path, which already holds that lock.
-  std::map<const ir::Function *, LaunchCopy> LaunchCopies;
+  /// Source cache: (pipeline options key + source text) -> the handles
+  /// of its kernels in declaration order, launch copies included.
+  std::map<std::string, std::vector<Kernel>> Sources;
 
   /// Opt-in post-perforation static-check gate (setLintGate).
   std::atomic<bool> LintGate{false};
@@ -508,12 +438,11 @@ private:
 
   /// Execution tier of launches through this session.
   std::atomic<sim::ExecTier> Tier{sim::defaultExecTier()};
-  /// Guards BytecodePrograms. Acquired after CompileMutex where both are
-  /// needed (invalidation paths); launches take it alone, briefly, and
-  /// run on a shared_ptr copy so eviction never frees a program under a
-  /// running launch.
+  /// Guards BytecodePrograms. Launches take it alone, briefly; a program
+  /// is never freed before the Session, so a launch runs on the raw
+  /// pointer after releasing it.
   mutable std::mutex BytecodeMutex;
-  std::map<const ir::Function *, std::shared_ptr<const sim::bc::Program>>
+  std::map<const ir::Function *, std::unique_ptr<const sim::bc::Program>>
       BytecodePrograms;
 };
 

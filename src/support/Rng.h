@@ -8,14 +8,17 @@
 /// A small, fast, deterministic PRNG (xoshiro-style splitmix64 derivative).
 /// All experiments in this repository are seeded so runs are reproducible
 /// bit-for-bit across platforms; std::mt19937 distributions are not
-/// guaranteed to be portable, hence this hand-rolled generator.
+/// guaranteed to be portable, hence this hand-rolled generator. Zipf
+/// draws ranks from it for the serving tools' request mixes.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KPERF_SUPPORT_RNG_H
 #define KPERF_SUPPORT_RNG_H
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace kperf {
 
@@ -55,6 +58,28 @@ public:
 
 private:
   uint64_t State;
+};
+
+/// Zipf(1) sampler over \p N ranks: weight of rank R is 1/(R+1).
+struct Zipf {
+  std::vector<double> Cdf;
+  explicit Zipf(size_t N) {
+    double Total = 0;
+    for (size_t I = 0; I < N; ++I)
+      Total += 1.0 / static_cast<double>(I + 1);
+    double Acc = 0;
+    for (size_t I = 0; I < N; ++I) {
+      Acc += 1.0 / static_cast<double>(I + 1) / Total;
+      Cdf.push_back(Acc);
+    }
+  }
+  size_t sample(Rng &R) const {
+    double U = R.uniform();
+    for (size_t I = 0; I < Cdf.size(); ++I)
+      if (U < Cdf[I])
+        return I;
+    return Cdf.size() - 1;
+  }
 };
 
 } // namespace kperf

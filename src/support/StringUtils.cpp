@@ -7,8 +7,11 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace kperf;
 
@@ -83,4 +86,32 @@ std::string kperf::padRight(const std::string &Text, size_t Width) {
   if (Text.size() >= Width)
     return Text;
   return Text + std::string(Width - Text.size(), ' ');
+}
+
+bool kperf::parseUnsigned(const std::string &Text, unsigned &Out) {
+  if (Text.empty())
+    return false;
+  uint64_t Value = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    Value = Value * 10 + static_cast<uint64_t>(C - '0');
+    if (Value > UINT_MAX)
+      return false;
+  }
+  Out = static_cast<unsigned>(Value);
+  return true;
+}
+
+bool kperf::parseNonNegative(const std::string &Text, double &Out) {
+  // strtod skips leading space and reads "inf"/"nan"; neither is a value.
+  if (Text.empty() || std::isspace(static_cast<unsigned char>(Text[0])))
+    return false;
+  char *End = nullptr;
+  double Value = std::strtod(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size() || !std::isfinite(Value) ||
+      Value < 0)
+    return false;
+  Out = Value;
+  return true;
 }

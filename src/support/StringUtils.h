@@ -46,6 +46,15 @@ std::string padLeft(const std::string &Text, size_t Width);
 /// Right-pads \p Text with spaces to at least \p Width characters.
 std::string padRight(const std::string &Text, size_t Width);
 
+/// Parses \p Text as a decimal count no larger than UINT_MAX: digits
+/// only, so a sign, a space or trailing text fails. Returns false and
+/// leaves \p Out alone on failure.
+bool parseUnsigned(const std::string &Text, unsigned &Out);
+
+/// Parses \p Text as a finite number >= 0 with nothing after it. Returns
+/// false and leaves \p Out alone on failure.
+bool parseNonNegative(const std::string &Text, double &Out);
+
 } // namespace kperf
 
 #endif // KPERF_SUPPORT_STRINGUTILS_H

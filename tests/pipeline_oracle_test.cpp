@@ -258,16 +258,7 @@ TEST(PipelineOracleTest, OptimizedAccurateKernelsMatchFrontend) {
   // tiers. The default pipeline is exact, and these kernels are
   // memory-bound under the max(compute, memory) cost model, so dropping
   // ALU and private traffic leaves the modeled time alone.
-  const std::pair<const char *, const char *> Kernels[] = {
-      {"gaussian", apps::gaussianSource()},
-      {"inversion", apps::inversionSource()},
-      {"median", apps::medianSource()},
-      {"sobel3", apps::sobel3Source()},
-      {"sobel5", apps::sobel5Source()},
-      {"mean", apps::meanSource()},
-      {"sharpen", apps::sharpenSource()},
-      {"convsep_row", apps::convSepRowSource()},
-      {"convsep_col", apps::convSepColSource()}};
+  const std::vector<apps::ImageKernel> Kernels = apps::standardImageKernels();
   const int Size = 128;
   const std::vector<float> Input =
       img::generateImage(img::ImageClass::Natural, Size, Size, 11).pixels();

@@ -249,4 +249,34 @@ TEST(StringUtilsTest, Padding) {
   EXPECT_EQ(padLeft("long", 2), "long");
 }
 
+TEST(StringUtilsTest, ParseUnsignedTakesDigitsUpToUintMax) {
+  unsigned V = 7;
+  EXPECT_TRUE(parseUnsigned("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("4294967295", V));
+  EXPECT_EQ(V, 4294967295u);
+  // strtoul would read "-1" as UINT_MAX and wrap the rest; none of these
+  // is a count, and a failure leaves the old value.
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "4294967296",
+                          "99999999999", "12abc", "abc", "0x10"}) {
+    V = 7;
+    EXPECT_FALSE(parseUnsigned(Bad, V)) << Bad;
+    EXPECT_EQ(V, 7u) << Bad;
+  }
+}
+
+TEST(StringUtilsTest, ParseNonNegativeTakesFiniteNumbers) {
+  double V = -1;
+  EXPECT_TRUE(parseNonNegative("0.05", V));
+  EXPECT_DOUBLE_EQ(V, 0.05);
+  EXPECT_TRUE(parseNonNegative("2", V));
+  EXPECT_DOUBLE_EQ(V, 2.0);
+  for (const char *Bad :
+       {"", "abc", "-0.1", "0.05x", " 0.05", "inf", "nan", "1e999"}) {
+    V = -1;
+    EXPECT_FALSE(parseNonNegative(Bad, V)) << Bad;
+    EXPECT_EQ(V, -1.0) << Bad;
+  }
+}
+
 } // namespace

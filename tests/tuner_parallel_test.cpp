@@ -10,9 +10,7 @@
 //  * hammering one variant/source cache key from many threads compiles it
 //    exactly once, and the atomic SessionStats counters stay exact;
 //  * the buffer free list hands released slots back to later checkouts
-//    and refuses launches through stale released indices;
-//  * the LRU variant-cache eviction (setVariantCapacity) evicts in
-//    least-recently-used order and recompiles evicted keys on demand.
+//    and refuses launches through stale released indices.
 //
 // This suite (with session_test) is the TSan tier: CI rebuilds both with
 // -fsanitize=thread, so a data race in Session/Tuner fails the build.
@@ -316,112 +314,6 @@ TEST(TunerParallelTest, ConcurrentCheckoutsGetDistinctSlots) {
   EXPECT_EQ(Creates + Reuses, NumThreads * Rounds * 2);
   EXPECT_LE(Creates, NumThreads * 2);
   EXPECT_GE(Reuses, NumThreads * Rounds * 2 - NumThreads * 2);
-}
-
-//===--- LRU variant eviction -------------------------------------------------//
-
-TEST(TunerParallelTest, LruEvictsLeastRecentlyUsedVariant) {
-  Session S;
-  S.setVariantCapacity(2);
-  Kernel K = cantFail(S.compile(ScaleSource, "scale"));
-  size_t FunctionsBefore = S.module().numFunctions();
-
-  // Three distinct keys A(16x16), B(8x8), C(4x4) under capacity 2.
-  cantFail(S.perforate(K, rows1Plan(16, 16))); // cache: [A]
-  cantFail(S.perforate(K, rows1Plan(8, 8)));   // cache: [B, A]
-  cantFail(S.perforate(K, rows1Plan(16, 16))); // touch A: [A, B]
-  EXPECT_EQ(S.stats().VariantCompiles, 2u);
-  EXPECT_EQ(S.stats().VariantEvictions, 0u);
-
-  cantFail(S.perforate(K, rows1Plan(4, 4))); // evicts B: [C, A]
-  EXPECT_EQ(S.stats().VariantCompiles, 3u);
-  EXPECT_EQ(S.stats().VariantEvictions, 1u);
-  // The evicted kernel left the module, so it holds the source kernel
-  // plus exactly two variants.
-  EXPECT_EQ(S.module().numFunctions(), FunctionsBefore + 2);
-
-  // A survived (recent), so probing it is still a hit...
-  unsigned HitsBefore = S.stats().VariantCacheHits;
-  cantFail(S.perforate(K, rows1Plan(16, 16)));
-  EXPECT_EQ(S.stats().VariantCacheHits, HitsBefore + 1);
-  EXPECT_EQ(S.stats().VariantCompiles, 3u);
-
-  // ...while the evicted B recompiles on demand.
-  cantFail(S.perforate(K, rows1Plan(8, 8)));
-  EXPECT_EQ(S.stats().VariantCompiles, 4u);
-  EXPECT_EQ(S.stats().VariantEvictions, 2u); // C was LRU by then.
-}
-
-TEST(TunerParallelTest, SetVariantCapacityEvictsDownToCap) {
-  Session S;
-  Kernel K = cantFail(S.compile(ScaleSource, "scale"));
-  cantFail(S.perforate(K, rows1Plan(16, 16)));
-  cantFail(S.perforate(K, rows1Plan(8, 8)));
-  cantFail(S.perforate(K, rows1Plan(4, 4)));
-  EXPECT_EQ(S.stats().VariantEvictions, 0u);
-
-  S.setVariantCapacity(1);
-  EXPECT_EQ(S.variantCapacity(), 1u);
-  EXPECT_EQ(S.stats().VariantEvictions, 2u);
-
-  // The survivor is the most recently used key (4x4): still a hit.
-  unsigned CompilesBefore = S.stats().VariantCompiles;
-  cantFail(S.perforate(K, rows1Plan(4, 4)));
-  EXPECT_EQ(S.stats().VariantCompiles, CompilesBefore);
-}
-
-TEST(TunerParallelTest, LaunchingEvictedVariantFailsCleanly) {
-  // A handle held past its eviction must fail the launch with a clear
-  // error, never touch freed memory.
-  Session S;
-  S.setVariantCapacity(1);
-  Kernel K = cantFail(S.compile(ScaleSource, "scale"));
-  Variant A = cantFail(S.perforate(K, rows1Plan(16, 16)));
-  cantFail(S.perforate(K, rows1Plan(8, 8))); // Evicts A.
-
-  unsigned In = S.createBufferFrom(std::vector<float>(32 * 32, 1.0f));
-  unsigned Out = S.createBuffer(32 * 32);
-  Expected<sim::SimReport> R = S.launch(
-      A, {32, 32},
-      {arg::buffer(In), arg::buffer(Out), arg::i32(32), arg::i32(32)});
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_TRUE(Session::isEvictedError(R.error()));
-
-  // Eviction is sticky: even after lifting the capacity, the stale
-  // handle must keep failing cleanly (regression: the validation used
-  // to be skipped once VariantCapacity was 0 again).
-  S.setVariantCapacity(0);
-  Expected<sim::SimReport> R2 = S.launch(
-      A, {32, 32},
-      {arg::buffer(In), arg::buffer(Out), arg::i32(32), arg::i32(32)});
-  ASSERT_FALSE(static_cast<bool>(R2));
-  EXPECT_TRUE(Session::isEvictedError(R2.error()));
-}
-
-TEST(TunerParallelTest, EvictedVariantRunsCorrectlyAfterRecompile) {
-  // End-to-end: evict a variant, recompile it through the cache, and
-  // check the recompiled kernel still computes the same output.
-  Session S;
-  S.setVariantCapacity(1);
-  Kernel K = cantFail(S.compile(ScaleSource, "scale"));
-
-  std::vector<float> Data(32 * 32, 1.5f);
-  unsigned In = S.createBufferFrom(Data);
-  unsigned Out = S.createBuffer(Data.size());
-  std::vector<sim::KernelArg> Args = {arg::buffer(In), arg::buffer(Out),
-                                      arg::i32(32), arg::i32(32)};
-
-  Variant A = cantFail(S.perforate(K, rows1Plan(16, 16)));
-  cantFail(S.launch(A, {32, 32}, Args));
-  std::vector<float> First = S.buffer(Out).downloadFloats();
-
-  cantFail(S.perforate(K, rows1Plan(8, 8))); // Evicts the 16x16 variant.
-  EXPECT_EQ(S.stats().VariantEvictions, 1u);
-
-  Variant A2 = cantFail(S.perforate(K, rows1Plan(16, 16))); // Recompile.
-  EXPECT_EQ(S.stats().VariantCompiles, 3u);
-  cantFail(S.launch(A2, {32, 32}, Args));
-  EXPECT_EQ(S.buffer(Out).downloadFloats(), First);
 }
 
 //===--- Concurrent end-to-end runs -------------------------------------------//

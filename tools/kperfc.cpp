@@ -33,7 +33,7 @@
 //   tier is just faster wall-clock.
 //
 //   kperfc tune <file.pcl> [--kernel name] [--image in.pgm] [--budget E]
-//               [--size N] [--jobs N] [--variant-cap N]
+//               [--size N] [--jobs N]
 //       Explore scheme x reconstruction x work-group configurations for a
 //       kernel(in, out, w, h) filter, print the Pareto front, and pick
 //       the fastest configuration whose error stays within the budget
@@ -42,12 +42,10 @@
 //       used. The whole sweep shares one rt::Session, so the source is
 //       compiled once and every unique (scheme, tile, pipeline) variant
 //       at most once; the final "session:" line reports the compile
-//       counts, the variant-cache hit rate, and the eviction/buffer-reuse
-//       counts. --jobs N evaluates configurations on N worker threads
-//       (0 = one per hardware thread; default 1) -- results and the
-//       chosen configuration are identical to the serial sweep.
-//       --variant-cap N bounds the session's variant cache to N entries
-//       (LRU eviction; 0 = unlimited).
+//       counts, the variant-cache hit rate, and the buffer-reuse counts.
+//       --jobs N evaluates configurations on N worker threads (0 = one
+//       per hardware thread; default 1) -- results and the chosen
+//       configuration are identical to the serial sweep.
 //
 //   kperfc lint <file.pcl> [--kernel name] [--passes SPEC] [--wg WxH]
 //               [--Werror] [--time-passes]
@@ -119,7 +117,6 @@ struct Options {
   double Budget = 0.05;
   unsigned Size = 256; ///< tune: synthetic-image edge length.
   unsigned Jobs = 1;   ///< tune: worker threads (0 = hardware threads).
-  unsigned VariantCap = 0; ///< tune: variant-cache capacity (0 = unlimited).
   std::string PassSpec; ///< --passes pipeline spec.
   bool PassSpecGiven = false;
   bool TimePasses = false;
@@ -137,8 +134,7 @@ int usage() {
                "              [--recon nn|li] [--wg WxH]\n"
                "              [--image in.pgm] [--out out.pgm] "
                "[--budget E] [--size N]\n"
-               "              [--jobs N] [--variant-cap N]\n"
-               "              [--exec-tier tree|batched]\n"
+               "              [--jobs N] [--exec-tier tree|batched]\n"
                "              [--passes SPEC] [--time-passes] "
                "[--verify-each] [--Werror]\n"
                "       kperfc --passes=SPEC [--time-passes] <file.pcl>\n");
@@ -287,17 +283,6 @@ Expected<Options> parseArgs(int Argc, char **Argv) {
         return makeError("unknown execution tier '%s' (expected "
                          "tree|batched)",
                          V->c_str());
-    } else if (A == "--variant-cap") {
-      auto V = next();
-      if (!V)
-        return V.takeError();
-      char *End = nullptr;
-      long N = std::strtol(V->c_str(), &End, 10);
-      if (End == V->c_str() || *End != '\0' || N < 0)
-        return makeError("bad --variant-cap value '%s' (expected a "
-                         "non-negative integer; 0 = unlimited)",
-                         V->c_str());
-      O.VariantCap = static_cast<unsigned>(N);
     } else {
       return makeError("unknown option '%s'", A.c_str());
     }
@@ -533,8 +518,6 @@ int cmdTune(const Options &O, const std::string &Source) {
   // of once per configuration.
   rt::Session S;
   S.setExecTier(O.Tier);
-  if (O.VariantCap != 0)
-    S.setVariantCapacity(O.VariantCap);
   Expected<rt::Kernel> K = compileFrom(S, O, Source);
   if (!K) {
     std::fprintf(stderr, "error: %s\n", K.error().message().c_str());
@@ -614,36 +597,29 @@ int cmdTune(const Options &O, const std::string &Source) {
         O.PassSpecGiven ? O.PassSpec : Plan.PipelineSpec,
         Config.LoopStride);
     Plan.VerifyEach = O.VerifyEach;
-    // With --variant-cap, another worker's compile can evict our variant
-    // between perforate() and launch(); re-requesting it recompiles the
-    // same kernel, so a bounded retry preserves the serial measurements.
-    for (unsigned Attempt = 0;; ++Attempt) {
-      Expected<rt::Variant> P = S.perforate(*K, Plan);
-      if (!P)
-        return P.takeError();
-      unsigned InBuf = S.createBufferFrom(In.pixels());
-      unsigned OutBuf = S.createBuffer(In.size());
-      Expected<sim::SimReport> App = S.launch(
-          *P, {W, H},
-          {rt::arg::buffer(InBuf), rt::arg::buffer(OutBuf),
-           rt::arg::i32(static_cast<int32_t>(W)),
-           rt::arg::i32(static_cast<int32_t>(H))});
-      if (!App) {
-        S.releaseBuffer(InBuf);
-        S.releaseBuffer(OutBuf);
-        if (Attempt < 8 && rt::Session::isEvictedError(App.error()))
-          continue;
-        return App.takeError();
-      }
-      perf::Measurement M;
-      M.Speedup = Acc->second / App->TimeMs;
-      M.Error = img::meanRelativeError(Reference,
-                                       S.buffer(OutBuf).downloadFloats());
-      M.PassStats = P->PassStats;
+    Expected<rt::Variant> P = S.perforate(*K, Plan);
+    if (!P)
+      return P.takeError();
+    unsigned InBuf = S.createBufferFrom(In.pixels());
+    unsigned OutBuf = S.createBuffer(In.size());
+    Expected<sim::SimReport> App = S.launch(
+        *P, {W, H},
+        {rt::arg::buffer(InBuf), rt::arg::buffer(OutBuf),
+         rt::arg::i32(static_cast<int32_t>(W)),
+         rt::arg::i32(static_cast<int32_t>(H))});
+    if (!App) {
       S.releaseBuffer(InBuf);
       S.releaseBuffer(OutBuf);
-      return M;
+      return App.takeError();
     }
+    perf::Measurement M;
+    M.Speedup = Acc->second / App->TimeMs;
+    M.Error = img::meanRelativeError(Reference,
+                                     S.buffer(OutBuf).downloadFloats());
+    M.PassStats = P->PassStats;
+    S.releaseBuffer(InBuf);
+    S.releaseBuffer(OutBuf);
+    return M;
   };
 
   std::printf("tuning over %zu configurations on %ux%u input (%u %s)"

@@ -11,7 +11,8 @@
 // quality guarantee" deployment of the paper's end-game.
 //
 //   kperfd [--shards N]      lock stripes / shard sessions   (default 4)
-//          [--clients N]     concurrent client threads       (default 4)
+//          [--clients N]     concurrent client threads       (default 4;
+//                            at most one per request)
 //          [--requests N]    total requests to serve         (default 360)
 //          [--size N]        frame edge length               (default 128)
 //          [--cache DIR]     on-disk variant cache (persists across runs;
@@ -20,10 +21,11 @@
 //                            stderr and the daemon serves without it)
 //          [--budget E]      per-service error budget        (default 0.05)
 //          [--check-every N] quality-check cadence           (default 8)
-//          [--variant-cap N] per-shard variant cache cap     (default 0)
 //          [--lint-gate]     static-check every generated kernel
 //          [--seed S]        request schedule seed           (default 7)
 //
+// Counts are decimal digits up to UINT_MAX and the budget a number >= 0;
+// anything else exits 2 with a "bad value" line before the server starts.
 // The execution tier follows KPERF_EXEC_TIER, like every other launcher.
 // Output: a per-service table (requests served, approximate share,
 // checks, re-tunes) and the aggregated server stats line.
@@ -36,10 +38,10 @@
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -47,56 +49,24 @@ using namespace kperf;
 
 namespace {
 
-struct ServiceDef {
-  const char *Name;
-  const char *Source;
-};
-
-/// The nine standard-signature kernels (in, out, w, h): the paper's image
-/// apps plus the Paraprox extensions. Hotspot's ten-argument signature
-/// does not fit the frame-serving plane and stays with the bench harness.
-std::vector<ServiceDef> serviceDefs() {
-  return {{"gaussian", apps::gaussianSource()},
-          {"inversion", apps::inversionSource()},
-          {"median", apps::medianSource()},
-          {"sobel3", apps::sobel3Source()},
-          {"sobel5", apps::sobel5Source()},
-          {"mean", apps::meanSource()},
-          {"sharpen", apps::sharpenSource()},
-          {"convsep_row", apps::convSepRowSource()},
-          {"convsep_col", apps::convSepColSource()}};
+[[noreturn]] void badValue(const std::string &Text, const char *Flag) {
+  std::fprintf(stderr, "kperfd: bad value '%s' for %s\n", Text.c_str(),
+               Flag);
+  std::exit(2);
 }
 
-/// Zipf(1) sampler over \p N ranks: weight of rank R is 1/(R+1).
-struct Zipf {
-  std::vector<double> Cdf;
-  explicit Zipf(size_t N) {
-    double Total = 0;
-    for (size_t I = 0; I < N; ++I)
-      Total += 1.0 / static_cast<double>(I + 1);
-    double Acc = 0;
-    for (size_t I = 0; I < N; ++I) {
-      Acc += 1.0 / static_cast<double>(I + 1) / Total;
-      Cdf.push_back(Acc);
-    }
-  }
-  size_t sample(Rng &R) const {
-    double U = R.uniform();
-    for (size_t I = 0; I < Cdf.size(); ++I)
-      if (U < Cdf[I])
-        return I;
-    return Cdf.size() - 1;
-  }
-};
+unsigned countValue(const std::string &Text, const char *Flag) {
+  unsigned V = 0;
+  if (!parseUnsigned(Text, V))
+    badValue(Text, Flag);
+  return V;
+}
 
-unsigned parseUnsigned(const char *Text, const char *Flag) {
-  char *End = nullptr;
-  unsigned long V = std::strtoul(Text, &End, 10);
-  if (End == Text || *End != '\0') {
-    std::fprintf(stderr, "kperfd: bad value '%s' for %s\n", Text, Flag);
-    std::exit(2);
-  }
-  return static_cast<unsigned>(V);
+double budgetValue(const std::string &Text) {
+  double V = 0;
+  if (!parseNonNegative(Text, V))
+    badValue(Text, "--budget");
+  return V;
 }
 
 } // namespace
@@ -127,23 +97,21 @@ int main(int Argc, char **Argv) {
       return false;
     };
     if (eat("--shards"))
-      Cfg.Shards = parseUnsigned(Value.c_str(), "--shards");
+      Cfg.Shards = countValue(Value, "--shards");
     else if (eat("--clients"))
-      Clients = parseUnsigned(Value.c_str(), "--clients");
+      Clients = countValue(Value, "--clients");
     else if (eat("--requests"))
-      Requests = parseUnsigned(Value.c_str(), "--requests");
+      Requests = countValue(Value, "--requests");
     else if (eat("--size"))
-      Size = parseUnsigned(Value.c_str(), "--size");
+      Size = countValue(Value, "--size");
     else if (eat("--cache"))
       Cfg.DiskCacheDir = Value;
     else if (eat("--budget"))
-      Budget = std::atof(Value.c_str());
+      Budget = budgetValue(Value);
     else if (eat("--check-every"))
-      CheckEvery = parseUnsigned(Value.c_str(), "--check-every");
-    else if (eat("--variant-cap"))
-      Cfg.VariantCapacity = parseUnsigned(Value.c_str(), "--variant-cap");
+      CheckEvery = countValue(Value, "--check-every");
     else if (eat("--seed"))
-      Seed = parseUnsigned(Value.c_str(), "--seed");
+      Seed = countValue(Value, "--seed");
     else if (A == "--lint-gate")
       Cfg.LintGate = true;
     else {
@@ -151,8 +119,8 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
-  if (Clients == 0)
-    Clients = 1;
+  // A client beyond the request count would have nothing to serve.
+  Clients = std::min(std::max(Clients, 1u), Requests);
 
   rt::Server Server(Cfg);
   if (!Server.diskCacheError().empty()) {
@@ -160,8 +128,8 @@ int main(int Argc, char **Argv) {
                  Server.diskCacheError().c_str());
     Cfg.DiskCacheDir.clear(); // The banner below names no cache.
   }
-  std::vector<ServiceDef> Defs = serviceDefs();
-  for (const ServiceDef &D : Defs) {
+  const std::vector<apps::ImageKernel> Defs = apps::standardImageKernels();
+  for (const apps::ImageKernel &D : Defs) {
     rt::ServiceConfig SC;
     SC.Name = D.Name;
     SC.Source = D.Source;
