@@ -4,29 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The batched execution tier. Beyond running one instruction across a
-// whole work group, the engine differs from the tree walker in how it
-// keeps the SimReport accounting bit-identical without hashing on hot
-// paths:
-//
-//  * Local bank-conflict accounting is direct-indexed: the (op, exec,
-//    wavefront) group keys and their per-bank counters live in flat
-//    epoch-tagged arrays laid out exec-major, grown geometrically in the
-//    exec dimension and cleared per work group by bumping the epoch.
-//  * Global read coalescing is a per-buffer epoch-tagged bitmap over
-//    (segment, wavefront); read keys carry no exec instance, so the
-//    per-item exec counters are not even maintained for reads (op ids
-//    are unique per instruction, so the shared counter table cannot be
-//    observed through the write or local keys).
-//  * Global write coalescing keeps an open-addressing set (write keys
-//    are exec-numbered and unbounded) fronted by a last-key memo that
-//    absorbs the common consecutive-items-same-segment case.
-//
-// The register file is stored as structure-of-arrays value / base /
+// The batched execution tier: each instruction runs across a whole work
+// group. The register file is stored as structure-of-arrays value / base /
 // offset planes, so ALU handlers are dense contiguous loops the compiler
 // auto-vectorizes; work-group fragments stay as [First, First+N) ranges
 // while control flow is uniform and fall back to sorted item lists only
 // across divergent branches, re-densifying on reconvergence.
+//
+// Memory accounting is shared with the tree walker (gpusim/MemAccounting.h)
+// and fed per lane. Two per-chunk shortcuts sit on top of it: a fragment
+// reading one buffer in bounds fetches its read bitmap once, and a full
+// wavefront accessing local memory at one exec instance folds its bank
+// histogram on the stack (in closed form for consecutive offsets) and
+// reports the whole access group at once.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +24,7 @@
 
 #include "gpusim/CostModel.h"
 #include "gpusim/ExecCommon.h"
+#include "gpusim/MemAccounting.h"
 #include "ir/InstructionUtils.h"
 
 #include <algorithm>
@@ -49,84 +40,6 @@ namespace irns = kperf::ir;
 
 namespace {
 
-constexpr uint64_t hashMix(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-constexpr bool isPow2(uint64_t X) { return X != 0 && (X & (X - 1)) == 0; }
-
-/// Open-addressing hash set of uint64 keys with O(1) epoch-based clear,
-/// used for the write-coalescing keys (exec-numbered, so unbounded; the
-/// direct-indexed schemes of the read/local accounting don't apply).
-class FastSet64 {
-public:
-  FastSet64() : Slots(1024) {}
-
-  void clear() {
-    if (++Epoch == 0) {
-      // Epoch counter wrapped: really wipe so stale tags cannot alias.
-      std::fill(Slots.begin(), Slots.end(), Slot());
-      Epoch = 1;
-    }
-    Count = 0;
-  }
-
-  /// Returns true if \p Key was newly inserted.
-  bool insert(uint64_t Key) {
-    if ((Count + 1) * 10 >= Slots.size() * 7)
-      grow();
-    size_t Mask = Slots.size() - 1;
-    size_t Idx = hashMix(Key) & Mask;
-    for (;;) {
-      Slot &S = Slots[Idx];
-      if (S.Epoch != Epoch) {
-        S.Epoch = Epoch;
-        S.Key = Key;
-        ++Count;
-        return true;
-      }
-      if (S.Key == Key)
-        return false;
-      Idx = (Idx + 1) & Mask;
-    }
-  }
-
-private:
-  struct Slot {
-    uint64_t Key = 0;
-    uint32_t Epoch = 0;
-  };
-
-  void grow() {
-    std::vector<Slot> Old(Slots.size() * 2);
-    Old.swap(Slots);
-    size_t Mask = Slots.size() - 1;
-    for (const Slot &S : Old) {
-      if (S.Epoch != Epoch)
-        continue;
-      size_t Idx = hashMix(S.Key) & Mask;
-      while (Slots[Idx].Epoch == Epoch)
-        Idx = (Idx + 1) & Mask;
-      Slots[Idx] = S;
-    }
-  }
-
-  std::vector<Slot> Slots;
-  uint32_t Epoch = 1;
-  size_t Count = 0;
-};
-
-/// Epoch-tagged counter cell of the direct-indexed local accounting. A
-/// cell whose tag is stale reads as zero; clearing a whole work group's
-/// worth of cells is one epoch increment.
-struct AcctCell {
-  uint32_t V = 0;
-  uint32_t E = 0;
-};
-
 /// One cell of the batched tier's value plane; base/offset live in their
 /// own planes so ALU loops touch only 4 bytes per item.
 union Val32 {
@@ -140,7 +53,7 @@ public:
              Range2 Local, const std::vector<KernelArg> &Args,
              std::vector<BufferData *> Buffers, const DeviceConfig &Device)
       : Prog(Prog), F(F), Global(Global), Local(Local), Args(Args),
-        Buffers(std::move(Buffers)), Device(Device) {}
+        Buffers(std::move(Buffers)), Device(Device), Acct(Device, Group) {}
 
   Expected<SimReport> run() {
     if (Error E = validateLaunch(F, Global, Local, Args, Buffers))
@@ -153,7 +66,6 @@ public:
                        Device.LocalMemBytes);
 
     BN = Local.count();
-    NumWf = (BN + Device.WavefrontSize - 1) / Device.WavefrontSize;
 
     // Raw views: buffer contents and per-item geometry are read on every
     // memory access, so snapshot them out of their owning objects once.
@@ -174,26 +86,13 @@ public:
       LyA[Item] = Item / Local.X;
       WfA[Item] = Item / Device.WavefrontSize;
     }
-    SegPow2 = isPow2(Device.SegmentBytes) && Device.SegmentBytes >= 4;
-    if (SegPow2) {
-      SegShiftWords = 0;
-      for (uint64_t S = Device.SegmentBytes / 4; S > 1; S >>= 1)
-        ++SegShiftWords;
-    }
-    BankPow2 = isPow2(Device.NumLocalBanks);
-    BankMask = BankPow2 ? Device.NumLocalBanks - 1 : 0;
 
     initRegisters();
     PrivArena.assign(static_cast<size_t>(BN) * Prog.PrivateWords, 0);
     LocalArena.assign(Prog.LocalWords, 0);
     GlobalExec.assign(static_cast<size_t>(BN) * Prog.NumGlobalOps, 0);
     LocalExec.assign(static_cast<size_t>(BN) * Prog.NumLocalOps, 0);
-    ReadSeen.assign(Bufs.size(), {});
-    REpoch = 0;
-    LEpoch = 0;
-    LExecCap = 0;
-    LMax.clear();
-    LBank.clear();
+    Acct.beginLaunch(BN, Prog.NumLocalOps, Args, Buffers);
 
     unsigned GroupsX = Global.X / Local.X;
     unsigned GroupsY = Global.Y / Local.Y;
@@ -263,88 +162,6 @@ private:
     }
   }
 
-  //===--- Shared accounting (identical keys to the tree walker) -----------//
-
-  uint64_t segOfWord(uint64_t WordOff) const {
-    if (SegPow2)
-      return WordOff >> SegShiftWords;
-    return WordOff * 4 / Device.SegmentBytes;
-  }
-
-  uint32_t bankOf(int32_t WordOff) const {
-    uint32_t W = static_cast<uint32_t>(WordOff);
-    return BankPow2 ? (W & BankMask) : W % Device.NumLocalBanks;
-  }
-
-  /// Read keys are (wavefront, base, segment) -- no exec instance -- so a
-  /// per-buffer (segment, wavefront) epoch bitmap replaces the hash set.
-  void noteGlobalRead(unsigned Wf, uint32_t Base, int32_t Off) {
-    std::vector<uint32_t> &Seen = ReadSeen[Base];
-    if (Seen.empty())
-      Seen.assign((segOfWord(Bufs[Base].Size - 1) + 1) * NumWf, 0u);
-    size_t Idx = segOfWord(static_cast<uint64_t>(Off)) * NumWf + Wf;
-    if (Seen[Idx] != REpoch) {
-      Seen[Idx] = REpoch;
-      ++Group.GlobalReadTransactions;
-    }
-  }
-
-  void noteGlobalWrite(uint32_t Exec, uint32_t OpId, unsigned Wf,
-                       uint32_t Base, int32_t Off) {
-    uint64_t Segment = segOfWord(static_cast<uint64_t>(Off));
-    uint64_t Key = (static_cast<uint64_t>(OpId) << 57) |
-                   (static_cast<uint64_t>(Exec) << 43) |
-                   (static_cast<uint64_t>(Wf) << 35) |
-                   (static_cast<uint64_t>(Base) << 28) | Segment;
-    if (HaveLastWriteKey && Key == LastWriteKey)
-      return;
-    LastWriteKey = Key;
-    HaveLastWriteKey = true;
-    if (Segments.insert(Key))
-      ++Group.GlobalWriteTransactions;
-  }
-
-  /// Grows the exec dimension of the local accounting arrays. The layout
-  /// is exec-major, so existing cells keep their indices across a resize.
-  void growLocalAcct(uint32_t NeedExec) {
-    uint32_t NewCap = LExecCap ? LExecCap : 4;
-    while (NewCap <= NeedExec)
-      NewCap *= 2;
-    size_t Groups = static_cast<size_t>(NewCap) * Prog.NumLocalOps * NumWf;
-    LMax.resize(Groups);
-    LBank.resize(Groups * Device.NumLocalBanks);
-    LExecCap = NewCap;
-  }
-
-  /// Incremental form of the tree walker's end-of-group fold: a new group
-  /// key counts one LocalWavefrontOps; every increase of a group's max
-  /// bank count adds the difference, which totals max-1 per group. The
-  /// (op, exec, wavefront) group key indexes flat arrays directly.
-  void noteLocalAccess(uint32_t Exec, uint32_t OpId, unsigned Wf,
-                       int32_t WordOff) {
-    if (Exec >= LExecCap)
-      growLocalAcct(Exec);
-    size_t GIdx =
-        (static_cast<size_t>(Exec) * Prog.NumLocalOps + OpId) * NumWf + Wf;
-    AcctCell &M = LMax[GIdx];
-    bool NewGroup = M.E != LEpoch;
-    if (NewGroup) {
-      M.E = LEpoch;
-      M.V = 0;
-      ++Group.LocalWavefrontOps;
-    }
-    AcctCell &B = LBank[GIdx * Device.NumLocalBanks + bankOf(WordOff)];
-    if (B.E != LEpoch) {
-      B.E = LEpoch;
-      B.V = 0;
-    }
-    uint32_t Count = ++B.V;
-    if (Count > M.V) {
-      Group.BankConflictExtra += Count - M.V - (NewGroup ? 1 : 0);
-      M.V = Count;
-    }
-  }
-
   //===--- Group orchestration ----------------------------------------------//
 
   Error runGroup(unsigned GX, unsigned GY) {
@@ -352,18 +169,7 @@ private:
     std::fill(LocalArena.begin(), LocalArena.end(), 0u);
     std::fill(GlobalExec.begin(), GlobalExec.end(), 0u);
     std::fill(LocalExec.begin(), LocalExec.end(), 0u);
-    Segments.clear();
-    HaveLastWriteKey = false;
-    if (++LEpoch == 0) {
-      std::fill(LMax.begin(), LMax.end(), AcctCell());
-      std::fill(LBank.begin(), LBank.end(), AcctCell());
-      LEpoch = 1;
-    }
-    if (++REpoch == 0) {
-      for (std::vector<uint32_t> &Seen : ReadSeen)
-        std::fill(Seen.begin(), Seen.end(), 0u);
-      REpoch = 1;
-    }
+    Acct.beginGroup();
     GroupX = GX;
     GroupY = GY;
     return runGroupBatched();
@@ -653,24 +459,16 @@ private:
           FOR_ITEMS(It, FastG &= PB[It] == Base0 && PO[It] >= 0 &&
                                  static_cast<size_t>(PO[It]) < Bf.Size;)
           if (FastG) {
-            std::vector<uint32_t> &Seen = ReadSeen[Base0];
-            if (Seen.empty())
-              Seen.assign((segOfWord(Bf.Size - 1) + 1) * NumWf, 0u);
-            uint32_t *SeenP = Seen.data();
+            uint32_t *Seen = Acct.readBitmap(Base0);
             const uint32_t *Src = Bf.Data;
             const uint32_t WfSize = Device.WavefrontSize;
             FOR_WF_CHUNKS(CB, CE, Full, {
               (void)Full;
-              const size_t WfIdx = CB / WfSize;
+              const unsigned WfIdx = CB / WfSize;
               for (uint32_t It = CB; It < CE; ++It) {
                 int32_t Off = PO[It];
                 D[It].I = static_cast<int32_t>(Src[Off]);
-                size_t Idx =
-                    segOfWord(static_cast<uint64_t>(Off)) * NumWf + WfIdx;
-                if (SeenP[Idx] != REpoch) {
-                  SeenP[Idx] = REpoch;
-                  ++Group.GlobalReadTransactions;
-                }
+                Acct.markRead(Seen, static_cast<uint64_t>(Off), WfIdx);
               }
             })
           } else {
@@ -682,7 +480,7 @@ private:
                          "%u, offset %d, size %zu)",
                          F.name().c_str(), PB[It], Off, B.Size);
               D[It].I = static_cast<int32_t>(B.Data[Off]);
-              noteGlobalRead(WfA[It], PB[It], Off);
+              Acct.noteRead(PB[It], static_cast<uint64_t>(Off), WfA[It]);
             })
           }
           Group.GlobalReads += Cur.size();
@@ -732,15 +530,14 @@ private:
                   for (uint32_t It = CB; It < CE; ++It) {
                     int32_t Off = PO[It];
                     D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                    uint32_t C = ++Hist[bankOf(Off)];
+                    uint32_t C = ++Hist[Acct.bankOf(Off)];
                     if (C > Max)
                       Max = C;
                   }
                 }
                 for (uint32_t It = CB; It < CE; ++It)
                   ExecRow[It] = E0 + 1;
-                ++Group.LocalWavefrontOps;
-                Group.BankConflictExtra += Max - 1;
+                Acct.noteLocalGroup(Max);
               }
             }
             if (!Fast) {
@@ -751,7 +548,7 @@ private:
                            "%d, size %u words)",
                            F.name().c_str(), Off, Prog.LocalWords);
                 D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                noteLocalAccess(ExecRow[It]++, I.Aux, WfA[It], Off);
+                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
               }
             }
           })
@@ -781,62 +578,17 @@ private:
           const int32_t *PO = offRow(I.B);
           uint32_t *ExecRow =
               GlobalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          // Uniform-base in-bounds fragments build the coalescing key
-          // from a per-chunk prefix (op, exec, wavefront, base are all
-          // invariant across a lockstep chunk) so the per-item work is
-          // one shift and the run cache; see LdG for the fragment test.
-          uint32_t Base0 = PB[Cur.dense() ? Cur.First : Cur.Runs[0].First];
-          const BufRef &Bf = Bufs[Base0];
-          bool FastG = true;
-          FOR_ITEMS(It, FastG &= PB[It] == Base0 && PO[It] >= 0 &&
-                                 static_cast<size_t>(PO[It]) < Bf.Size;)
-          if (FastG) {
-            const uint32_t WfSize = Device.WavefrontSize;
-            FOR_WF_CHUNKS(CB, CE, Full, {
-              (void)Full;
-              uint32_t E0 = ExecRow[CB];
-              bool UniE = true;
-              for (uint32_t It = CB; It < CE; ++It)
-                UniE &= ExecRow[It] == E0;
-              if (UniE) {
-                const uint64_t KeyBase =
-                    (static_cast<uint64_t>(I.Aux) << 57) |
-                    (static_cast<uint64_t>(E0) << 43) |
-                    (static_cast<uint64_t>(CB / WfSize) << 35) |
-                    (static_cast<uint64_t>(Base0) << 28);
-                for (uint32_t It = CB; It < CE; ++It) {
-                  int32_t Off = PO[It];
-                  Bf.Data[Off] = static_cast<uint32_t>(V[It].I);
-                  uint64_t Key =
-                      KeyBase | segOfWord(static_cast<uint64_t>(Off));
-                  if (!HaveLastWriteKey || Key != LastWriteKey) {
-                    LastWriteKey = Key;
-                    HaveLastWriteKey = true;
-                    if (Segments.insert(Key))
-                      ++Group.GlobalWriteTransactions;
-                  }
-                  ExecRow[It] = E0 + 1;
-                }
-              } else {
-                for (uint32_t It = CB; It < CE; ++It) {
-                  int32_t Off = PO[It];
-                  Bf.Data[Off] = static_cast<uint32_t>(V[It].I);
-                  noteGlobalWrite(ExecRow[It]++, I.Aux, WfA[It], Base0, Off);
-                }
-              }
-            })
-          } else {
-            FOR_ITEMS(It, {
-              const BufRef &B = Bufs[PB[It]];
-              int32_t Off = PO[It];
-              if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-                BT_FAULT("kernel '%s': global write out of bounds (buffer "
-                         "%u, offset %d, size %zu)",
-                         F.name().c_str(), PB[It], Off, B.Size);
-              B.Data[Off] = static_cast<uint32_t>(V[It].I);
-              noteGlobalWrite(ExecRow[It]++, I.Aux, WfA[It], PB[It], Off);
-            })
-          }
+          FOR_ITEMS(It, {
+            const BufRef &B = Bufs[PB[It]];
+            int32_t Off = PO[It];
+            if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
+              BT_FAULT("kernel '%s': global write out of bounds (buffer "
+                       "%u, offset %d, size %zu)",
+                       F.name().c_str(), PB[It], Off, B.Size);
+            B.Data[Off] = static_cast<uint32_t>(V[It].I);
+            Acct.noteWrite(I.Aux, ExecRow[It]++, PB[It],
+                           static_cast<uint64_t>(Off), WfA[It]);
+          })
           Group.GlobalWrites += Cur.size();
           ++Cur.Pc;
           break;
@@ -877,15 +629,14 @@ private:
                   for (uint32_t It = CB; It < CE; ++It) {
                     int32_t Off = PO[It];
                     LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                    uint32_t C = ++Hist[bankOf(Off)];
+                    uint32_t C = ++Hist[Acct.bankOf(Off)];
                     if (C > Max)
                       Max = C;
                   }
                 }
                 for (uint32_t It = CB; It < CE; ++It)
                   ExecRow[It] = E0 + 1;
-                ++Group.LocalWavefrontOps;
-                Group.BankConflictExtra += Max - 1;
+                Acct.noteLocalGroup(Max);
               }
             }
             if (!Fast) {
@@ -896,7 +647,7 @@ private:
                            "%d, size %u words)",
                            F.name().c_str(), Off, Prog.LocalWords);
                 LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                noteLocalAccess(ExecRow[It]++, I.Aux, WfA[It], Off);
+                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
               }
             }
           })
@@ -1438,24 +1189,16 @@ private:
           })
           if (FastG) {
             Alu += Cur.size(); // The folded address computations.
-            std::vector<uint32_t> &Seen = ReadSeen[Base0];
-            if (Seen.empty())
-              Seen.assign((segOfWord(Bf.Size - 1) + 1) * NumWf, 0u);
-            uint32_t *SeenP = Seen.data();
+            uint32_t *Seen = Acct.readBitmap(Base0);
             const uint32_t *Src = Bf.Data;
             const uint32_t WfSize = Device.WavefrontSize;
             FOR_WF_CHUNKS(CB, CE, Full, {
               (void)Full;
-              const size_t WfIdx = CB / WfSize;
+              const unsigned WfIdx = CB / WfSize;
               for (uint32_t It = CB; It < CE; ++It) {
                 int32_t Off = PO[It] + Idx[It].I;
                 D[It].I = static_cast<int32_t>(Src[Off]);
-                size_t Idx2 =
-                    segOfWord(static_cast<uint64_t>(Off)) * NumWf + WfIdx;
-                if (SeenP[Idx2] != REpoch) {
-                  SeenP[Idx2] = REpoch;
-                  ++Group.GlobalReadTransactions;
-                }
+                Acct.markRead(Seen, static_cast<uint64_t>(Off), WfIdx);
               }
             })
           } else {
@@ -1468,7 +1211,7 @@ private:
                          "%u, offset %d, size %zu)",
                          F.name().c_str(), PB[It], Off, B.Size);
               D[It].I = static_cast<int32_t>(B.Data[Off]);
-              noteGlobalRead(WfA[It], PB[It], Off);
+              Acct.noteRead(PB[It], static_cast<uint64_t>(Off), WfA[It]);
             })
           }
           Group.GlobalReads += Cur.size();
@@ -1512,7 +1255,7 @@ private:
                   for (uint32_t It = CB; It < CE; ++It) {
                     int32_t Off = PO[It] + Idx[It].I;
                     D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                    uint32_t C = ++Hist[bankOf(Off)];
+                    uint32_t C = ++Hist[Acct.bankOf(Off)];
                     if (C > Max)
                       Max = C;
                   }
@@ -1520,8 +1263,7 @@ private:
                 for (uint32_t It = CB; It < CE; ++It)
                   ExecRow[It] = E0 + 1;
                 Alu += CE - CB;
-                ++Group.LocalWavefrontOps;
-                Group.BankConflictExtra += Max - 1;
+                Acct.noteLocalGroup(Max);
               }
             }
             if (!Fast) {
@@ -1533,7 +1275,7 @@ private:
                            "%d, size %u words)",
                            F.name().c_str(), Off, Prog.LocalWords);
                 D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                noteLocalAccess(ExecRow[It]++, I.Aux, WfA[It], Off);
+                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
               }
             }
           })
@@ -1566,64 +1308,18 @@ private:
           const Val32 *Idx = valRow(I.C);
           uint32_t *ExecRow =
               GlobalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          // Uniform-base in-bounds fast path; see StG.
-          uint32_t Base0 = PB[Cur.dense() ? Cur.First : Cur.Runs[0].First];
-          const BufRef &Bf = Bufs[Base0];
-          bool FastG = true;
           FOR_ITEMS(It, {
+            ++Alu; // The folded address computation.
+            const BufRef &B = Bufs[PB[It]];
             int32_t Off = PO[It] + Idx[It].I;
-            FastG &= PB[It] == Base0 && Off >= 0 &&
-                     static_cast<size_t>(Off) < Bf.Size;
+            if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
+              BT_FAULT("kernel '%s': global write out of bounds (buffer "
+                       "%u, offset %d, size %zu)",
+                       F.name().c_str(), PB[It], Off, B.Size);
+            B.Data[Off] = static_cast<uint32_t>(V[It].I);
+            Acct.noteWrite(I.Aux, ExecRow[It]++, PB[It],
+                           static_cast<uint64_t>(Off), WfA[It]);
           })
-          if (FastG) {
-            Alu += Cur.size(); // The folded address computations.
-            const uint32_t WfSize = Device.WavefrontSize;
-            FOR_WF_CHUNKS(CB, CE, Full, {
-              (void)Full;
-              uint32_t E0 = ExecRow[CB];
-              bool UniE = true;
-              for (uint32_t It = CB; It < CE; ++It)
-                UniE &= ExecRow[It] == E0;
-              if (UniE) {
-                const uint64_t KeyBase =
-                    (static_cast<uint64_t>(I.Aux) << 57) |
-                    (static_cast<uint64_t>(E0) << 43) |
-                    (static_cast<uint64_t>(CB / WfSize) << 35) |
-                    (static_cast<uint64_t>(Base0) << 28);
-                for (uint32_t It = CB; It < CE; ++It) {
-                  int32_t Off = PO[It] + Idx[It].I;
-                  Bf.Data[Off] = static_cast<uint32_t>(V[It].I);
-                  uint64_t Key =
-                      KeyBase | segOfWord(static_cast<uint64_t>(Off));
-                  if (!HaveLastWriteKey || Key != LastWriteKey) {
-                    LastWriteKey = Key;
-                    HaveLastWriteKey = true;
-                    if (Segments.insert(Key))
-                      ++Group.GlobalWriteTransactions;
-                  }
-                  ExecRow[It] = E0 + 1;
-                }
-              } else {
-                for (uint32_t It = CB; It < CE; ++It) {
-                  int32_t Off = PO[It] + Idx[It].I;
-                  Bf.Data[Off] = static_cast<uint32_t>(V[It].I);
-                  noteGlobalWrite(ExecRow[It]++, I.Aux, WfA[It], Base0, Off);
-                }
-              }
-            })
-          } else {
-            FOR_ITEMS(It, {
-              ++Alu;
-              const BufRef &B = Bufs[PB[It]];
-              int32_t Off = PO[It] + Idx[It].I;
-              if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-                BT_FAULT("kernel '%s': global write out of bounds (buffer "
-                         "%u, offset %d, size %zu)",
-                         F.name().c_str(), PB[It], Off, B.Size);
-              B.Data[Off] = static_cast<uint32_t>(V[It].I);
-              noteGlobalWrite(ExecRow[It]++, I.Aux, WfA[It], PB[It], Off);
-            })
-          }
           Group.GlobalWrites += Cur.size();
           ++Cur.Pc;
           break;
@@ -1665,7 +1361,7 @@ private:
                   for (uint32_t It = CB; It < CE; ++It) {
                     int32_t Off = PO[It] + Idx[It].I;
                     LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                    uint32_t C = ++Hist[bankOf(Off)];
+                    uint32_t C = ++Hist[Acct.bankOf(Off)];
                     if (C > Max)
                       Max = C;
                   }
@@ -1673,8 +1369,7 @@ private:
                 for (uint32_t It = CB; It < CE; ++It)
                   ExecRow[It] = E0 + 1;
                 Alu += CE - CB;
-                ++Group.LocalWavefrontOps;
-                Group.BankConflictExtra += Max - 1;
+                Acct.noteLocalGroup(Max);
               }
             }
             if (!Fast) {
@@ -1686,7 +1381,7 @@ private:
                            "%d, size %u words)",
                            F.name().c_str(), Off, Prog.LocalWords);
                 LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                noteLocalAccess(ExecRow[It]++, I.Aux, WfA[It], Off);
+                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
               }
             }
           })
@@ -1881,8 +1576,7 @@ private:
     size_t Size = 0;
   };
 
-  unsigned BN = 0;    ///< Items per work group.
-  unsigned NumWf = 1; ///< Wavefronts per work group.
+  unsigned BN = 0; ///< Items per work group.
   std::vector<BufRef> Bufs;
   std::vector<uint32_t> LxA, LyA, WfA; ///< Per-item geometry.
 
@@ -1898,29 +1592,13 @@ private:
   std::vector<uint32_t> GlobalExec;
   std::vector<uint32_t> LocalExec;
 
-  FastSet64 Segments; ///< Write-coalescing keys.
-  uint64_t LastWriteKey = 0;
-  bool HaveLastWriteKey = false;
-
-  std::vector<std::vector<uint32_t>> ReadSeen; ///< Per-buffer, per (seg, wf).
-  uint32_t REpoch = 0;
-
-  std::vector<AcctCell> LMax;  ///< Per (exec, op, wf): max bank count.
-  std::vector<AcctCell> LBank; ///< Per (exec, op, wf, bank): access count.
-  uint32_t LEpoch = 0;
-  uint32_t LExecCap = 0;
-
-  bool SegPow2 = false;
-  unsigned SegShiftWords = 0;
-  bool BankPow2 = false;
-  uint32_t BankMask = 0;
-
   std::vector<Run> MergeTmp;
   std::vector<std::vector<Run>> RunPool; ///< Retired run lists for reuse.
   std::vector<uint8_t> CondBuf; ///< JmpCmp per-item comparison results.
 
   unsigned GroupX = 0, GroupY = 0;
   Counters Group;
+  MemAccounting Acct;
 };
 
 } // namespace

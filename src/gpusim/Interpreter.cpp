@@ -8,13 +8,13 @@
 
 #include "gpusim/CostModel.h"
 #include "gpusim/ExecCommon.h"
+#include "gpusim/MemAccounting.h"
 #include "ir/InstructionUtils.h"
 #include "support/StringUtils.h"
 
 #include <cmath>
 #include <cstring>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace kperf;
 using namespace kperf::sim;
@@ -39,7 +39,8 @@ struct RtValue {
 };
 
 /// A pre-lowered instruction: operand slots resolved, branch targets
-/// resolved to code indices, memory ops numbered for coalescing groups.
+/// resolved to code indices, global stores and local accesses numbered
+/// for their accounting groups.
 struct CInstr {
   irns::Opcode Op;
   irns::Builtin Callee = irns::Builtin::Barrier;
@@ -56,7 +57,7 @@ struct CInstr {
   uint32_t PhiCount = 0;
   uint8_t Space = 0;      ///< Alloca / memory-op address space.
   uint32_t ArenaOff = 0;  ///< Alloca arena offset in words.
-  uint32_t MemOpId = 0;   ///< Dense id among global (or local) memory ops.
+  uint32_t MemOpId = 0;   ///< Dense id among global stores (or local ops).
   bool ResultIsFloat = false; ///< Load: pointee kind.
   bool OperandIsFloat = false; ///< Arithmetic/builtin: float variant.
 };
@@ -70,7 +71,7 @@ public:
            const std::vector<KernelArg> &Args,
            std::vector<BufferData *> Buffers, const DeviceConfig &Device)
       : F(F), Global(Global), Local(Local), Args(Args),
-        Buffers(std::move(Buffers)), Device(Device) {}
+        Buffers(std::move(Buffers)), Device(Device), Acct(Device, Group) {}
 
   Expected<SimReport> run() {
     // Validation is shared across execution tiers (ExecCommon.h) so a
@@ -176,9 +177,7 @@ private:
       irns::Type PtrTy = I.operand(0)->type();
       C.Space = static_cast<uint8_t>(PtrTy.addressSpace());
       C.ResultIsFloat = I.type().isFloat();
-      if (PtrTy.addressSpace() == irns::AddressSpace::Global)
-        C.MemOpId = NumGlobalOps++;
-      else if (PtrTy.addressSpace() == irns::AddressSpace::Local)
+      if (PtrTy.addressSpace() == irns::AddressSpace::Local)
         C.MemOpId = NumLocalOps++;
       break;
     }
@@ -187,7 +186,7 @@ private:
       C.Space = static_cast<uint8_t>(PtrTy.addressSpace());
       C.OperandIsFloat = I.operand(0)->type().isFloat();
       if (PtrTy.addressSpace() == irns::AddressSpace::Global)
-        C.MemOpId = NumGlobalOps++;
+        C.MemOpId = NumGlobalStores++;
       else if (PtrTy.addressSpace() == irns::AddressSpace::Local)
         C.MemOpId = NumLocalOps++;
       break;
@@ -264,8 +263,9 @@ private:
     PrivArena.assign(static_cast<size_t>(NumItems) * PrivateWords, 0);
     LocalArena.assign(LocalWords, 0);
     States.assign(NumItems, ItemState());
-    GlobalExec.assign(static_cast<size_t>(NumItems) * NumGlobalOps, 0);
+    GlobalExec.assign(static_cast<size_t>(NumItems) * NumGlobalStores, 0);
     LocalExec.assign(static_cast<size_t>(NumItems) * NumLocalOps, 0);
+    Acct.beginLaunch(NumItems, NumLocalOps, Args, Buffers);
 
     Counters Totals;
     double SumCycles = 0, SumCompute = 0, SumMemory = 0;
@@ -300,9 +300,7 @@ private:
     std::fill(States.begin(), States.end(), ItemState());
     std::fill(GlobalExec.begin(), GlobalExec.end(), 0u);
     std::fill(LocalExec.begin(), LocalExec.end(), 0u);
-    Segments.clear();
-    BankCounts.clear();
-    GroupMaxBank.clear();
+    Acct.beginGroup();
     GroupX = GX;
     GroupY = GY;
 
@@ -343,11 +341,6 @@ private:
       Alive = Stopped;
       First = false;
     }
-
-    // Fold the group's local access groups into the counters.
-    Group.LocalWavefrontOps = GroupMaxBank.size();
-    for (const auto &[Key, MaxCount] : GroupMaxBank)
-      Group.BankConflictExtra += MaxCount - 1;
     return Error::success();
   }
 
@@ -403,7 +396,7 @@ private:
           }
           RV.I = static_cast<int32_t>(B.word(static_cast<size_t>(P.Off)));
           ++Group.GlobalReads;
-          noteGlobalAccess(Item, C.MemOpId, Wavefront, P, /*IsRead=*/true);
+          Acct.noteRead(P.Base, static_cast<uint64_t>(P.Off), Wavefront);
           break;
         }
         case irns::AddressSpace::Local: {
@@ -416,7 +409,9 @@ private:
           }
           RV.I = static_cast<int32_t>(LocalArena[P.Off]);
           ++Group.LocalAccesses;
-          noteLocalAccess(Item, C.MemOpId, Wavefront, P.Off);
+          Acct.noteLocal(C.MemOpId,
+                         nextExec(LocalExec, NumLocalOps, Item, C.MemOpId),
+                         P.Off, Wavefront);
           break;
         }
         case irns::AddressSpace::Private: {
@@ -449,7 +444,9 @@ private:
           }
           B.setWord(static_cast<size_t>(P.Off), Word);
           ++Group.GlobalWrites;
-          noteGlobalAccess(Item, C.MemOpId, Wavefront, P, /*IsRead=*/false);
+          Acct.noteWrite(C.MemOpId,
+                         nextExec(GlobalExec, NumGlobalStores, Item, C.MemOpId),
+                         P.Base, static_cast<uint64_t>(P.Off), Wavefront);
           break;
         }
         case irns::AddressSpace::Local: {
@@ -462,7 +459,9 @@ private:
           }
           LocalArena[P.Off] = Word;
           ++Group.LocalAccesses;
-          noteLocalAccess(Item, C.MemOpId, Wavefront, P.Off);
+          Acct.noteLocal(C.MemOpId,
+                         nextExec(LocalExec, NumLocalOps, Item, C.MemOpId),
+                         P.Off, Wavefront);
           break;
         }
         case irns::AddressSpace::Private: {
@@ -782,68 +781,11 @@ private:
     }
   }
 
-  //===--- Coalescing and bank-conflict accounting --------------------------//
-
-  /// Counts global-memory transactions.
-  ///
-  /// Reads: one transaction per unique (wavefront, buffer, segment) within
-  /// the work group. This models both coalescing (lanes of a wavefront
-  /// touching the same 64-byte segment share one transaction) and
-  /// per-wavefront L1 reuse (a segment the wavefront already fetched, e.g.
-  /// through an overlapping stencil tap, stays in L1). Reuse *across*
-  /// wavefronts is conservatively a miss (capacity/scheduling) -- that is
-  /// what keeps an explicit local-memory prefetch profitable, exactly as
-  /// on the paper's GPU.
-  ///
-  /// Writes: one transaction per unique (store instruction, execution
-  /// instance, wavefront, segment). Writes flow through write-combining
-  /// buffers that drain per store burst; partially-filled segments (e.g.
-  /// the strided stores of a column scheme) are not merged across
-  /// instructions, which is why column-shaped access patterns clash with
-  /// the memory layout (paper 6.4).
-  void noteGlobalAccess(unsigned Item, uint32_t OpId, unsigned Wavefront,
-                        const RtValue &P, bool IsRead) {
-    uint32_t Exec =
-        GlobalExec[static_cast<size_t>(Item) * NumGlobalOps + OpId]++;
-    uint64_t ByteAddr = static_cast<uint64_t>(P.Off) * 4;
-    uint64_t Segment = ByteAddr / Device.SegmentBytes;
-    uint64_t Key;
-    if (IsRead) {
-      assert(Wavefront < (1u << 8) && P.Base < (1u << 8) &&
-             Segment < (1ull << 40) && "read coalescing key overflow");
-      Key = (1ull << 63) | (static_cast<uint64_t>(Wavefront) << 48) |
-            (static_cast<uint64_t>(P.Base) << 40) | Segment;
-    } else {
-      assert(OpId < (1u << 6) && Exec < (1u << 14) &&
-             Wavefront < (1u << 8) && P.Base < (1u << 7) &&
-             Segment < (1ull << 28) && "write coalescing key overflow");
-      Key = (static_cast<uint64_t>(OpId) << 57) |
-            (static_cast<uint64_t>(Exec) << 43) |
-            (static_cast<uint64_t>(Wavefront) << 35) |
-            (static_cast<uint64_t>(P.Base) << 28) | Segment;
-    }
-    if (Segments.insert(Key).second) {
-      if (IsRead)
-        ++Group.GlobalReadTransactions;
-      else
-        ++Group.GlobalWriteTransactions;
-    }
-  }
-
-  /// Tracks, per (memOpId, execInstance, wavefront), how many lanes hit
-  /// each LDS bank; the per-group serialization factor is the max.
-  void noteLocalAccess(unsigned Item, uint32_t OpId, unsigned Wavefront,
-                       int32_t WordOff) {
-    uint32_t Exec =
-        LocalExec[static_cast<size_t>(Item) * NumLocalOps + OpId]++;
-    uint32_t Bank = static_cast<uint32_t>(WordOff) % Device.NumLocalBanks;
-    uint64_t GroupKey = (static_cast<uint64_t>(OpId) << 32) |
-                        (static_cast<uint64_t>(Exec) << 8) | Wavefront;
-    uint64_t BankKey = (GroupKey << 6) | Bank;
-    uint32_t Count = ++BankCounts[BankKey];
-    uint32_t &MaxCount = GroupMaxBank[GroupKey];
-    if (Count > MaxCount)
-      MaxCount = Count;
+  /// The next execution instance of \p Item of op \p OpId, in a table of
+  /// \p NumOps counters per item.
+  static uint32_t nextExec(std::vector<uint32_t> &Table, uint32_t NumOps,
+                           unsigned Item, uint32_t OpId) {
+    return Table[static_cast<size_t>(Item) * NumOps + OpId]++;
   }
 
   //===--- Members -----------------------------------------------------------//
@@ -861,7 +803,7 @@ private:
   uint32_t SharedSlots = 0;
   uint32_t LocalWords = 0;
   uint32_t PrivateWords = 0;
-  uint32_t NumGlobalOps = 0;
+  uint32_t NumGlobalStores = 0;
   uint32_t NumLocalOps = 0;
   std::vector<CInstr> Code;
   std::vector<uint32_t> BlockOfPc; ///< Block start index per code index.
@@ -875,14 +817,14 @@ private:
   std::vector<uint32_t> PrivArena;
   std::vector<uint32_t> LocalArena;
   std::vector<ItemState> States;
+  /// Per-item exec instance counters, [item*ops+op]; global reads need
+  /// none (their accounting key has no exec instance).
   std::vector<uint32_t> GlobalExec;
   std::vector<uint32_t> LocalExec;
-  std::unordered_set<uint64_t> Segments;
-  std::unordered_map<uint64_t, uint32_t> BankCounts;
-  std::unordered_map<uint64_t, uint32_t> GroupMaxBank;
 
   unsigned GroupX = 0, GroupY = 0;
   Counters Group;
+  MemAccounting Acct;
   std::optional<Error> Err;
 };
 

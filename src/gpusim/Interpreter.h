@@ -14,9 +14,10 @@
 ///  * Memory is split into private (per item), local (per group), and
 ///    global (host buffers) arenas; all accesses are bounds-checked.
 ///  * While executing, the interpreter accumulates the event counters of
-///    SimReport: coalesced global transactions are counted per wavefront
-///    and access instance over unique 64-byte segments; local accesses are
-///    grouped the same way and charged their bank-conflict factor.
+///    SimReport. Memory accesses go to the accounting engine both tiers
+///    share (gpusim/MemAccounting.h): coalesced global transactions per
+///    wavefront over unique segments, and local access groups charged
+///    their bank-conflict factor.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -88,8 +88,9 @@ TEST(GvnTest, LeaderReusedAcrossDominatedBlocks) {
   // DCE).
   for (BasicBlock *BB : {D.Then, D.Else, D.Join})
     for (const auto &I : BB->instructions())
-      if (I->opcode() == Opcode::Store)
+      if (I->opcode() == Opcode::Store) {
         EXPECT_EQ(I->operand(0), S1) << BB->name();
+      }
   // Idempotent: a second run finds nothing.
   EXPECT_EQ(runGvn(*D.F), 0u);
 }
@@ -228,8 +229,9 @@ TEST(GvnTest, ConstArgumentLoadsNumberAcrossBlocksAndBarriers) {
   // The gep pair and the load pair both fold.
   EXPECT_EQ(runGvn(*D.F), 2u);
   for (const auto &I : D.Then->instructions())
-    if (I->opcode() == Opcode::Store)
+    if (I->opcode() == Opcode::Store) {
       EXPECT_EQ(I->operand(0), L1);
+    }
 }
 
 TEST(GvnTest, MutableBufferLoadsAreNotNumbered) {
@@ -257,8 +259,9 @@ TEST(GvnTest, MutableBufferLoadsAreNotNumbered) {
     L2Survives |= I.get() == L2;
   EXPECT_TRUE(L2Survives);
   for (const auto &I : D.Then->instructions())
-    if (I->opcode() == Opcode::Store)
+    if (I->opcode() == Opcode::Store) {
       EXPECT_EQ(I->operand(0), L2);
+    }
 }
 
 TEST(GvnTest, PrivateAllocaLoads) {

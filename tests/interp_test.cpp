@@ -7,6 +7,9 @@
 // Executes small PCL kernels on the simulator and checks results, OpenCL
 // semantics (barriers, local memory, work-item queries), fault detection,
 // and the performance counters (coalescing, bank conflicts, cost model).
+// The counter cases run on both execution tiers: the tiers share one
+// memory-accounting engine, so these hand-computed counts, not a
+// comparison between the tiers, are what specifies it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +19,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
 
 using namespace kperf;
 using namespace kperf::sim;
@@ -52,6 +56,28 @@ protected:
   std::vector<BufferData> Buffers;
   DeviceConfig Device;
 };
+
+/// InterpTest whose run() executes on the tier the test is instantiated
+/// with.
+class InterpCounterTest : public InterpTest,
+                          public ::testing::WithParamInterface<ExecTier> {
+protected:
+  Expected<SimReport> run(ir::Function *F, Range2 Global, Range2 Local,
+                          const std::vector<KernelArg> &Args) {
+    std::vector<BufferData *> Bank;
+    for (BufferData &B : Buffers)
+      Bank.push_back(&B);
+    LaunchOptions Opts;
+    Opts.Tier = GetParam();
+    return launchKernel(*F, Global, Local, Args, Bank, Device, Opts);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Tiers, InterpCounterTest,
+                         ::testing::Values(ExecTier::Tree, ExecTier::Batched),
+                         [](const ::testing::TestParamInfo<ExecTier> &Info) {
+                           return std::string(execTierName(Info.param));
+                         });
 
 //===----------------------------------------------------------------------===//
 // Basic execution and arithmetic
@@ -418,7 +444,7 @@ TEST_F(InterpTest, LocalMemoryOversubscriptionRejected) {
 // Performance counters: coalescing
 //===----------------------------------------------------------------------===//
 
-TEST_F(InterpTest, CoalescedReadCountsOneSegmentPer16Lanes) {
+TEST_P(InterpCounterTest, CoalescedReadCountsOneSegmentPer16Lanes) {
   // 64 items reading 64 consecutive floats = 256 B = 4 segments of 64 B.
   ir::Function *F = compile(
       "kernel void f(global const float* in, global float* out) {"
@@ -437,7 +463,7 @@ TEST_F(InterpTest, CoalescedReadCountsOneSegmentPer16Lanes) {
   EXPECT_EQ(R.Totals.GlobalWrites, 64u);
 }
 
-TEST_F(InterpTest, StridedReadTouchesMoreSegments) {
+TEST_P(InterpCounterTest, StridedReadTouchesMoreSegments) {
   // Stride-16 reads: each lane hits its own segment.
   ir::Function *F = compile(
       "kernel void f(global const float* in, global float* out) {"
@@ -453,7 +479,7 @@ TEST_F(InterpTest, StridedReadTouchesMoreSegments) {
   EXPECT_EQ(R.Totals.GlobalReadTransactions, 64u);
 }
 
-TEST_F(InterpTest, RepeatedReadHitsWavefrontL1) {
+TEST_P(InterpCounterTest, RepeatedReadHitsWavefrontL1) {
   // The same segment read twice by one wavefront costs one transaction.
   ir::Function *F = compile(
       "kernel void f(global const float* in, global float* out) {"
@@ -470,7 +496,7 @@ TEST_F(InterpTest, RepeatedReadHitsWavefrontL1) {
   EXPECT_EQ(R.Totals.GlobalReads, 128u);
 }
 
-TEST_F(InterpTest, RepeatedWriteIsNotMerged) {
+TEST_P(InterpCounterTest, RepeatedWriteIsNotMerged) {
   // Writes flow through per-instruction write combining: two stores to
   // the same segment are two transactions.
   ir::Function *F = compile(
@@ -486,7 +512,7 @@ TEST_F(InterpTest, RepeatedWriteIsNotMerged) {
   EXPECT_EQ(R.Totals.GlobalWriteTransactions, 8u);
 }
 
-TEST_F(InterpTest, NarrowWorkGroupCoalescesWorse) {
+TEST_P(InterpCounterTest, NarrowWorkGroupCoalescesWorse) {
   // Same NDRange, two shapes: (16,16) rows coalesce; (2,128) do not.
   ir::Function *F = compile(
       "kernel void f(global const float* in, global float* out, int w) {"
@@ -510,7 +536,7 @@ TEST_F(InterpTest, NarrowWorkGroupCoalescesWorse) {
 // Performance counters: local memory and cost model
 //===----------------------------------------------------------------------===//
 
-TEST_F(InterpTest, LocalAccessesCounted) {
+TEST_P(InterpCounterTest, LocalAccessesCounted) {
   ir::Function *F = compile(
       "kernel void f(global int* out) {"
       "  local int t[64];"
@@ -530,7 +556,7 @@ TEST_F(InterpTest, LocalAccessesCounted) {
   EXPECT_EQ(R.Totals.BankConflictExtra, 2u);
 }
 
-TEST_F(InterpTest, BankConflictFactorCounted) {
+TEST_P(InterpCounterTest, BankConflictFactorCounted) {
   // Stride-32 local access: all 64 lanes hit bank 0 -> factor 64.
   ir::Function *F = compile(
       "kernel void f(global int* out) {"
@@ -547,6 +573,132 @@ TEST_F(InterpTest, BankConflictFactorCounted) {
   // Two groups, each fully serialized: extra = 63 each.
   EXPECT_EQ(R.Totals.LocalWavefrontOps, 2u);
   EXPECT_EQ(R.Totals.BankConflictExtra, 126u);
+}
+
+TEST_P(InterpCounterTest, SegmentSizeNotAPowerOfTwo) {
+  // 48-byte segments hold 12 words: 64 consecutive floats span segments
+  // 0..5 (word 63 is in segment 5).
+  Device.SegmentBytes = 48;
+  ir::Function *F = compile(
+      "kernel void f(global const float* in, global float* out) {"
+      "  int x = get_global_id(0);"
+      "  out[x] = in[x];"
+      "}",
+      "f");
+  unsigned In = makeBuffer(64);
+  unsigned Out = makeBuffer(64);
+  SimReport R = cantFail(
+      run(F, {64, 1}, {64, 1},
+          {KernelArg::makeBuffer(In), KernelArg::makeBuffer(Out)}));
+  EXPECT_EQ(R.Totals.GlobalReadTransactions, 6u);
+  EXPECT_EQ(R.Totals.GlobalWriteTransactions, 6u);
+}
+
+TEST_P(InterpCounterTest, BankCountNotAPowerOfTwo) {
+  // 24 banks: 64 lanes at stride 1 put 3 lanes on banks 0..15 and 2 on
+  // banks 16..23, so each access group serializes by 3 (extra 2).
+  Device.NumLocalBanks = 24;
+  ir::Function *F = compile(
+      "kernel void f(global int* out) {"
+      "  local int t[64];"
+      "  int l = get_local_id(0);"
+      "  t[l] = l;"
+      "  barrier();"
+      "  out[l] = t[l];"
+      "}",
+      "f");
+  unsigned Out = makeBuffer(64);
+  SimReport R =
+      cantFail(run(F, {64, 1}, {64, 1}, {KernelArg::makeBuffer(Out)}));
+  EXPECT_EQ(R.Totals.LocalWavefrontOps, 2u);
+  EXPECT_EQ(R.Totals.BankConflictExtra, 4u);
+}
+
+TEST_P(InterpCounterTest, CountsDoNotLeakAcrossWorkGroups) {
+  // Both groups read in[0..63] and write out[0..63]: the second group
+  // must pay for the same segments and access groups again.
+  ir::Function *F = compile(
+      "kernel void f(global const float* in, global float* out) {"
+      "  local float t[64];"
+      "  int l = get_local_id(0);"
+      "  t[l] = in[l];"
+      "  barrier();"
+      "  out[l] = t[63 - l];"
+      "}",
+      "f");
+  unsigned In = makeBuffer(64);
+  unsigned Out = makeBuffer(64);
+  SimReport R = cantFail(
+      run(F, {128, 1}, {64, 1},
+          {KernelArg::makeBuffer(In), KernelArg::makeBuffer(Out)}));
+  EXPECT_EQ(R.Totals.WorkGroups, 2u);
+  EXPECT_EQ(R.Totals.GlobalReadTransactions, 2 * 4u);
+  EXPECT_EQ(R.Totals.GlobalWriteTransactions, 2 * 4u);
+  // Per group: one store and one load access group, each 64 lanes over
+  // 32 banks (factor 2, extra 1).
+  EXPECT_EQ(R.Totals.LocalWavefrontOps, 2 * 2u);
+  EXPECT_EQ(R.Totals.BankConflictExtra, 2 * 2u);
+}
+
+TEST_P(InterpCounterTest, LocalAccessRepeatedPastInitialExecCapacity) {
+  // The even lanes run the loop, so its accesses are a partial wavefront
+  // at exec instances 0..9 of each op: every (op, exec) is its own
+  // access group, with lanes l and l+32 sharing a bank (factor 2).
+  ir::Function *F = compile(
+      "kernel void f(global float* out) {"
+      "  local float t[64];"
+      "  int l = get_local_id(0);"
+      "  t[l] = 0.0;"
+      "  if (l % 2 == 0) {"
+      "    for (int i = 0; i < 10; i++) { t[l] = t[l] + 1.0; }"
+      "  }"
+      "  out[l] = t[l];"
+      "}",
+      "f");
+  unsigned Out = makeBuffer(64);
+  SimReport R =
+      cantFail(run(F, {64, 1}, {64, 1}, {KernelArg::makeBuffer(Out)}));
+  std::vector<float> Result = Buffers[Out].downloadFloats();
+  EXPECT_FLOAT_EQ(Result[0], 10.0f);
+  EXPECT_FLOAT_EQ(Result[1], 0.0f);
+  EXPECT_EQ(R.Totals.LocalAccesses, 64u + 10 * 2 * 32u + 64u);
+  EXPECT_EQ(R.Totals.LocalWavefrontOps, 1u + 10 * 2u + 1u);
+  EXPECT_EQ(R.Totals.BankConflictExtra, 1u + 10 * 2u + 1u);
+}
+
+TEST_P(InterpCounterTest, WriteCoalescingExactPastBufferIndex127) {
+  // All 256 items store to out[0]: one transaction per wavefront of 64,
+  // whatever the buffer's index in the bank.
+  ir::Function *F = compile("kernel void f(global float* out) {"
+                            "  out[0] = 1.0;"
+                            "}",
+                            "f");
+  for (int I = 0; I < 130; ++I)
+    makeBuffer(1);
+  unsigned Out = makeBuffer(1);
+  ASSERT_EQ(Out, 130u);
+  SimReport R =
+      cantFail(run(F, {256, 1}, {256, 1}, {KernelArg::makeBuffer(Out)}));
+  EXPECT_EQ(R.Totals.GlobalWriteTransactions, 4u);
+}
+
+TEST_P(InterpCounterTest, ReadCoalescingExactPastBufferIndex255) {
+  // All 256 items read in[0]: one transaction per wavefront of 64.
+  ir::Function *F = compile(
+      "kernel void f(global const float* in, global float* out) {"
+      "  out[get_global_id(0)] = in[0];"
+      "}",
+      "f");
+  unsigned Out = makeBuffer(256);
+  for (int I = 0; I < 255; ++I)
+    makeBuffer(1);
+  unsigned In = makeBuffer(1);
+  ASSERT_EQ(In, 256u);
+  SimReport R = cantFail(
+      run(F, {256, 1}, {256, 1},
+          {KernelArg::makeBuffer(In), KernelArg::makeBuffer(Out)}));
+  EXPECT_EQ(R.Totals.GlobalReadTransactions, 4u);
+  EXPECT_EQ(R.Totals.GlobalWriteTransactions, 16u);
 }
 
 TEST_F(InterpTest, CostModelMemoryBoundMax) {

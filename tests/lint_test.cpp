@@ -176,8 +176,9 @@ TEST(RangeAnalysisTest, OverflowCollapsesToFullRange) {
   // The clamp restores an informative range.
   for (const auto &BB : F->blocks())
     for (const auto &I : BB->instructions())
-      if (I->opcode() == Opcode::Call && I->callee() == Builtin::Clamp)
+      if (I->opcode() == Opcode::Call && I->callee() == Builtin::Clamp) {
         EXPECT_EQ(RA.rangeOf(I.get()), Interval::make(0, 63));
+      }
 }
 
 //===----------------------------------------------------------------------===//

@@ -190,8 +190,9 @@ kernel void k(global const float* in, global float* out, int w) {
   EXPECT_EQ(countPrivateAllocas(*F), 1u); // ...but the array stays.
   for (const auto &BB : F->blocks())
     for (const auto &I : BB->instructions())
-      if (I->opcode() == Opcode::Alloca)
+      if (I->opcode() == Opcode::Alloca) {
         EXPECT_EQ(I->allocaCount(), 3u);
+      }
 }
 
 TEST(Mem2RegTest, LocalAllocaStays) {
@@ -398,8 +399,9 @@ kernel void k(global const float* in, global float* out, int w) {
         for (unsigned OI = 0; OI < I->numIncoming(); ++OI) {
           EXPECT_EQ(I->incomingBlock(OI)->parent(), Copy);
           if (const auto *Op =
-                  dyn_cast<Instruction>(I->incomingValue(OI)))
+                  dyn_cast<Instruction>(I->incomingValue(OI))) {
             EXPECT_EQ(Op->parent()->parent(), Copy);
+          }
         }
 }
 

@@ -89,8 +89,9 @@ TEST_F(MemOptTest, ForwardsPrivateScalarRoundTrip) {
   // The store's value now feeds the keep() store directly.
   for (const auto &I : Entry->instructions())
     if (I->opcode() == Opcode::Store &&
-        rootIsArgument(I->operand(1)))
+        rootIsArgument(I->operand(1))) {
       EXPECT_EQ(I->operand(0), V);
+    }
   eliminateDeadCode(*F);
   EXPECT_EQ(countOpcode(*F, Opcode::Load), 0u);
 }

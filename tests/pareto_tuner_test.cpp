@@ -20,6 +20,14 @@ namespace {
 
 TradeoffPoint pt(const char *L, double S, double E) { return {L, S, E}; }
 
+/// A measurement of no transform (empty pass stats).
+Measurement measured(double Speedup, double Error) {
+  Measurement M;
+  M.Speedup = Speedup;
+  M.Error = Error;
+  return M;
+}
+
 //===----------------------------------------------------------------------===//
 // Dominance and fronts
 //===----------------------------------------------------------------------===//
@@ -133,7 +141,7 @@ TEST(TunerTest, ExhaustiveKeepsInfeasible) {
       Space, [](const TunerConfig &C) -> Expected<Measurement> {
         if (C.TileX == 999)
           return makeError("infeasible by construction");
-        return Measurement{2.0, 0.01};
+        return measured(2.0, 0.01);
       });
   ASSERT_EQ(Results.size(), 3u);
   EXPECT_TRUE(Results[0].Feasible);
@@ -145,20 +153,20 @@ TEST(TunerTest, ExhaustiveKeepsInfeasible) {
 TEST(TunerTest, BudgetSelectionPicksFastestWithin) {
   std::vector<TunerResult> Results(4);
   Results[0].Feasible = true;
-  Results[0].M = {3.0, 0.20}; // Too inaccurate.
+  Results[0].M = measured(3.0, 0.20); // Too inaccurate.
   Results[1].Feasible = true;
-  Results[1].M = {1.5, 0.01};
+  Results[1].M = measured(1.5, 0.01);
   Results[2].Feasible = true;
-  Results[2].M = {2.0, 0.04}; // Fastest within budget.
+  Results[2].M = measured(2.0, 0.04); // Fastest within budget.
   Results[3].Feasible = false;
-  Results[3].M = {9.0, 0.0}; // Infeasible: ignored.
+  Results[3].M = measured(9.0, 0.0); // Infeasible: ignored.
   EXPECT_EQ(bestWithinErrorBudget(Results, 0.05), 2u);
 }
 
 TEST(TunerTest, BudgetSelectionNoneQualifies) {
   std::vector<TunerResult> Results(1);
   Results[0].Feasible = true;
-  Results[0].M = {2.0, 0.5};
+  Results[0].M = measured(2.0, 0.5);
   EXPECT_EQ(bestWithinErrorBudget(Results, 0.01), ~size_t(0));
 }
 
@@ -167,16 +175,16 @@ TEST(TunerTest, BudgetSelectionRejectsNonFiniteError) {
   // any budget; it must be treated as infeasible, not crowned fastest.
   std::vector<TunerResult> Results(3);
   Results[0].Feasible = true;
-  Results[0].M = {9.0, std::nan("")};
+  Results[0].M = measured(9.0, std::nan(""));
   Results[1].Feasible = true;
-  Results[1].M = {2.0, 0.02};
+  Results[1].M = measured(2.0, 0.02);
   Results[2].Feasible = true;
-  Results[2].M = {8.0, std::numeric_limits<double>::infinity()};
+  Results[2].M = measured(8.0, std::numeric_limits<double>::infinity());
   EXPECT_EQ(bestWithinErrorBudget(Results, 0.05), 1u);
   // All degenerate: nothing qualifies.
   std::vector<TunerResult> AllNaN(1);
   AllNaN[0].Feasible = true;
-  AllNaN[0].M = {9.0, std::nan("")};
+  AllNaN[0].M = measured(9.0, std::nan(""));
   EXPECT_EQ(bestWithinErrorBudget(AllNaN, 0.05), ~size_t(0));
 }
 
@@ -186,16 +194,16 @@ TEST(TunerTest, BudgetSelectionBreaksSpeedupTiesTowardLowerError) {
   // one that also loses less accuracy must win regardless of order.
   std::vector<TunerResult> Results(4);
   Results[0].Feasible = true;
-  Results[0].M = {4.0, 0.030};
+  Results[0].M = measured(4.0, 0.030);
   Results[1].Feasible = true;
-  Results[1].M = {4.0, 0.025}; // Same speed, lower error: the winner.
+  Results[1].M = measured(4.0, 0.025); // Same speed, lower error: the winner.
   Results[2].Feasible = true;
-  Results[2].M = {4.0, 0.028};
+  Results[2].M = measured(4.0, 0.028);
   Results[3].Feasible = true;
-  Results[3].M = {3.5, 0.001}; // Slower never beats faster on a tie.
+  Results[3].M = measured(3.5, 0.001); // Slower never beats faster on a tie.
   EXPECT_EQ(bestWithinErrorBudget(Results, 0.05), 1u);
   // A strictly faster config still wins even with the worst error.
-  Results[2].M = {4.5, 0.049};
+  Results[2].M = measured(4.5, 0.049);
   EXPECT_EQ(bestWithinErrorBudget(Results, 0.05), 2u);
 }
 
@@ -240,7 +248,7 @@ TEST(TunerTest, JointPipelineSpecSplicing) {
 TEST(TunerTest, ToTradeoffPointsSkipsInfeasible) {
   std::vector<TunerResult> Results(2);
   Results[0].Feasible = true;
-  Results[0].M = {2.0, 0.1};
+  Results[0].M = measured(2.0, 0.1);
   Results[1].Feasible = false;
   EXPECT_EQ(toTradeoffPoints(Results).size(), 1u);
 }

@@ -102,9 +102,10 @@ TEST_F(SroaTest, SplitsConstIndexedPrivateArray) {
   EXPECT_EQ(countAllocas(*F, AddressSpace::Private), 3u);
   for (const auto &BB : F->blocks())
     for (const auto &I : BB->instructions())
-      if (I->opcode() == Opcode::Gep)
+      if (I->opcode() == Opcode::Gep) {
         EXPECT_NE(I->operand(0)->type().addressSpace(),
                   AddressSpace::Private);
+      }
 
   // mem2reg then finishes the job: zero private allocas.
   AnalysisManager AM;

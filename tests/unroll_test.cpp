@@ -197,10 +197,11 @@ TEST(UnrollTest, PostUnrollPipelineFoldsInductionArithmetic) {
   for (const auto &BB : Unrolled.F->blocks())
     for (const auto &I : BB->instructions()) {
       EXPECT_NE(I->opcode(), Opcode::CmpLt); // The trip test is gone.
-      if (I->opcode() == Opcode::Add || I->opcode() == Opcode::Mul)
+      if (I->opcode() == Opcode::Add || I->opcode() == Opcode::Mul) {
         EXPECT_FALSE(isa<ConstantInt>(I->operand(0)) &&
                      isa<ConstantInt>(I->operand(1)))
             << "unfolded constant arithmetic survived";
+      }
     }
   uint64_t RolledAlu = 0, UnrolledAlu = 0;
   {

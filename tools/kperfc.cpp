@@ -258,23 +258,20 @@ Expected<Options> parseArgs(int Argc, char **Argv) {
       auto V = next();
       if (!V)
         return V.takeError();
-      int N = std::atoi(V->c_str());
-      if (N <= 0 || N % 128 != 0)
+      unsigned N = 0;
+      if (!parseUnsigned(*V, N) || N == 0 || N % 128 != 0)
         return makeError("bad --size value '%s' (expected a positive "
                          "multiple of 128)",
                          V->c_str());
-      O.Size = static_cast<unsigned>(N);
+      O.Size = N;
     } else if (A == "--jobs") {
       auto V = next();
       if (!V)
         return V.takeError();
-      char *End = nullptr;
-      long N = std::strtol(V->c_str(), &End, 10);
-      if (End == V->c_str() || *End != '\0' || N < 0)
+      if (!parseUnsigned(*V, O.Jobs))
         return makeError("bad --jobs value '%s' (expected a non-negative "
                          "integer; 0 = hardware threads)",
                          V->c_str());
-      O.Jobs = static_cast<unsigned>(N);
     } else if (A == "--exec-tier") {
       auto V = next();
       if (!V)
