@@ -380,11 +380,40 @@ Variant Session::accurate(const Kernel &K, sim::Range2 Local) const {
   return V;
 }
 
+/// Refuses one buffer bound to both a const and a writable pointer
+/// parameter of \p F. The memory-SSA passes assume nothing writes a const
+/// buffer during a launch (ir/MemorySSA.h), so an optimized kernel may
+/// read such a buffer once where the kernel as written reads it again
+/// after a store. Binding one buffer to several const parameters is fine.
+static Error checkConstBuffersUnwritten(
+    const ir::Function &F, const std::vector<sim::KernelArg> &Args) {
+  auto bufferParam = [&](unsigned I) {
+    return I < Args.size() && F.argument(I)->type().isPointer() &&
+           Args[I].K == sim::KernelArg::Kind::Buffer;
+  };
+  for (unsigned C = 0; C < F.numArguments(); ++C) {
+    if (!bufferParam(C) || !F.argument(C)->isConst())
+      continue;
+    for (unsigned W = 0; W < F.numArguments(); ++W)
+      if (bufferParam(W) && !F.argument(W)->isConst() &&
+          Args[W].BufferIndex == Args[C].BufferIndex)
+        return makeError("launch: kernel '%s' binds buffer %u to both the "
+                         "const parameter '%s' and the writable parameter "
+                         "'%s'",
+                         F.name().c_str(), Args[C].BufferIndex,
+                         F.argument(C)->name().c_str(),
+                         F.argument(W)->name().c_str());
+  }
+  return Error::success();
+}
+
 Expected<sim::SimReport>
 Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,
                 const std::vector<sim::KernelArg> &Args) {
   assert(K.F && "launch of null kernel");
   const ir::Function &Run = K.Launch ? *K.Launch : *K.F;
+  if (Error E = checkConstBuffersUnwritten(Run, Args))
+    return E;
   // Snapshot stable buffer addresses, then run without any session lock:
   // concurrent workers each drive their own interpreter instance over a
   // kernel (and program) the session never frees before it dies.

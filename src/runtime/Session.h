@@ -318,7 +318,9 @@ public:
   /// Raw launch of \p K over \p Global items in groups of \p Local. Runs
   /// K.Launch if the handle has one and K.F otherwise; both live as long
   /// as the Session. Takes no compile lock, so launches proceed while
-  /// other threads compile through this session.
+  /// other threads compile through this session. Fails if one buffer is
+  /// bound to both a const and a writable pointer parameter: optimized
+  /// kernels assume nothing writes a const buffer during a launch.
   Expected<sim::SimReport> launch(const Kernel &K, sim::Range2 Global,
                                   sim::Range2 Local,
                                   const std::vector<sim::KernelArg> &Args);

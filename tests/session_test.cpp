@@ -173,6 +173,49 @@ TEST(SessionTest, LaunchesRunTheOptimizedCopy) {
   EXPECT_LT(Copy.Totals.AluOps, Exact.Totals.AluOps);
 }
 
+TEST(SessionTest, LaunchRefusesOneBufferAsConstAndWritableArgument) {
+  // The passes behind the launch copy assume nothing writes a const
+  // buffer during a launch, so the copy reads in[x] once. Bound to one
+  // buffer of 5.0 as both 'in' and 'out', the kernel as written would
+  // store 7 and the copy 6: the launch refuses the binding instead.
+  const char *TwiceSource = R"(
+kernel void twice(global const float* in, global float* out) {
+  int x = get_global_id(0);
+  float a = in[x];
+  out[x] = a + 1.0;
+  float b = in[x];
+  out[x] = b + 1.0;
+}
+)";
+  Session S;
+  Kernel K = cantFail(S.compile(TwiceSource, "twice"));
+  unsigned Buf = S.createBufferFrom(std::vector<float>(16, 5.0f));
+  for (const Kernel &Handle : {K, Kernel{K.F}}) {
+    Expected<sim::SimReport> R =
+        S.launch(Handle, {16, 1}, {16, 1},
+                 {arg::buffer(Buf), arg::buffer(Buf)});
+    ASSERT_FALSE(static_cast<bool>(R));
+    const std::string &Message = R.error().message();
+    EXPECT_NE(Message.find("'in'"), std::string::npos) << Message;
+    EXPECT_NE(Message.find("'out'"), std::string::npos) << Message;
+  }
+  EXPECT_FLOAT_EQ(S.buffer(Buf).floatAt(0), 5.0f);
+
+  // One buffer behind two const parameters stays legal.
+  const char *SumSource = R"(
+kernel void sum(global const float* a, global const float* b,
+                global float* out) {
+  int x = get_global_id(0);
+  out[x] = a[x] + b[x];
+}
+)";
+  Kernel Sum = cantFail(S.compile(SumSource, "sum"));
+  unsigned Out = S.createBuffer(16);
+  cantFail(S.launch(Sum, {16, 1}, {16, 1},
+                    {arg::buffer(Buf), arg::buffer(Buf), arg::buffer(Out)}));
+  EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 10.0f);
+}
+
 TEST(SessionTest, CachedVariantOutputMatchesFreshSession) {
   // A real app kernel: gaussian, Rows1:LI at 16x16. The cached variant's
   // output must be byte-identical to both a repeated (cache-hit) run in
