@@ -20,7 +20,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
-#include "ir/PassManager.h"
 
 #include <chrono>
 #include <cstdio>
@@ -122,7 +121,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "unknown app '%s'\n", Name);
       return 1;
     }
-    A->setPipelineSpec(ir::defaultPipelineSpec());
     Workload W = benchWorkload(*A, Size);
 
     rt::Session S;

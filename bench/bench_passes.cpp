@@ -27,7 +27,7 @@
 //
 //   none          ""
 //   simplify+DCE  fixpoint(simplify,dce)
-//   full          fixpoint(simplify,cse,memopt-forward,licm,memopt-dse,dce)
+//   full          fixpoint(simplify,memopt-forward,licm,memopt-dse,dce)
 //   +mem2reg      mem2reg ahead of the full fixpoint group
 //   +unroll+gvn   mem2reg,unroll,fixpoint(...,gvn,...)
 //   +sroa         the default: sroa + in-fixpoint mem2reg on top, with
@@ -160,11 +160,11 @@ int main(int Argc, char **Argv) {
   // + cross-block GVN ("+unroll+gvn"), and the current default with SROA
   // + memory-SSA-widened gvn/licm/memopt-dse ("+sroa").
   const char *FullNoMem2Reg =
-      "fixpoint(simplify,cse,memopt-forward,licm,memopt-dse,dce)";
+      "fixpoint(simplify,memopt-forward,licm,memopt-dse,dce)";
   const char *Mem2RegOnly =
-      "mem2reg,fixpoint(simplify,cse,memopt-forward,licm,memopt-dse,dce)";
+      "mem2reg,fixpoint(simplify,memopt-forward,licm,memopt-dse,dce)";
   const char *UnrollGvn =
-      "mem2reg,unroll,fixpoint(simplify,gvn,cse,memopt-forward,licm,"
+      "mem2reg,unroll,fixpoint(simplify,gvn,memopt-forward,licm,"
       "memopt-dse,dce)";
 
   std::printf("=== Pass ablation: Rows1:LI perforated kernels, %ux%u "

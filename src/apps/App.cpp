@@ -12,12 +12,9 @@
 using namespace kperf;
 using namespace kperf::apps;
 
-App::App(std::string Name, std::string Domain, bool UseMre,
-         std::string DefaultPipelineSpec)
+App::App(std::string Name, std::string Domain, bool UseMre)
     : Name(std::move(Name)), Domain(std::move(Domain)), UseMre(UseMre),
-      PipelineSpec(DefaultPipelineSpec.empty()
-                       ? ir::defaultPipelineSpec()
-                       : std::move(DefaultPipelineSpec)) {}
+      PipelineSpec(ir::defaultPipelineSpec()) {}
 
 App::~App() = default;
 
@@ -96,26 +93,15 @@ void accumulate(sim::SimReport &Total, const sim::SimReport &Step) {
   Total.EnergyMJ += Step.EnergyMJ;
 }
 
-/// The mem2reg-less cleanup pipeline: the default spec minus SSA
-/// promotion (and minus unroll, which without promoted induction phis
-/// would find nothing to do). gvn stays: it needs only dominators, and
-/// it merges the address arithmetic the perforation transform clones
-/// across blocks even in alloca form.
-const char *fixpointOnlySpec() {
-  return "fixpoint(simplify,gvn,cse,memopt-forward,licm,memopt-dse,dce)";
-}
-
 /// Image applications: signature kernel(in, out, w, h).
 class ImageApp : public App {
 public:
   using ReferenceFn = img::Image (*)(const img::Image &);
 
   ImageApp(std::string Name, std::string Domain, bool UseMre,
-           const char *Source, ReferenceFn Ref, bool BaselineLocal,
-           std::string DefaultPipelineSpec = "")
-      : App(std::move(Name), std::move(Domain), UseMre,
-            std::move(DefaultPipelineSpec)),
-        Source(Source), Ref(Ref), BaselineLocal(BaselineLocal) {}
+           const char *Source, ReferenceFn Ref, bool BaselineLocal)
+      : App(std::move(Name), std::move(Domain), UseMre), Source(Source),
+        Ref(Ref), BaselineLocal(BaselineLocal) {}
 
   const char *source() const override { return Source; }
   const char *kernelName() const override { return name().c_str(); }
@@ -376,14 +362,9 @@ std::unique_ptr<App> apps::makeApp(const std::string &Name) {
         "gaussian", "Image processing", /*UseMre=*/true, gaussianSource(),
         &referenceGaussian, /*BaselineLocal=*/true);
   if (Name == "inversion")
-    // Tuned default: skip mem2reg. bench_passes shows the promoted
-    // pipeline matches the plain fixpoint pipeline in modeled time and
-    // energy on inversion (the kernel carries no loop-carried scalars
-    // worth promoting), so SSA promotion is pure compile-time here.
     return std::make_unique<ImageApp>(
         "inversion", "Image processing", /*UseMre=*/true,
-        inversionSource(), &referenceInversion, /*BaselineLocal=*/false,
-        fixpointOnlySpec());
+        inversionSource(), &referenceInversion, /*BaselineLocal=*/false);
   if (Name == "median")
     return std::make_unique<ImageApp>(
         "median", "Medical imaging", /*UseMre=*/true, medianSource(),

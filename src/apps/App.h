@@ -60,10 +60,7 @@ struct RunOutcome {
 /// Base class of the six applications.
 class App {
 public:
-  /// \p DefaultPipelineSpec overrides the library default cleanup
-  /// pipeline for this app's generated variants ("" = library default).
-  App(std::string Name, std::string Domain, bool UseMre,
-      std::string DefaultPipelineSpec = "");
+  App(std::string Name, std::string Domain, bool UseMre);
   virtual ~App();
   App(const App &) = delete;
   App &operator=(const App &) = delete;
@@ -91,8 +88,8 @@ public:
 
   /// Cleanup pipeline used when building perforated and
   /// output-approximated variants -- part of every variant's cache key.
-  /// Defaults to the app's tuned default spec; bench_passes overrides it
-  /// for pipeline ablation.
+  /// Defaults to ir::defaultPipelineSpec(); the pipeline ablations, the
+  /// loop-perforation bench and the pipeline oracle set other specs.
   const std::string &pipelineSpec() const { return PipelineSpec; }
   void setPipelineSpec(std::string Spec) {
     PipelineSpec = std::move(Spec);

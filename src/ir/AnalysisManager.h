@@ -23,7 +23,7 @@
 /// Invalidation is explicit: after a pass mutates a function, the pass
 /// manager calls invalidate(F, CFGPreserved). CFG-level analyses (the
 /// DominatorTree, frontiers and LoopInfo) survive mutations that keep the
-/// block set and branch edges intact (CSE, MemOpt, DCE, LICM); MemorySSA,
+/// block set and branch edges intact (GVN, MemOpt, DCE, LICM); MemorySSA,
 /// the range and divergence analyses and everything in the
 /// generic cache are instruction-sensitive and dropped on any mutation.
 ///

@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cross-block value numbering over SSA, the dominator-tree-scoped
-/// counterpart of the block-local CSE pass. Pure expressions are
-/// hash-consed into leader tables that follow a preorder walk of the
-/// dominator tree: an expression computed in a dominating block is the
-/// leader for every recomputation below it, so address arithmetic that
-/// the perforation transform clones into the loader, the reconstruction,
-/// and the rewritten body collapses to one computation per dominance
-/// region.
+/// Value numbering over SSA, scoped by the dominator tree: the one pass
+/// that merges recomputations, within a block and across blocks alike.
+/// Pure expressions are hash-consed into leader tables that follow a
+/// preorder walk of the dominator tree: an expression computed in a
+/// dominating block is the leader for every recomputation after it there
+/// and in every block below it, so address arithmetic that the
+/// perforation transform clones into the loader, the reconstruction, and
+/// the rewritten body collapses to one computation per dominance region.
 ///
 /// Phi-aware: two phis at the head of the same block whose incoming
 /// values match per predecessor are merged. Loads are numbered over

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Predicates shared by the value-numbering and memory passes (CSE, GVN,
+/// Predicates shared by the value-numbering and memory passes (GVN,
 /// MemOpt). They live in one place so the passes cannot drift apart on
 /// what counts as pure or commutative: a new opcode or builtin is
 /// classified here, once. The integer evaluation helpers below are
@@ -164,8 +164,7 @@ inline int32_t wrapIntRem(int32_t L, int32_t R) {
 
 /// Deterministic operand ordering for commutative keys: values are
 /// ranked in first-encounter order, never by pointer value (which would
-/// make the canonical form run-dependent). Shared by CSE and GVN so the
-/// two value-numbering passes agree on canonical commutative form.
+/// make the canonical form run-dependent).
 class ValueOrder {
 public:
   unsigned rank(const Value *V) {

@@ -27,9 +27,8 @@
 /// constant, loop-carried phis threaded through the copies, and a final
 /// header copy computing the loop-exit values. Afterwards straight-line
 /// block chains are merged, so a fully unrolled loop nest becomes one
-/// block that the block-local passes (CSE, store forwarding, DSE) can
-/// see whole, and simplify/GVN fold the now-constant induction
-/// arithmetic.
+/// block that the block-local passes (store forwarding, DSE) can see
+/// whole, and simplify/GVN fold the now-constant induction arithmetic.
 ///
 /// Runs until no more loops qualify, so inner window loops unroll first
 /// and the enclosing loop -- now straight-line -- unrolls next.

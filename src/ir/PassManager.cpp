@@ -6,7 +6,6 @@
 
 #include "ir/PassManager.h"
 
-#include "ir/CSE.h"
 #include "ir/DCE.h"
 #include "ir/GVN.h"
 #include "ir/LICM.h"
@@ -44,16 +43,6 @@ public:
   unsigned run(Function &F, Module &M, AnalysisManager &) override {
     return simplifyFunction(F, M);
   }
-};
-
-/// Local value numbering; redirects uses, never touches terminators.
-class CSEPass : public FunctionPass {
-public:
-  const char *name() const override { return "cse"; }
-  unsigned run(Function &F, Module &, AnalysisManager &) override {
-    return eliminateCommonSubexpressions(F);
-  }
-  bool preservesCFG() const override { return true; }
 };
 
 /// Store-to-load forwarding half of MemOpt.
@@ -183,7 +172,6 @@ PassRegistry &PassRegistry::instance() {
     auto *Reg = new PassRegistry();
     Reg->registerPass("simplify",
                       [] { return std::make_unique<SimplifyPass>(); });
-    Reg->registerPass("cse", [] { return std::make_unique<CSEPass>(); });
     Reg->registerPass("memopt-forward", [] {
       return std::make_unique<MemOptForwardPass>();
     });
@@ -664,9 +652,9 @@ const char *ir::defaultPipelineSpec() {
   // perforation expose, and the memory cleanups iterate over IR that
   // carries almost no private traffic (memopt survives for what
   // promotion must skip: runtime-indexed arrays and local tiles).
-  // Forwarding runs after cse so duplicate GEPs have been merged and
+  // Forwarding runs after gvn so duplicate GEPs have been merged and
   // pointer identity finds every same-address pair; DSE runs after licm.
-  return "mem2reg,unroll,fixpoint(simplify,sroa,mem2reg,gvn,cse,"
+  return "mem2reg,unroll,fixpoint(simplify,sroa,mem2reg,gvn,"
          "memopt-forward,licm,memopt-dse,dce)";
 }
 

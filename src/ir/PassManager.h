@@ -11,13 +11,13 @@
 ///  * FunctionPass -- the pass interface: run on one function, report how
 ///    many changes were made, declare whether the CFG survived;
 ///  * PassRegistry -- maps textual names ("mem2reg", "sroa", "simplify",
-///    "cse", "memopt-forward", "memopt-dse", "licm", "gvn", "unroll",
+///    "memopt-forward", "memopt-dse", "licm", "gvn", "unroll",
 ///    "perforate-loop", "dce") to pass factories; passes taking an
 ///    integer knob (unroll's IR-size budget, perforate-loop's stride)
 ///    register a parameterized factory with a default;
 ///  * PassPipeline -- a parsed pipeline specification such as
 ///
-///      mem2reg,unroll,fixpoint(simplify,gvn,cse,dce)
+///      mem2reg,unroll,fixpoint(simplify,gvn,dce)
 ///
 ///    where a bare name runs a pass once, name(N) runs a parameterized
 ///    pass with knob N (e.g. unroll(512)), and fixpoint(...) repeats its
@@ -161,7 +161,7 @@ struct PipelineStats {
   /// Accumulates \p Other into this (multi-function compiles).
   void merge(const PipelineStats &Other);
 
-  /// One-line summary, e.g. "simplify:12 cse:8 dce:20 (3 rounds, 0.4 ms)".
+  /// One-line summary, e.g. "simplify:12 gvn:8 dce:20 (3 rounds, 0.4 ms)".
   std::string str() const;
 };
 

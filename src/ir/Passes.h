@@ -7,8 +7,8 @@
 /// \file
 /// One-call helpers over the pass-manager layer (PassManager.h). The
 /// standard pipeline run over generated kernels -- mem2reg and unroll
-/// once, then simplify, SROA, mem2reg again, GVN, CSE, memopt
-/// forwarding, LICM, memopt DSE, and DCE iterated to a fixpoint -- is
+/// once, then simplify, SROA, mem2reg again, GVN, memopt forwarding,
+/// LICM, memopt DSE, and DCE iterated to a fixpoint -- is
 /// defaultPipelineSpec(). Pipelines are named only by spec strings; a
 /// run's per-pass results are read with PipelineStats::changes().
 ///

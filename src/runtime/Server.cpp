@@ -141,8 +141,6 @@ Server::buildVariant(Service &Svc, const perf::PerforationScheme &Scheme,
   Plan.Scheme = Scheme;
   Plan.TileX = Svc.C.Tile.X;
   Plan.TileY = Svc.C.Tile.Y;
-  if (!Svc.C.PipelineSpec.empty())
-    Plan.PipelineSpec = Svc.C.PipelineSpec;
   Plan.PipelineSpec =
       perf::jointPipelineSpec(Plan.PipelineSpec, LoopStride);
   return Shards[Svc.ShardIdx]->S.perforate(Svc.K, Plan);
@@ -175,16 +173,12 @@ Error Server::addService(const ServiceConfig &C) {
   }
 
   auto Svc = std::make_unique<Service>();
-  // Hashed lock striping: the stable prefix of every VariantKey this
-  // service will ever request (kernel + pipeline + source identity)
-  // picks the stripe, so all its variants compile and cache on one
-  // shard while distinct kernels spread across shards.
-  const std::string Pipeline = Cfg.PipelineSpec.empty()
-                                   ? ir::defaultPipelineSpec()
-                                   : Cfg.PipelineSpec;
+  // Hashed lock striping: the kernel and source identity every
+  // VariantKey of this service shares picks the stripe, so all its
+  // variants compile and cache on one shard while distinct kernels
+  // spread across shards.
   Svc->ShardIdx = static_cast<unsigned>(
-      fnv1a64(Cfg.Kernel + "|" + Pipeline + "|" + Cfg.Source) %
-      Shards.size());
+      fnv1a64(Cfg.Kernel + "|" + Cfg.Source) % Shards.size());
   Svc->C = Cfg;
   Session &S = Shards[Svc->ShardIdx]->S;
 
@@ -256,7 +250,7 @@ std::optional<Variant> Server::retune(const ReTuneJob &Job) {
   };
 
   std::vector<perf::TunerResult> Results =
-      perf::tuneParallel(Space, Evaluate, Config.TuneJobs);
+      perf::tuneExhaustive(Space, Evaluate);
   size_t Best = perf::bestWithinErrorBudget(Results, Svc.C.ErrorBudget);
   if (Best == ~size_t(0))
     return std::nullopt;

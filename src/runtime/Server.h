@@ -12,7 +12,7 @@
 ///
 /// A Server owns a small pool of shards, each a fully private rt::Session
 /// (own ir::Module, analyses, caches, CompileMutex). Services are routed
-/// to a shard by hashing their canonical VariantKey, so two distinct
+/// to a shard by hashing their kernel name and source, so two distinct
 /// kernels compile genuinely concurrently -- lock striping at the shard
 /// granularity rather than one global compile lock. Requests for the same
 /// key land on the same shard and dedup under that shard's CompileMutex,
@@ -35,7 +35,7 @@
 /// budget), the request returns the accurate output at once and the
 /// service turns re-tune pending: it serves the accurate kernel,
 /// unchecked, while the server's one background worker runs an online
-/// perf::tuneParallel re-tune over a candidate scheme space, using the
+/// perf::tuneExhaustive re-tune over a candidate scheme space, using the
 /// offending request's input as the tuning workload and its check's
 /// accurate output and time as the reference. The worker then hot-swaps
 /// the winning variant into the monitor (QualityMonitor::rearm). Only
@@ -89,10 +89,6 @@ struct ServerConfig {
   std::string DiskCacheDir;
   /// Run every generated kernel through the static lint gate.
   bool LintGate = false;
-  /// Worker threads inside one online re-tune (0 = one per hardware
-  /// thread). Re-tunes themselves run one at a time on the server's
-  /// background worker.
-  unsigned TuneJobs = 1;
   /// Re-tunes allowed per service before it degrades to permanently
   /// accurate.
   unsigned MaxReTunesPerService = 2;
@@ -118,10 +114,6 @@ struct ServiceConfig {
   /// Output scorer (defaults to img::meanRelativeError). Called from
   /// request threads and from the re-tune worker, possibly at once.
   ScoreFn Score;
-  /// Cleanup pipeline spec of the perforated variants ("" = library
-  /// default). Accurate launches always run the library default, whose
-  /// passes are all exact; a custom spec may approximate (perforate-loop).
-  std::string PipelineSpec;
 };
 
 /// Outcome of one serve() call.
@@ -206,7 +198,7 @@ private:
   /// Builds the perforated variant of \p Svc for \p Scheme from its
   /// frontend kernel through its shard session (cached by VariantKey,
   /// so re-tunes that pick a previously built scheme hit the cache).
-  /// \p LoopStride > 1 splices perforate-loop(stride) into the service's
+  /// \p LoopStride > 1 splices perforate-loop(stride) into the default
   /// cleanup pipeline (perf::jointPipelineSpec); the spec is part of the
   /// VariantKey, so strided variants cache under distinct keys.
   Expected<Variant> buildVariant(Service &Svc,

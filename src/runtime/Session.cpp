@@ -380,13 +380,15 @@ Variant Session::accurate(const Kernel &K, sim::Range2 Local) const {
   return V;
 }
 
+namespace {
+
 /// Refuses one buffer bound to both a const and a writable pointer
 /// parameter of \p F. The memory-SSA passes assume nothing writes a const
 /// buffer during a launch (ir/MemorySSA.h), so an optimized kernel may
 /// read such a buffer once where the kernel as written reads it again
 /// after a store. Binding one buffer to several const parameters is fine.
-static Error checkConstBuffersUnwritten(
-    const ir::Function &F, const std::vector<sim::KernelArg> &Args) {
+Error checkConstBuffersUnwritten(const ir::Function &F,
+                                 const std::vector<sim::KernelArg> &Args) {
   auto bufferParam = [&](unsigned I) {
     return I < Args.size() && F.argument(I)->type().isPointer() &&
            Args[I].K == sim::KernelArg::Kind::Buffer;
@@ -406,6 +408,8 @@ static Error checkConstBuffersUnwritten(
   }
   return Error::success();
 }
+
+} // namespace
 
 Expected<sim::SimReport>
 Session::launch(const Kernel &K, sim::Range2 Global, sim::Range2 Local,

@@ -346,4 +346,198 @@ TEST(GvnTest, OpaqueStoreDisqualifiesAllAllocaLoads) {
   EXPECT_EQ(runGvn(*F), 0u); // L2 must not merge onto L1.
 }
 
+//===----------------------------------------------------------------------===//
+// Block-local soundness: what merges inside one block, and what must not
+//===----------------------------------------------------------------------===//
+
+/// One open block over in (const float buffer), io and out (writable
+/// float buffers, which the host may bind to one buffer) and w (int).
+struct Straight {
+  Module M;
+  IRBuilder B{M};
+  Function *F = nullptr;
+  Argument *In = nullptr;
+  Argument *Io = nullptr;
+  Argument *Out = nullptr;
+  Argument *W = nullptr;
+
+  Straight() {
+    F = M.createFunction("f");
+    auto FloatBuffer = Type::pointerTo(ScalarKind::Float,
+                                       AddressSpace::Global);
+    In = F->addArgument(FloatBuffer, "in", true);
+    Io = F->addArgument(FloatBuffer, "io", false);
+    Out = F->addArgument(FloatBuffer, "out", false);
+    W = F->addArgument(Type::intTy(), "w", false);
+    B.setInsertPoint(F->createBlock("entry"));
+  }
+
+  /// Stores \p V (an int is converted first) to out[Slot]; returns the
+  /// store, whose operand 0 shows what \p V became.
+  Instruction *keep(Value *V, int32_t Slot) {
+    if (V->type().isInt())
+      V = B.createIntToFloat(V);
+    return B.createStore(V, B.createGep(Out, B.getInt(Slot)));
+  }
+
+  /// Closes the block and runs GVN.
+  unsigned finish() {
+    B.createRet();
+    return runGvn(*F);
+  }
+
+  Instruction *privateFloat(const char *Name) {
+    return B.createAlloca(ScalarKind::Float, 1, AddressSpace::Private,
+                          Name);
+  }
+};
+
+TEST(GvnTest, ChainedDuplicatesCollapseInOnePass) {
+  // ((w*3)+1)*5 twice: every chain level and the dependent cast merge in
+  // one invocation, because operands route through earlier merges.
+  Straight S;
+  auto Chain = [&] {
+    Value *V = S.B.createMul(S.W, S.B.getInt(3));
+    V = S.B.createAdd(V, S.B.getInt(1));
+    return S.B.createMul(V, S.B.getInt(5));
+  };
+  Value *C1 = Chain();
+  Value *C2 = Chain();
+  Instruction *K1 = S.keep(C1, 0);
+  Instruction *K2 = S.keep(C2, 1);
+  EXPECT_EQ(S.finish(), 4u); // Three chain levels + the cast's use.
+  EXPECT_EQ(K1->operand(0), K2->operand(0));
+}
+
+TEST(GvnTest, NonCommutativeOperandsStayApart) {
+  Straight S;
+  S.keep(S.B.createSub(S.W, S.B.getInt(7)), 0);
+  S.keep(S.B.createSub(S.B.getInt(7), S.W), 1); // 7-w != w-7.
+  EXPECT_EQ(S.finish(), 0u);
+}
+
+TEST(GvnTest, PureCallsAndSelectsMerge) {
+  Straight S;
+  Value *Five = S.B.getInt(5);
+  Instruction *MinA = S.keep(S.B.createCall(Builtin::Min, {S.W, Five}), 0);
+  Instruction *MinB = S.keep(S.B.createCall(Builtin::Min, {Five, S.W}), 1);
+  Instruction *MaxA = S.keep(S.B.createCall(Builtin::Max, {S.W, Five}), 2);
+  Instruction *MaxB = S.keep(S.B.createCall(Builtin::Max, {Five, S.W}), 3);
+  Value *Dim0 = S.B.getInt(0);
+  Instruction *G0 =
+      S.keep(S.B.createCall(Builtin::GetGlobalId, {Dim0}), 4);
+  Instruction *G0b =
+      S.keep(S.B.createCall(Builtin::GetGlobalId, {Dim0}), 5);
+  Instruction *G1 =
+      S.keep(S.B.createCall(Builtin::GetGlobalId, {S.B.getInt(1)}), 6);
+  Value *Cond = S.B.createCmp(Opcode::CmpLt, S.W, S.B.getInt(8));
+  Instruction *SelA = S.keep(
+      S.B.createSelect(Cond, S.B.getInt(1), S.B.getInt(2)), 7);
+  Instruction *SelB = S.keep(
+      S.B.createSelect(Cond, S.B.getInt(1), S.B.getInt(2)), 8);
+  S.finish();
+  EXPECT_EQ(MinA->operand(0), MinB->operand(0)); // min is commutative.
+  EXPECT_EQ(MaxA->operand(0), MaxB->operand(0));
+  EXPECT_NE(MinA->operand(0), MaxA->operand(0));
+  EXPECT_EQ(G0->operand(0), G0b->operand(0)); // Same dimension merges,
+  EXPECT_NE(G0->operand(0), G1->operand(0));  // the other one stays.
+  EXPECT_EQ(SelA->operand(0), SelB->operand(0));
+}
+
+TEST(GvnTest, BarriersNeverMerge) {
+  // Each barrier is its own memory state: a stored local tile read after
+  // the second barrier is not the value read between the two.
+  Straight S;
+  Instruction *Tile =
+      S.B.createAlloca(ScalarKind::Float, 4, AddressSpace::Local, "tile");
+  Value *P = S.B.createGep(Tile, S.B.getInt(0));
+  S.B.createStore(S.B.getFloat(1.0f), P);
+  S.B.createCall(Builtin::Barrier, {});
+  Instruction *L1 = S.B.createLoad(P, "l1");
+  S.B.createCall(Builtin::Barrier, {});
+  Instruction *L2 = S.B.createLoad(P, "l2");
+  Instruction *K1 = S.keep(L1, 0);
+  Instruction *K2 = S.keep(L2, 1);
+  EXPECT_EQ(S.finish(), 0u);
+  unsigned Barriers = 0;
+  for (const auto &I : S.F->entry()->instructions())
+    if (I->opcode() == Opcode::Call && I->callee() == Builtin::Barrier)
+      ++Barriers;
+  EXPECT_EQ(Barriers, 2u);
+  EXPECT_EQ(K1->operand(0), L1);
+  EXPECT_EQ(K2->operand(0), L2);
+}
+
+TEST(GvnTest, StoreKillsLoadsOfItsOwnAllocaOnly) {
+  Straight S;
+  Instruction *A = S.privateFloat("a");
+  Instruction *C = S.privateFloat("c");
+  Value *PA = S.B.createGep(A, S.B.getInt(0));
+  Value *PC = S.B.createGep(C, S.B.getInt(0));
+  S.B.createStore(S.B.getFloat(1.0f), PA);
+  S.B.createStore(S.B.getFloat(2.0f), PC);
+  Instruction *A1 = S.B.createLoad(PA, "a1");
+  Instruction *C1 = S.B.createLoad(PC, "c1");
+  S.B.createStore(S.B.getFloat(3.0f), PC); // Kills c's loads only.
+  Instruction *A2 = S.B.createLoad(PA, "a2");
+  Instruction *C2 = S.B.createLoad(PC, "c2");
+  Instruction *KA1 = S.keep(A1, 0);
+  Instruction *KA2 = S.keep(A2, 1);
+  Instruction *KC1 = S.keep(C1, 2);
+  Instruction *KC2 = S.keep(C2, 3);
+  EXPECT_EQ(S.finish(), 1u);
+  EXPECT_EQ(KA1->operand(0), A1);
+  EXPECT_EQ(KA2->operand(0), A1); // a2 merged onto a1.
+  EXPECT_EQ(KC1->operand(0), C1);
+  EXPECT_EQ(KC2->operand(0), C2);
+}
+
+TEST(GvnTest, BarrierKillsLocalAndWritableLoadsButNotPrivate) {
+  Straight S;
+  Instruction *Priv = S.privateFloat("priv");
+  Instruction *Tile =
+      S.B.createAlloca(ScalarKind::Float, 4, AddressSpace::Local, "tile");
+  Value *PPriv = S.B.createGep(Priv, S.B.getInt(0));
+  Value *PTile = S.B.createGep(Tile, S.B.getInt(0));
+  Value *PIo = S.B.createGep(S.Io, S.B.getInt(0));
+  S.B.createStore(S.B.getFloat(1.0f), PPriv);
+  S.B.createStore(S.B.getFloat(2.0f), PTile);
+  Instruction *Priv1 = S.B.createLoad(PPriv, "priv1");
+  Instruction *Tile1 = S.B.createLoad(PTile, "tile1");
+  Instruction *Io1 = S.B.createLoad(PIo, "io1");
+  S.B.createCall(Builtin::Barrier, {});
+  Instruction *Priv2 = S.B.createLoad(PPriv, "priv2"); // Private memory.
+  Instruction *Tile2 = S.B.createLoad(PTile, "tile2"); // Others write it.
+  Instruction *Io2 = S.B.createLoad(PIo, "io2");       // Likewise.
+  Instruction *K[] = {S.keep(Priv1, 0), S.keep(Tile1, 1), S.keep(Io1, 2),
+                      S.keep(Priv2, 3), S.keep(Tile2, 4), S.keep(Io2, 5)};
+  EXPECT_EQ(S.finish(), 1u);
+  EXPECT_EQ(K[3]->operand(0), Priv1);
+  EXPECT_EQ(K[4]->operand(0), Tile2);
+  EXPECT_EQ(K[5]->operand(0), Io2);
+}
+
+TEST(GvnTest, StoreThroughArgumentKillsWritableArgumentLoads) {
+  // A store through out may hit io (the host may bind one buffer to
+  // both), but never an alloca; the const buffer in has no writer.
+  Straight S;
+  Instruction *Priv = S.privateFloat("priv");
+  Value *PIo = S.B.createGep(S.Io, S.B.getInt(4));
+  Value *PIn = S.B.createGep(S.In, S.B.getInt(4));
+  Instruction *Io1 = S.B.createLoad(PIo, "io1");
+  Instruction *In1 = S.B.createLoad(PIn, "in1");
+  S.B.createStore(Io1, S.B.createGep(Priv, S.B.getInt(0)));
+  Instruction *Io2 = S.B.createLoad(PIo, "io2"); // Merges onto io1.
+  S.B.createStore(In1, S.B.createGep(S.Out, S.B.getInt(9)));
+  Instruction *Io3 = S.B.createLoad(PIo, "io3"); // Killed.
+  Instruction *In2 = S.B.createLoad(PIn, "in2"); // Merges onto in1.
+  Instruction *KIo2 = S.keep(Io2, 0);
+  Instruction *KIo3 = S.keep(Io3, 1);
+  Instruction *KIn2 = S.keep(In2, 2);
+  EXPECT_EQ(S.finish(), 2u);
+  EXPECT_EQ(KIo2->operand(0), Io1);
+  EXPECT_EQ(KIo3->operand(0), Io3);
+  EXPECT_EQ(KIn2->operand(0), In1);
+}
+
 } // namespace

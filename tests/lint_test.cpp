@@ -272,7 +272,7 @@ TEST(LintTest, DivergentBarrierIsAnError) {
                             "  out[get_global_id(0)] = in[clamp(l, 0, 7)];"
                             "}",
                             "mem2reg,fixpoint(simplify,sroa,mem2reg,gvn,"
-                            "cse,memopt-forward,licm,memopt-dse,dce)");
+                            "memopt-forward,licm,memopt-dse,dce)");
   ASSERT_NE(F, nullptr);
   AnalysisManager AM;
   lint::LintResult R = lint::run(*F, AM);

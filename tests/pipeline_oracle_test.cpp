@@ -88,8 +88,8 @@ std::vector<std::string> oracleSpecs() {
       "mem2reg,unroll",
       "mem2reg,unroll,fixpoint(gvn,simplify,dce)",
       ir::defaultPipelineSpec(),
-      "fixpoint(simplify,cse,memopt-forward,licm,memopt-dse,dce)",
-      "mem2reg,fixpoint(simplify,cse,memopt-forward,licm,memopt-dse,dce)",
+      "fixpoint(simplify,memopt-forward,licm,memopt-dse,dce)",
+      "mem2reg,fixpoint(simplify,memopt-forward,licm,memopt-dse,dce)",
       // Adversarial: sroa/gvn/memopt-dse ahead of mem2reg and simplify,
       // so window indices are still runtime arithmetic and every scalar
       // is still in memory form.
@@ -106,7 +106,7 @@ std::vector<std::string> oracleSpecs() {
       // The default pipeline with the no-op stride spliced where the
       // tuner would put a real one (jointPipelineSpec's slot).
       "mem2reg,perforate-loop(1),unroll,fixpoint(simplify,sroa,mem2reg,"
-      "gvn,cse,memopt-forward,licm,memopt-dse,dce)",
+      "gvn,memopt-forward,licm,memopt-dse,dce)",
       // And the real strided pass parked where no induction phis exist
       // yet (before mem2reg): it must refuse cleanly, changing nothing.
       "perforate-loop(2),mem2reg,unroll",

@@ -233,7 +233,7 @@ TEST(WidenedDsePropertyTest, RandomConfigsOutputAndTrafficInvariant) {
   // reduce traffic -- never add a global transaction.
   const std::string WithDse = ir::defaultPipelineSpec();
   const std::string WithoutDse =
-      "mem2reg,unroll,fixpoint(simplify,sroa,mem2reg,gvn,cse,"
+      "mem2reg,unroll,fixpoint(simplify,sroa,mem2reg,gvn,"
       "memopt-forward,licm,dce)";
   const char *Apps[] = {"gaussian", "inversion", "median",
                         "sobel3",   "sobel5",    "hotspot",

@@ -190,7 +190,7 @@ TEST(UnrollTest, PostUnrollPipelineFoldsInductionArithmetic) {
   rt::Session S1, S2;
   rt::Kernel Rolled =
       compileWith(S1, WindowKernel,
-                  "mem2reg,fixpoint(simplify,gvn,cse,memopt-forward,licm,"
+                  "mem2reg,fixpoint(simplify,gvn,memopt-forward,licm,"
                   "memopt-dse,dce)");
   rt::Kernel Unrolled = compileWith(S2, WindowKernel,
                                     defaultPipelineSpec());

@@ -63,7 +63,7 @@
 //       per-pass change counts with net IR-size and static-ALU deltas
 //       (and, with --time-passes, wall-clock timings) plus the
 //       optimized IR. The default pipeline is
-//       mem2reg,unroll,fixpoint(simplify,sroa,mem2reg,gvn,cse,
+//       mem2reg,unroll,fixpoint(simplify,sroa,mem2reg,gvn,
 //       memopt-forward,licm,memopt-dse,dce); --passes accepts any
 //       spec in that grammar,
 //       including parameterized passes such as unroll(512), e.g.
