@@ -101,9 +101,10 @@ public:
 
   //===--- Variant construction --------------------------------------------//
 
-  /// Compiles the kernel as written. The variant's K.F is frontend IR;
-  /// launching it runs the session's copy optimized under the default
-  /// pipeline (same outputs and modeled time, fewer simulated ops).
+  /// Compiles the kernel as written. The variant's K.F is the session's
+  /// promoted IR of it; launching it runs the session's copy optimized
+  /// under the default pipeline (same outputs and modeled time, fewer
+  /// simulated ops).
   virtual Expected<rt::Variant> buildPlain(rt::Session &S,
                                            sim::Range2 Local) const;
 

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The natural loops of a kernel, found once for the three loop passes
-/// (licm, unroll, perforate-loop), plus the induction-variable matcher
-/// and trip simulator the unroller and the perforator share.
+/// (licm, unroll, perforate-loop) and the perforation access analysis,
+/// plus the induction-variable matcher and trip simulator the unroller,
+/// the perforator and the access analysis share.
 ///
 /// A back edge is an edge from a reachable block to a block dominating
 /// it. Its natural loop is the header plus every block that reaches the

@@ -7,7 +7,6 @@
 #include "ir/LoopPerforate.h"
 
 #include "ir/LoopInfo.h"
-#include "perforation/AccessAnalysis.h"
 
 #include <cstdint>
 #include <optional>
@@ -142,10 +141,9 @@ void collectChainAdds(
 /// element that same iteration wrote (in-body, must-overwritten; memory
 /// SSA guarantees a Def clobber dominates its load). Phi clobbers are
 /// refused outright once the body stores -- a join may hide loop-carried
-/// state. Stores the access analysis matched as kernel outputs refuse
-/// immediately: a skipped output pixel stays unwritten forever.
-bool memoryLegal(const Function &F, const Loop &L, const MemorySSA &MSSA,
-                 const std::unordered_set<const Instruction *> &OutputStores) {
+/// state. A store to global memory, a kernel output among them, refuses
+/// at once: a skipped output pixel stays unwritten forever.
+bool memoryLegal(const Function &F, const Loop &L, const MemorySSA &MSSA) {
   bool HasStore = false;
   for (const BasicBlock *B : L.Blocks) {
     for (const auto &I : B->instructions()) {
@@ -155,8 +153,6 @@ bool memoryLegal(const Function &F, const Loop &L, const MemorySSA &MSSA,
       if (I->opcode() != Opcode::Store)
         continue;
       HasStore = true;
-      if (OutputStores.count(I.get()))
-        return false;
       MemoryLoc Loc = memoryLocation(I->operand(1));
       const auto *Root = dyn_cast<Instruction>(Loc.Root);
       if (!Root || Root->opcode() != Opcode::Alloca ||
@@ -198,12 +194,6 @@ std::vector<PerforableLoop> findPerforableLoops(Function &F,
   const MemorySSA &MSSA = AM.getMemorySSA(F);
   const RangeAnalysis &RA = AM.getRangeAnalysis(F);
 
-  std::unordered_set<const Instruction *> OutputStores;
-  if (Expected<const perf::KernelAccessInfo *> AI =
-          perf::analyzeKernelAccessesCached(AM, F))
-    for (const perf::StoreSite &S : (*AI)->Outputs)
-      OutputStores.insert(S.Store);
-
   std::vector<PerforableLoop> Loops;
   for (const Loop &L : LI.loops()) {
     // findInduction also demands a preheader, one latch and the header
@@ -244,7 +234,7 @@ std::vector<PerforableLoop> findPerforableLoops(Function &F,
                : BoundR.Lo + NewStep < INT32_MIN)
       continue;
 
-    if (!memoryLegal(F, L, MSSA, OutputStores))
+    if (!memoryLegal(F, L, MSSA))
       continue;
     Loops.push_back({&L, *IV});
   }

@@ -22,14 +22,14 @@
 ///    the strided step still drives toward termination, and the strided
 ///    induction value provably stays inside int32 -- the bound's
 ///    interval plus the new step must not reach the wraparound edge;
-///  * **memory** (AccessAnalysis + MemorySSA): skipped iterations must
-///    not write memory that later reads would observe un-reconstructed.
-///    Stores matched as kernel *outputs* refuse outright (a skipped
-///    output pixel stays unwritten forever); any other store must hit a
-///    private alloca and every load whose clobbering access is that
-///    store must sit in the same iteration (inside the body, dominated
-///    by the store, must-overwritten element) -- same-iteration scratch
-///    is fine, anything escaping the iteration refuses;
+///  * **memory** (MemorySSA): skipped iterations must not write memory
+///    that later reads would observe un-reconstructed. Every store must
+///    hit a private alloca -- a kernel *output* store refuses outright,
+///    since a skipped output pixel stays unwritten forever -- and every
+///    load whose clobbering access is that store must sit in the same
+///    iteration (inside the body, dominated by the store,
+///    must-overwritten element) -- same-iteration scratch is fine,
+///    anything escaping the iteration refuses;
 ///  * **shape**: no barriers in the body (work items would diverge on
 ///    synchronization).
 ///

@@ -6,8 +6,12 @@
 
 #include "perforation/AccessAnalysis.h"
 
+#include "ir/Dominators.h"
+#include "ir/LoopInfo.h"
+
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 using namespace kperf;
@@ -19,7 +23,7 @@ namespace {
 /// Symbol in an affine form.
 struct Symbol {
   enum class Kind : uint8_t { Gid0, Gid1, Arg, Loop } K;
-  const irns::Value *V = nullptr; ///< Argument or induction alloca.
+  const irns::Value *V = nullptr; ///< Argument or induction phi.
 
   bool operator<(const Symbol &O) const {
     if (K != O.K)
@@ -83,50 +87,57 @@ struct Affine {
   }
 };
 
-/// Range of an induction variable (inclusive).
+/// Trip cap of the induction simulation: a loop that runs longer gives
+/// no loop symbol.
+constexpr unsigned MaxTrips = 1u << 22;
+
+/// An induction variable of constant range: the loop whose body sees it
+/// and the least and greatest value the body sees.
 struct LoopRange {
+  const irns::Loop *L = nullptr;
   int64_t Lo = 0;
   int64_t Hi = 0;
 };
 
-/// Per-function affine evaluation with memoization, looking through
-/// single-store private scalars and canonical induction variables.
+/// Per-function affine evaluation over SSA with memoization. Loop
+/// symbols are the induction phis ir::findInduction matches with a
+/// constant init and bound.
 class AffineEvaluator {
 public:
-  explicit AffineEvaluator(const irns::Function &F) : F(F) {
-    indexAllocas();
+  explicit AffineEvaluator(const irns::Function &F)
+      : Loops(irns::LoopInfo::compute(F, irns::DominatorTree::compute(F))) {
+    for (const irns::Loop &L : Loops.loops())
+      addInduction(L);
   }
 
   Affine evaluate(const irns::Value *V) {
     auto It = Memo.find(V);
     if (It != Memo.end())
       return It->second;
-    // Cycle guard: mark as invalid while in flight.
-    Memo[V] = Affine::invalid();
+    // No cycle guard: SSA operands form cycles only through phis, and
+    // compute() never looks through one.
     Affine Result = compute(V);
-    Memo[V] = Result;
+    Memo.emplace(V, Result);
     return Result;
   }
 
-  /// Returns the range of the loop symbol for \p InductionAlloca.
-  const LoopRange *loopRange(const irns::Value *InductionAlloca) const {
-    auto It = Inductions.find(InductionAlloca);
-    return It == Inductions.end() ? nullptr : &It->second;
-  }
-
-  /// Computes the [min,max] value range of \p A given loop ranges; returns
-  /// false if A contains Arg symbols (unbounded).
-  bool valueRange(const Affine &A, int64_t &Lo, int64_t &Hi) const {
+  /// Computes the [min,max] value range of \p A at a load in block \p At;
+  /// returns false if A contains Arg symbols (unbounded) or a loop symbol
+  /// whose loop body does not hold \p At. Outside the body -- after the
+  /// loop, or in its header, which also sees the exit value -- the phi
+  /// takes values the range does not cover.
+  bool valueRange(const Affine &A, const irns::BasicBlock *At, int64_t &Lo,
+                  int64_t &Hi) const {
     if (!A.Valid)
       return false;
     Lo = Hi = A.Const;
     for (const auto &[S, C] : A.Coeffs) {
       if (S.K != Symbol::Kind::Loop)
         return false;
-      const LoopRange *R = loopRange(S.V);
-      if (!R)
+      const LoopRange &R = Inductions.at(S.V);
+      if (!R.L->contains(At) || At == R.L->Header)
         return false;
-      int64_t T0 = C * R->Lo, T1 = C * R->Hi;
+      int64_t T0 = C * R.Lo, T1 = C * R.Hi;
       Lo += std::min(T0, T1);
       Hi += std::max(T0, T1);
     }
@@ -134,90 +145,23 @@ public:
   }
 
 private:
-  struct AllocaInfo {
-    std::vector<const irns::Instruction *> Stores;
-    bool HasIndirectAccess = false; ///< Address taken through a Gep.
-  };
-
-  /// Catalogs direct stores to each private scalar alloca and detects
-  /// canonical induction variables (init store of a constant + one
-  /// self-increment + a bounding compare feeding a conditional branch).
-  void indexAllocas() {
-    for (const auto &BB : F.blocks()) {
-      for (const auto &I : BB->instructions()) {
-        if (I->opcode() == irns::Opcode::Gep)
-          if (const auto *Base = irns::dyn_cast<irns::Instruction>(
-                  I->operand(0)))
-            if (Base->opcode() == irns::Opcode::Alloca)
-              Allocas[Base].HasIndirectAccess = true;
-        if (I->opcode() != irns::Opcode::Store)
-          continue;
-        const auto *Ptr = irns::dyn_cast<irns::Instruction>(I->operand(1));
-        if (Ptr && Ptr->opcode() == irns::Opcode::Alloca)
-          Allocas[Ptr].Stores.push_back(I.get());
-      }
-    }
-    for (auto &[A, Info] : Allocas)
-      if (!Info.HasIndirectAccess && Info.Stores.size() == 2)
-        detectInduction(A, Info);
-  }
-
-  void detectInduction(const irns::Value *A, const AllocaInfo &Info) {
-    // One store must be `A = A + step`; the other the initial constant.
-    const irns::Instruction *InitStore = nullptr;
-    const irns::Instruction *StepStore = nullptr;
-    int64_t Step = 0;
-    for (const irns::Instruction *S : Info.Stores) {
-      const auto *V = irns::dyn_cast<irns::Instruction>(S->operand(0));
-      if (V && V->opcode() == irns::Opcode::Add) {
-        const irns::Value *L = V->operand(0);
-        const irns::Value *R = V->operand(1);
-        const auto *LoadL = irns::dyn_cast<irns::Instruction>(L);
-        const auto *CR = irns::dyn_cast<irns::ConstantInt>(R);
-        if (LoadL && LoadL->opcode() == irns::Opcode::Load &&
-            LoadL->operand(0) == A && CR) {
-          StepStore = S;
-          Step = CR->value();
-          continue;
-        }
-      }
-      InitStore = S;
-    }
-    if (!InitStore || !StepStore || Step <= 0)
+  /// Records \p L's induction phi as a loop symbol when its init and
+  /// bound are constants and its body runs at least once.
+  void addInduction(const irns::Loop &L) {
+    std::optional<irns::Induction> IV = irns::findInduction(L);
+    if (!IV)
       return;
-    const auto *Init =
-        irns::dyn_cast<irns::ConstantInt>(InitStore->operand(0));
-    if (!Init)
+    std::optional<int64_t> Init = irns::asConstInt(IV->Init);
+    std::optional<int64_t> Bound = irns::asConstInt(IV->Bound);
+    if (!Init || !Bound)
       return;
-
-    // Find the bounding comparison: cmp.lt/le(load A, const).
-    std::optional<LoopRange> Range;
-    for (const auto &BB : F.blocks()) {
-      for (const auto &I : BB->instructions()) {
-        if (I->opcode() != irns::Opcode::CmpLt &&
-            I->opcode() != irns::Opcode::CmpLe)
-          continue;
-        const auto *L = irns::dyn_cast<irns::Instruction>(I->operand(0));
-        const auto *Bound =
-            irns::dyn_cast<irns::ConstantInt>(I->operand(1));
-        if (!L || L->opcode() != irns::Opcode::Load ||
-            L->operand(0) != A || !Bound)
-          continue;
-        int64_t Last = I->opcode() == irns::Opcode::CmpLt
-                           ? Bound->value() - 1
-                           : Bound->value();
-        if (Last < Init->value())
-          return; // Zero-trip or malformed; not a useful induction.
-        // Largest value actually attained given the step.
-        Last = Init->value() + ((Last - Init->value()) / Step) * Step;
-        Range = LoopRange{Init->value(), Last};
-        break;
-      }
-      if (Range)
-        break;
-    }
-    if (Range)
-      Inductions[A] = *Range;
+    std::optional<unsigned> Trips =
+        irns::simulateTrips(*Init, IV->Step, IV->Cond->opcode(), IV->IvOnLhs,
+                            *Bound, L.bodyOnTrueEdge(), MaxTrips);
+    if (!Trips || *Trips == 0)
+      return;
+    int64_t Last = *Init + (static_cast<int64_t>(*Trips) - 1) * IV->Step;
+    Inductions[IV->Phi] = {&L, std::min(*Init, Last), std::max(*Init, Last)};
   }
 
   Affine compute(const irns::Value *V) {
@@ -248,20 +192,10 @@ private:
         return L.scale(R.Const);
       return Affine::invalid();
     }
-    case irns::Opcode::Load: {
-      const auto *Ptr = irns::dyn_cast<irns::Instruction>(I->operand(0));
-      if (!Ptr || Ptr->opcode() != irns::Opcode::Alloca)
-        return Affine::invalid();
-      auto It = Inductions.find(Ptr);
-      if (It != Inductions.end())
-        return Affine::symbol({Symbol::Kind::Loop, Ptr});
-      auto AIt = Allocas.find(Ptr);
-      if (AIt == Allocas.end() || AIt->second.HasIndirectAccess ||
-          AIt->second.Stores.size() != 1)
-        return Affine::invalid();
-      // Single-store scalar: its loaded value is the stored value.
-      return evaluate(AIt->second.Stores.front()->operand(0));
-    }
+    case irns::Opcode::Phi:
+      if (Inductions.count(I))
+        return Affine::symbol({Symbol::Kind::Loop, I});
+      return Affine::invalid();
     case irns::Opcode::Call:
       switch (I->callee()) {
       case irns::Builtin::GetGlobalId: {
@@ -287,9 +221,8 @@ private:
     }
   }
 
-  const irns::Function &F;
+  irns::LoopInfo Loops;
   std::unordered_map<const irns::Value *, Affine> Memo;
-  std::unordered_map<const irns::Value *, AllocaInfo> Allocas;
   std::unordered_map<const irns::Value *, LoopRange> Inductions;
 };
 
@@ -328,9 +261,11 @@ bool matchIndex(AffineEvaluator &Eval, irns::Value *Idx, IndexMatch &M) {
   return false;
 }
 
-/// Checks that \p A == gid + [Lo, Hi] for the requested gid dimension.
-bool offsetRange(AffineEvaluator &Eval, const Affine &A, bool WantGid1,
-                 int &Lo, int &Hi) {
+/// Checks that \p A == gid + [Lo, Hi] for the requested gid dimension at
+/// a load in block \p At.
+bool offsetRange(AffineEvaluator &Eval, const Affine &A,
+                 const irns::BasicBlock *At, bool WantGid1, int &Lo,
+                 int &Hi) {
   if (!A.Valid)
     return false;
   Symbol Want{WantGid1 ? Symbol::Kind::Gid1 : Symbol::Kind::Gid0, nullptr};
@@ -341,7 +276,7 @@ bool offsetRange(AffineEvaluator &Eval, const Affine &A, bool WantGid1,
   if (Rest.coeff(Other) != 0)
     return false;
   int64_t L, H;
-  if (!Eval.valueRange(Rest, L, H))
+  if (!Eval.valueRange(Rest, At, L, H))
     return false;
   if (L < INT32_MIN || H > INT32_MAX)
     return false;
@@ -401,10 +336,10 @@ Expected<KernelAccessInfo> perf::analyzeKernelAccesses(ir::Function &F) {
       L.Gep = Gep;
       L.RowVal = M.RowVal;
       L.ColVal = M.ColVal;
-      if (!offsetRange(Eval, Eval.evaluate(M.RowVal), /*WantGid1=*/true,
-                       L.DyMin, L.DyMax) ||
-          !offsetRange(Eval, Eval.evaluate(M.ColVal), /*WantGid1=*/false,
-                       L.DxMin, L.DxMax)) {
+      if (!offsetRange(Eval, Eval.evaluate(M.RowVal), BB.get(),
+                       /*WantGid1=*/true, L.DyMin, L.DyMax) ||
+          !offsetRange(Eval, Eval.evaluate(M.ColVal), BB.get(),
+                       /*WantGid1=*/false, L.DxMin, L.DxMax)) {
         ++Info.UnmatchedInputLoads;
         continue;
       }

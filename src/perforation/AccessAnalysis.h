@@ -18,10 +18,18 @@
 ///
 /// (modulo operand order), where `width` is an int kernel argument, and
 /// `rowExpr`/`colExpr` are *affine* in get_global_id(1)/get_global_id(0)
-/// with unit coefficient, integer constants, and canonical loop induction
+/// with unit coefficient, integer constants, and loop induction
 /// variables of constant range. clamp(x, lo, hi) is looked through. From
 /// the affine forms it derives the footprint rectangle
 /// [DyMin,DyMax] x [DxMin,DxMax] relative to the work item.
+///
+/// It reads promoted IR, as rt::Session hands it out in Kernel::F: scalar
+/// variables are SSA values, and a loop's induction variable is the phi
+/// ir::findInduction matches on an ir::LoopInfo loop, with a constant
+/// init and bound. Its range is the values ir::simulateTrips says the
+/// loop body sees, so it counts only at loads inside that body; a load
+/// after the loop or in its header stays unmatched. On alloca-form IR an
+/// address computed from a private variable's load stays unmatched.
 ///
 /// Stores to non-const global pointer arguments are matched the same way
 /// for the output-approximation (Paraprox) transform.
@@ -90,9 +98,10 @@ struct KernelAccessInfo {
   }
 };
 
-/// Runs the analysis over \p F. Fails only on malformed IR; kernels with
-/// no recognizable accesses yield an empty result (callers decide whether
-/// that is acceptable).
+/// Runs the analysis over \p F, which should be promoted IR (see the file
+/// comment). Fails only on malformed IR; kernels with no recognizable
+/// accesses yield an empty result (callers decide whether that is
+/// acceptable).
 Expected<KernelAccessInfo> analyzeKernelAccesses(ir::Function &F);
 
 /// Cached variant: returns the summary held in \p AM for \p F, running

@@ -65,7 +65,11 @@ struct OutputApproxResult {
   ir::PipelineStats PassStats;
 };
 
-/// Applies \p Plan to \p F, creating kernel \p NewName in \p M.
+/// Applies \p Plan to \p F, creating kernel \p NewName in \p M. \p F
+/// should be promoted IR, as rt::Session::compile hands it out: the
+/// output stores are found by the access analysis, which reads SSA, and
+/// on alloca-form IR a store indexed through a private variable stays
+/// unmatched.
 Expected<OutputApproxResult> applyOutputApproximation(
     ir::Module &M, ir::Function &F, const OutputApproxPlan &Plan,
     const std::string &NewName);

@@ -71,11 +71,15 @@ struct TransformResult {
 
 /// Applies the local memory-aware perforation described by \p Plan to
 /// \p F, creating a new kernel \p NewName inside \p M. \p F itself is not
-/// modified. Fails if the kernel already uses local memory or barriers,
-/// if no perforatable input buffer is found, or if a rows/cols/grid
-/// period exceeds a perforated axis of some target's tile (edge plus
-/// both halos), which would leave tiles with no loaded line. These
-/// refusals happen before any IR is created, leaving \p M unchanged.
+/// modified. \p F should be promoted IR, as rt::Session::compile hands it
+/// out: the access analysis reads SSA, and on alloca-form IR a load
+/// indexed through a private variable stays unmatched and keeps reading
+/// global memory. Fails if the kernel already uses local memory or
+/// barriers, if no perforatable input buffer is found, or if a
+/// rows/cols/grid period exceeds a perforated axis of some target's tile
+/// (edge plus both halos), which would leave tiles with no loaded line.
+/// These refusals happen before any IR is created, leaving \p M
+/// unchanged.
 ///
 /// When \p AM is given, the access analysis of \p F is read through (and
 /// cached in) it -- perforating the same kernel repeatedly, as the tuner

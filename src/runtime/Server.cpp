@@ -29,7 +29,7 @@ struct Server::Shard {
 struct Server::Service {
   ServiceConfig C;
   unsigned ShardIdx = 0;
-  /// The compiled kernel: its frontend IR is the only input of the
+  /// The compiled kernel: its promoted IR is the only input of the
   /// perforating transforms, and launching it -- every accurate launch --
   /// runs the shard session's copy optimized under the default pipeline.
   Kernel K;

@@ -21,14 +21,15 @@
 /// Each registered service wraps one standard-signature image kernel
 /// (global const float* in, global float* out, int w, int h) with a fixed
 /// frame shape, an initial perforation scheme, and an error budget. The
-/// service compiles its source once on its shard. The kernel's frontend
-/// IR is the only input of the perforating transforms (so every variant
-/// and cache key is that of the frontend kernel); every accurate launch
-/// -- check references, accurate-only and re-tune-pending requests --
-/// runs the session's launch copy of it, optimized under the library
-/// default pipeline (see Session.h). The default pipeline holds only
-/// exact passes, so both produce the same bytes and the same modeled
-/// time; the optimized copy just simulates faster.
+/// service compiles its source once on its shard. The compiled kernel
+/// (Kernel::F, promoted IR) is the only input of the perforating
+/// transforms (so every variant and cache key is that of it); every
+/// accurate launch -- check references, accurate-only and
+/// re-tune-pending requests -- runs the session's launch copy of it,
+/// optimized under the library default pipeline (see Session.h). The
+/// default pipeline holds only exact passes, so both produce the same
+/// bytes and the same modeled time; the optimized copy just simulates
+/// faster.
 ///
 /// serve() launches the current variant through a rt::QualityMonitor;
 /// when the request's own check trips the monitor (measured error past
@@ -161,7 +162,7 @@ public:
   /// The server serves without it either way.
   const std::string &diskCacheError() const { return DiskCacheError; }
 
-  /// Registers a service: compiles the kernel on its shard (frontend IR
+  /// Registers a service: compiles the kernel on its shard (promoted IR
   /// plus its optimized launch copy, one source compile), builds the
   /// initial perforated variant, and arms the quality monitor. Fails if
   /// the name is taken, the shape or tile is zero, the tile does not
@@ -196,7 +197,7 @@ private:
   struct Service;
 
   /// Builds the perforated variant of \p Svc for \p Scheme from its
-  /// frontend kernel through its shard session (cached by VariantKey,
+  /// compiled kernel through its shard session (cached by VariantKey,
   /// so re-tunes that pick a previously built scheme hit the cache).
   /// \p LoopStride > 1 splices perforate-loop(stride) into the default
   /// cleanup pipeline (perf::jointPipelineSpec); the spec is part of the

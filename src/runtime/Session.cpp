@@ -9,6 +9,7 @@
 #include "gpusim/Bytecode.h"
 #include "ir/Clone.h"
 #include "ir/Lint.h"
+#include "ir/Mem2Reg.h"
 #include "ir/Passes.h"
 #include "ir/Printer.h"
 #include "ir/Serializer.h"
@@ -156,10 +157,12 @@ Session::compileAll(const std::string &Source,
     std::vector<Kernel> Kernels;
     for (ir::Function *F : *Fns)
       Kernels.push_back(Kernel{F});
-    // Frontend IR stays the transforms' input; launches run a copy
-    // optimized under the default pipeline.
+    // Promoted IR, loops intact, is the transforms' input; launches run
+    // a copy optimized under the default pipeline.
     if (Opts.PipelineSpec.empty())
       for (Kernel &K : Kernels) {
+        ir::AnalysisManager AM;
+        ir::promoteMemoryToRegisters(*K.F, *M, AM);
         Expected<ir::Function *> Copy = buildLaunchCopy(*K.F);
         if (!Copy) {
           // Nothing of this source was handed out yet: drop it whole.

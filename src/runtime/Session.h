@@ -25,13 +25,15 @@
 /// in stats().
 ///
 /// A kernel compiled without a pipeline spec lives twice in the module:
-/// as frontend IR (Kernel::F), which the transforms, variant keys and
-/// printers read -- unroll would leave perforate-loop no loop to stride
-/// -- and as a copy optimized under ir::defaultPipelineSpec()
-/// (Kernel::Launch), which every launch of the handle runs. The default
-/// pipeline holds only exact passes, so both produce the same bytes and
-/// the same modeled time, as an OpenCL compiler's optimized accurate
-/// kernel would; the copy just simulates faster.
+/// as promoted IR (Kernel::F) -- the frontend output after one mem2reg,
+/// its scalars SSA values and its loops intact -- which the transforms,
+/// variant keys and printers read (unroll would leave perforate-loop no
+/// loop to stride), and as a copy optimized under
+/// ir::defaultPipelineSpec() (Kernel::Launch), which every launch of the
+/// handle runs. The default pipeline holds only exact passes, so both
+/// produce the same bytes and the same modeled time, as an OpenCL
+/// compiler's optimized accurate kernel would; the copy just simulates
+/// faster.
 ///
 /// Lifetime: a Session frees no kernel or bytecode program it handed out
 /// until it is destroyed, so every Kernel and Variant handle stays
@@ -93,7 +95,8 @@ namespace rt {
 /// Handle to a compiled kernel (owned by the Session's module).
 struct Kernel {
   /// The kernel as compiled: what perforate()/approximateOutput(), the
-  /// variant keys and printing read.
+  /// variant keys and printing read. Promoted IR without a pipeline spec
+  /// (see the file comment), the spec's output with one.
   ir::Function *F = nullptr;
   /// What launch() runs in F's place: the Session's optimized copy of a
   /// kernel compiled without a pipeline spec. Null -- every variant's
@@ -223,9 +226,10 @@ public:
   /// Compiles all kernels in \p Source; returns the one named \p Name.
   /// Compilation is cached per (source text, options): repeated calls --
   /// a tuning sweep, an app building several variants -- run the frontend
-  /// once. The handle's F is frontend IR; launching it runs a copy
-  /// optimized under the default pipeline (see the file comment); both
-  /// live, read-only, as long as the Session.
+  /// once. The handle's F is the frontend IR promoted by mem2reg, loops
+  /// intact; launching it runs a copy optimized under the default
+  /// pipeline (see the file comment); both live, read-only, as long as
+  /// the Session.
   Expected<Kernel> compile(const std::string &Source,
                            const std::string &Name);
 
@@ -239,9 +243,10 @@ public:
                            const pcl::CompileOptions &Opts);
 
   /// Compiles (or returns the cached) kernels of \p Source in declaration
-  /// order. Without a PipelineSpec each kernel is cloned once and the
-  /// clone optimized under the default pipeline as its launch copy; a
-  /// copy the verifier rejects fails the compile with its message.
+  /// order. Without a PipelineSpec each kernel is promoted by mem2reg,
+  /// then cloned once and the clone optimized under the default pipeline
+  /// as its launch copy; a copy the verifier rejects fails the compile
+  /// with its message.
   Expected<std::vector<Kernel>> compileAll(
       const std::string &Source,
       const pcl::CompileOptions &Opts = pcl::CompileOptions());

@@ -11,9 +11,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompilePromoted.h"
 #include "apps/Kernels.h"
-#include "pcl/Compiler.h"
 #include "perforation/AccessAnalysis.h"
+#include "runtime/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,7 @@ namespace {
 
 KernelAccessInfo analyze(ir::Module &M, const std::string &Source,
                          const std::string &Name) {
-  Expected<ir::Function *> F = pcl::compileKernel(M, Source, Name);
+  Expected<ir::Function *> F = compilePromoted(M, Source, Name);
   EXPECT_TRUE(static_cast<bool>(F)) << (F ? "" : F.error().message());
   Expected<KernelAccessInfo> Info = analyzeKernelAccesses(**F);
   EXPECT_TRUE(static_cast<bool>(Info));
@@ -284,9 +285,9 @@ TEST(AnalysisTest, WidthThroughSingleStoreScalar) {
   EXPECT_EQ(Info.Inputs[0].WidthArg->name(), "w");
 }
 
-TEST(AnalysisTest, ReassignedScalarUnmatched) {
-  // y is reassigned: not a single-store scalar, so the row expression is
-  // no longer provably gid1-affine.
+TEST(AnalysisTest, StraightLineReassignmentMatches) {
+  // y is reassigned twice in straight-line code: in SSA the row is
+  // (gid1 + 1) - 1, provably gid1.
   ir::Module M;
   KernelAccessInfo Info = analyze(
       M,
@@ -297,8 +298,95 @@ TEST(AnalysisTest, ReassignedScalarUnmatched) {
       "  out[get_global_id(1) * w + x] = in[y * w + x];"
       "}",
       "f");
+  ASSERT_EQ(Info.Inputs.size(), 1u);
+  EXPECT_EQ(Info.Inputs[0].DyMin, 0);
+  EXPECT_EQ(Info.Inputs[0].DyMax, 0);
+  EXPECT_EQ(Info.UnmatchedInputLoads, 0u);
+}
+
+TEST(AnalysisTest, PathDependentScalarUnmatched) {
+  // y is reassigned on one path only: the row is a join of gid1 and
+  // gid1 + 1, which is no single affine form.
+  ir::Module M;
+  KernelAccessInfo Info = analyze(
+      M,
+      "kernel void f(global const float* in, global float* out, int w, "
+      "int h) {"
+      "  int x = get_global_id(0); int y = get_global_id(1);"
+      "  if (x > 3) { y = y + 1; }"
+      "  out[get_global_id(1) * w + x] = in[y * w + x];"
+      "}",
+      "f");
   EXPECT_TRUE(Info.Inputs.empty());
   EXPECT_EQ(Info.UnmatchedInputLoads, 1u);
+}
+
+TEST(AnalysisTest, DownCountingLoopRange) {
+  // The induction steps down under >=: the body sees k = 2, 1, 0.
+  ir::Module M;
+  KernelAccessInfo Info = analyze(
+      M,
+      "kernel void f(global const float* in, global float* out, int w, "
+      "int h) {"
+      "  int x = get_global_id(0); int y = get_global_id(1);"
+      "  float s = 0.0;"
+      "  for (int k = 2; k >= 0; k--)"
+      "    s += in[(y - k) * w + x];"
+      "  out[y * w + x] = s;"
+      "}",
+      "f");
+  ASSERT_EQ(Info.Inputs.size(), 1u);
+  EXPECT_EQ(Info.Inputs[0].DyMin, -2);
+  EXPECT_EQ(Info.Inputs[0].DyMax, 0);
+  EXPECT_EQ(Info.UnmatchedInputLoads, 0u);
+}
+
+TEST(AnalysisTest, GreaterThanZeroLoopRange) {
+  // A j > 0 test stops before 0: the body sees j = 3, 2, 1.
+  ir::Module M;
+  KernelAccessInfo Info = analyze(
+      M,
+      "kernel void f(global const float* in, global float* out, int w, "
+      "int h) {"
+      "  int x = get_global_id(0); int y = get_global_id(1);"
+      "  float s = 0.0;"
+      "  int j = 3;"
+      "  while (j > 0) { s += in[y * w + (x + j)]; j--; }"
+      "  out[y * w + x] = s;"
+      "}",
+      "f");
+  ASSERT_EQ(Info.Inputs.size(), 1u);
+  EXPECT_EQ(Info.Inputs[0].DxMin, 1);
+  EXPECT_EQ(Info.Inputs[0].DxMax, 3);
+  EXPECT_EQ(Info.UnmatchedInputLoads, 0u);
+}
+
+TEST(AnalysisTest, LoopCounterReadAfterLoopUnmatched) {
+  // k leaves the loop at 3, past every value the body sees (0..2). The
+  // load after the loop reads row y + 3; matched with the body's range
+  // it would get a prefetch tile one row short. It must stay unmatched
+  // and keep reading global memory, so perforation finds no input.
+  const std::string Source =
+      "kernel void f(global const float* in, global float* out, int w, "
+      "int h) {"
+      "  int x = get_global_id(0); int y = get_global_id(1);"
+      "  int k = 0;"
+      "  while (k < 3) { k++; }"
+      "  out[y * w + x] = in[clamp(y + k, 0, h - 1) * w + x];"
+      "}";
+  rt::Session S;
+  rt::Kernel K = cantFail(S.compile(Source, "f"));
+  KernelAccessInfo Info = cantFail(analyzeKernelAccesses(*K.F));
+  EXPECT_TRUE(Info.Inputs.empty());
+  EXPECT_EQ(Info.UnmatchedInputLoads, 1u);
+
+  PerforationPlan Plan;
+  Plan.Scheme = PerforationScheme::none();
+  Expected<rt::Variant> V = S.perforate(K, Plan);
+  ASSERT_FALSE(static_cast<bool>(V));
+  EXPECT_NE(V.error().message().find("no perforatable input buffer"),
+            std::string::npos)
+      << V.error().message();
 }
 
 TEST(AnalysisTest, GidTimesTwoUnmatched) {
@@ -316,8 +404,9 @@ TEST(AnalysisTest, GidTimesTwoUnmatched) {
 }
 
 TEST(AnalysisTest, WhileLoopInductionNotRecognizedIsSafe) {
-  // Induction detection targets canonical for-loops; a hand-rolled while
-  // with the same effect must degrade to "unmatched", never misanalyze.
+  // A hand-rolled while loop with a for loop's effect: if its counter is
+  // not recognized as an induction, the load must degrade to
+  // "unmatched", never misanalyze.
   ir::Module M;
   KernelAccessInfo Info = analyze(
       M,
@@ -330,9 +419,9 @@ TEST(AnalysisTest, WhileLoopInductionNotRecognizedIsSafe) {
       "  out[y * w + x] = s;"
       "}",
       "f");
-  // A canonical while loop actually matches the same pattern (init store
-  // + increment store + bounding compare); either outcome is sound, but
-  // the footprint must be correct when matched.
+  // In SSA the while loop's counter is the same induction phi a for
+  // loop's is; either outcome is sound, but the footprint must be
+  // correct when matched.
   if (!Info.Inputs.empty()) {
     EXPECT_EQ(Info.Inputs[0].DyMin, 0);
     EXPECT_EQ(Info.Inputs[0].DyMax, 2);

@@ -282,7 +282,7 @@ TEST(LicmTest, SemanticsPreservedOnAllApps) {
     std::vector<float> Ref = TheApp->reference(W);
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-    // Launch the hoisted frontend kernels themselves, not the session's
+    // Launch the hoisted compiled kernels themselves, not the session's
     // optimized launch copies, so the run below checks the hoist.
     BK.K = rt::Kernel{BK.K.F};
     unsigned Hoisted = hoist(*BK.K.F);
@@ -307,7 +307,7 @@ TEST(LicmTest, ReducesDynamicAluWork) {
   auto AluPerItem = [&](bool Licm) {
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-    // Launch the frontend kernel itself, not the session's optimized
+    // Launch the compiled kernel itself, not the session's optimized
     // launch copy, so the hoist below is what the counters measure.
     BK.K = rt::Kernel{BK.K.F};
     if (Licm)

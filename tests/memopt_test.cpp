@@ -257,17 +257,16 @@ TEST(MemOptEffectTest, ReducesPrivateTrafficWithoutChangingResults) {
       img::generateImage(img::ImageClass::Natural, 32, 32, 33));
   std::vector<float> Ref = TheApp->reference(Wl);
 
-  auto PrivatePerItem = [&](bool Enable) {
+  // A kernel compiled under a pipeline spec launches itself, not an
+  // optimized launch copy, so the spec is what the counters measure.
+  auto PrivatePerItem = [&](const char *Spec) {
     rt::Session Ctx;
-    rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-    // Launch the frontend kernel itself, not the session's optimized
-    // launch copy, so the passes below are what the counters measure.
-    BK.K = rt::Kernel{BK.K.F};
-    if (Enable) {
-      forwardStores(*BK.K.F);
-      eliminateDeadCode(*BK.K.F);
-    }
-    apps::RunOutcome R = cantFail(TheApp->run(Ctx, BK, Wl));
+    pcl::CompileOptions Opts;
+    Opts.PipelineSpec = Spec;
+    rt::Kernel K = cantFail(
+        Ctx.compile(TheApp->source(), TheApp->kernelName(), Opts));
+    apps::RunOutcome R =
+        cantFail(TheApp->run(Ctx, Ctx.accurate(K, {16, 16}), Wl));
     for (size_t I = 0; I < Ref.size(); ++I) {
       EXPECT_NEAR(R.Output[I], Ref[I], 1e-4);
       if (std::abs(R.Output[I] - Ref[I]) > 1e-4)
@@ -276,8 +275,8 @@ TEST(MemOptEffectTest, ReducesPrivateTrafficWithoutChangingResults) {
     return static_cast<double>(R.Report.Totals.PrivateAccesses) /
            R.Report.Totals.WorkItems;
   };
-  double Without = PrivatePerItem(false);
-  double With = PrivatePerItem(true);
+  double Without = PrivatePerItem("dce");
+  double With = PrivatePerItem("memopt-forward,dce");
   EXPECT_LT(With, Without) << Without << " -> " << With;
 }
 

@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompilePromoted.h"
 #include "apps/App.h"
 #include "apps/Kernels.h"
 #include "img/Generators.h"
-#include "pcl/Compiler.h"
 #include "perforation/OutputApprox.h"
 
 #include <cmath>
@@ -165,7 +165,7 @@ TEST(OutputApproxTest, ReducedNDRangeReducesWork) {
 TEST(OutputApproxTest, OddApproxCountRejected) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, inversionSource(), "inversion");
+      compilePromoted(M, inversionSource(), "inversion");
   OutputApproxPlan Plan;
   Plan.ApproxPerComputed = 3;
   Plan.WidthArgIndex = 2;
@@ -179,7 +179,7 @@ TEST(OutputApproxTest, OddApproxCountRejected) {
 TEST(OutputApproxTest, BadArgIndexRejected) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, inversionSource(), "inversion");
+      compilePromoted(M, inversionSource(), "inversion");
   OutputApproxPlan Plan;
   Plan.WidthArgIndex = 9;
   Plan.HeightArgIndex = 3;
@@ -191,7 +191,7 @@ TEST(OutputApproxTest, BadArgIndexRejected) {
 TEST(OutputApproxTest, NonIntSizeArgRejected) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, inversionSource(), "inversion");
+      compilePromoted(M, inversionSource(), "inversion");
   OutputApproxPlan Plan;
   Plan.WidthArgIndex = 0; // The input pointer, not an int.
   Plan.HeightArgIndex = 3;
@@ -203,7 +203,7 @@ TEST(OutputApproxTest, NonIntSizeArgRejected) {
 
 TEST(OutputApproxTest, KernelWithoutStoresRejected) {
   ir::Module M;
-  Expected<ir::Function *> F = pcl::compileKernel(
+  Expected<ir::Function *> F = compilePromoted(
       M,
       "kernel void f(global const float* in, global float* out, int w, "
       "int h) { int x = get_global_id(0); }",
@@ -221,7 +221,7 @@ TEST(OutputApproxTest, KernelWithoutStoresRejected) {
 TEST(OutputApproxTest, DivisorsMatchScheme) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, inversionSource(), "inversion");
+      compilePromoted(M, inversionSource(), "inversion");
   OutputApproxPlan Plan;
   Plan.WidthArgIndex = 2;
   Plan.HeightArgIndex = 3;

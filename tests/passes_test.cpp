@@ -279,7 +279,7 @@ TEST(PipelineTest, PreservesKernelSemantics) {
 
   rt::Session Ctx;
   rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-  // Launch the optimized frontend kernel itself, not the session's own
+  // Launch the optimized compiled kernel itself, not the session's own
   // launch copy, so the run below checks this pipeline run.
   BK.K = rt::Kernel{BK.K.F};
   size_t Before = functionInstructionCount(*BK.K.F);

@@ -16,10 +16,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompilePromoted.h"
 #include "apps/App.h"
 #include "apps/Kernels.h"
 #include "ir/Verifier.h"
-#include "pcl/Compiler.h"
 #include "img/Generators.h"
 #include "ir/Printer.h"
 #include "perforation/Transform.h"
@@ -237,7 +237,7 @@ TEST(TransformTest, LIErrorLowerThanNNOnSmoothInput) {
 TEST(TransformTest, HotspotPerforatesBothBuffers) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::hotspotSource(), "hotspot");
+      compilePromoted(M, apps::hotspotSource(), "hotspot");
   // Use the Transform API directly to check structure.
   PerforationPlan Plan;
   Plan.Scheme =
@@ -253,7 +253,7 @@ TEST(TransformTest, HotspotPerforatesBothBuffers) {
 TEST(TransformTest, ExplicitBufferSelection) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::hotspotSource(), "hotspot");
+      compilePromoted(M, apps::hotspotSource(), "hotspot");
   PerforationPlan Plan;
   Plan.Scheme =
       PerforationScheme::rows(2, ReconstructionKind::NearestNeighbor);
@@ -267,7 +267,7 @@ TEST(TransformTest, ExplicitBufferSelection) {
 TEST(TransformTest, SelectingNonBufferArgFails) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::gaussianSource(), "gaussian");
+      compilePromoted(M, apps::gaussianSource(), "gaussian");
   PerforationPlan Plan;
   Plan.Scheme =
       PerforationScheme::rows(2, ReconstructionKind::NearestNeighbor);
@@ -281,7 +281,7 @@ TEST(TransformTest, SelectingNonBufferArgFails) {
 
 TEST(TransformTest, KernelWithLocalMemoryRejected) {
   ir::Module M;
-  Expected<ir::Function *> F = pcl::compileKernel(
+  Expected<ir::Function *> F = compilePromoted(
       M,
       "kernel void f(global const float* in, global float* out, int w, "
       "int h) {"
@@ -302,7 +302,7 @@ TEST(TransformTest, KernelWithLocalMemoryRejected) {
 
 TEST(TransformTest, KernelWithoutRecognizedInputRejected) {
   ir::Module M;
-  Expected<ir::Function *> F = pcl::compileKernel(
+  Expected<ir::Function *> F = compilePromoted(
       M,
       "kernel void f(global float* out, int w, int h) {"
       "  int x = get_global_id(0); int y = get_global_id(1);"
@@ -320,7 +320,7 @@ TEST(TransformTest, KernelWithoutRecognizedInputRejected) {
 TEST(TransformTest, InvalidPeriodRejected) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::gaussianSource(), "gaussian");
+      compilePromoted(M, apps::gaussianSource(), "gaussian");
   PerforationPlan Plan;
   Plan.Scheme.Kind = SchemeKind::Rows;
   Plan.Scheme.Period = 1;
@@ -334,7 +334,7 @@ TEST(TransformTest, PeriodLongerThanTileRefusedBeforeCloning) {
   // axis would build tiles that hold no loaded line at all.
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::inversionSource(), "inversion");
+      compilePromoted(M, apps::inversionSource(), "inversion");
   ASSERT_TRUE(static_cast<bool>(F)) << F.error().message();
   const size_t Functions = M.numFunctions();
   struct Case {
@@ -378,7 +378,7 @@ TEST(TransformTest, PeriodLongerThanTileRefusedBeforeCloning) {
 TEST(TransformTest, OriginalKernelUntouched) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::gaussianSource(), "gaussian");
+      compilePromoted(M, apps::gaussianSource(), "gaussian");
   std::string Before = ir::printFunction(**F);
   PerforationPlan Plan;
   Plan.Scheme =
@@ -390,7 +390,7 @@ TEST(TransformTest, OriginalKernelUntouched) {
 TEST(TransformTest, GeneratedKernelReportsLocalFootprint) {
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::sobel5Source(), "sobel5");
+      compilePromoted(M, apps::sobel5Source(), "sobel5");
   PerforationPlan Plan;
   Plan.Scheme = PerforationScheme::stencil();
   Plan.TileX = 8;
@@ -421,7 +421,7 @@ TEST(TransformTest, DeadOldAddressCodeEliminated) {
   // dead and must not survive (they would inflate simulated ALU work).
   ir::Module M;
   Expected<ir::Function *> F =
-      pcl::compileKernel(M, apps::inversionSource(), "inversion");
+      compilePromoted(M, apps::inversionSource(), "inversion");
   PerforationPlan Plan;
   Plan.Scheme =
       PerforationScheme::rows(2, ReconstructionKind::NearestNeighbor);

@@ -7,7 +7,7 @@
 // Developer tool over the library:
 //
 //   kperfc dump-ir <file.pcl> [--kernel name]
-//       Compile and print the kernel IR.
+//       Compile and print the kernel's frontend IR.
 //
 //   kperfc analyze <file.pcl> [--kernel name]
 //       Print the detected input footprints and output sites.
@@ -310,34 +310,45 @@ Expected<std::string> readFile(const std::string &Path) {
   return SS.str();
 }
 
-/// Compiles the requested (or first) kernel of the file. When
-/// \p ApplyPasses is set, the --passes pipeline (if any) runs over the
-/// compiled kernels as a post-verify step.
+/// Compiles the requested (or first) kernel of the file in \p S.
 Expected<rt::Kernel> compileFrom(rt::Session &S, const Options &O,
-                                 const std::string &Source,
-                                 bool ApplyPasses = false) {
-  pcl::CompileOptions CO;
-  if (ApplyPasses && O.PassSpecGiven) {
-    CO.PipelineSpec = O.PassSpec;
-    CO.VerifyEach = O.VerifyEach;
-  }
+                                 const std::string &Source) {
   if (!O.KernelName.empty())
-    return S.compile(Source, O.KernelName, CO);
-  Expected<std::vector<rt::Kernel>> All = S.compileAll(Source, CO);
+    return S.compile(Source, O.KernelName);
+  Expected<std::vector<rt::Kernel>> All = S.compileAll(Source);
+  if (!All)
+    return All.takeError();
+  return All->front();
+}
+
+/// Compiles the requested (or first) kernel of the file into \p M with
+/// \p CO, outside any Session, so that dump-ir and passes start from the
+/// frontend IR rather than a session's promoted kernel.
+Expected<ir::Function *> compileFrontend(ir::Module &M, const Options &O,
+                                         const std::string &Source,
+                                         const pcl::CompileOptions &CO) {
+  if (!O.KernelName.empty())
+    return pcl::compileKernel(M, Source, O.KernelName, CO);
+  Expected<std::vector<ir::Function *>> All = pcl::compile(M, Source, CO);
   if (!All)
     return All.takeError();
   return All->front();
 }
 
 int cmdDumpIR(const Options &O, const std::string &Source) {
-  rt::Session Ctx;
-  Expected<rt::Kernel> K =
-      compileFrom(Ctx, O, Source, /*ApplyPasses=*/true);
-  if (!K) {
-    std::fprintf(stderr, "error: %s\n", K.error().message().c_str());
+  // --passes runs over the compiled kernel as a post-verify step.
+  pcl::CompileOptions CO;
+  if (O.PassSpecGiven) {
+    CO.PipelineSpec = O.PassSpec;
+    CO.VerifyEach = O.VerifyEach;
+  }
+  ir::Module M;
+  Expected<ir::Function *> F = compileFrontend(M, O, Source, CO);
+  if (!F) {
+    std::fprintf(stderr, "error: %s\n", F.error().message().c_str());
     return 1;
   }
-  std::fputs(ir::printFunction(*K->F).c_str(), stdout);
+  std::fputs(ir::printFunction(**F).c_str(), stdout);
   return 0;
 }
 
@@ -711,10 +722,11 @@ int cmdLint(const Options &O, const std::string &Source) {
 }
 
 int cmdPasses(const Options &O, const std::string &Source) {
-  rt::Session Ctx;
-  Expected<rt::Kernel> K = compileFrom(Ctx, O, Source);
-  if (!K) {
-    std::fprintf(stderr, "error: %s\n", K.error().message().c_str());
+  ir::Module M;
+  Expected<ir::Function *> F =
+      compileFrontend(M, O, Source, pcl::CompileOptions());
+  if (!F) {
+    std::fprintf(stderr, "error: %s\n", F.error().message().c_str());
     return 1;
   }
   const std::string Spec =
@@ -726,23 +738,19 @@ int cmdPasses(const Options &O, const std::string &Source) {
     return 1;
   }
 
-  size_t Before = 0;
-  for (const auto &BB : K->F->blocks())
-    Before += BB->size();
+  size_t Before = ir::functionInstructionCount(**F);
 
   ir::PassRunOptions RunOpts;
   RunOpts.VerifyEach = O.VerifyEach;
-  Expected<ir::PipelineStats> StatsOr =
-      Pipeline->run(*K->F, Ctx.module(), Ctx.analyses(), RunOpts);
+  ir::AnalysisManager AM;
+  Expected<ir::PipelineStats> StatsOr = Pipeline->run(**F, M, AM, RunOpts);
   if (!StatsOr) {
     std::fprintf(stderr, "error: %s\n", StatsOr.error().message().c_str());
     return 1;
   }
   const ir::PipelineStats &Stats = *StatsOr;
 
-  size_t After = 0;
-  for (const auto &BB : K->F->blocks())
-    After += BB->size();
+  size_t After = ir::functionInstructionCount(**F);
 
   std::printf("; pipeline: %s\n", Pipeline->str().c_str());
   if (O.TimePasses)
@@ -772,9 +780,8 @@ int cmdPasses(const Options &O, const std::string &Source) {
                 "", Stats.total(), SizeDelta, AluDelta, Stats.Iterations);
   std::printf("; instructions: %zu -> %zu\n", Before, After);
   if (O.TimePasses)
-    std::printf("; analyses: %s\n",
-                Ctx.analyses().counters().str().c_str());
-  std::fputs(ir::printFunction(*K->F).c_str(), stdout);
+    std::printf("; analyses: %s\n", AM.counters().str().c_str());
+  std::fputs(ir::printFunction(**F).c_str(), stdout);
   return 0;
 }
 
