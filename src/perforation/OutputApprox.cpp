@@ -58,12 +58,8 @@ void remapGlobalId(irns::Module &M, irns::Function &F, int Dim,
         Call, B.getInt(static_cast<int32_t>(Period)));
     irns::Value *Shifted =
         B.createAdd(Scaled, B.getInt(static_cast<int32_t>(Offset)));
-    irns::Instruction *BoundLoad = nullptr;
-    irns::Value *Bound = BoundArg;
-    // Scalar args are values directly usable here.
-    (void)BoundLoad;
     irns::Value *Mapped = B.createClampInt(
-        Shifted, B.getInt(0), B.createSub(Bound, B.getInt(1)));
+        Shifted, B.getInt(0), B.createSub(BoundArg, B.getInt(1)));
     std::vector<irns::Instruction *> Skip{
         irns::cast<irns::Instruction>(Scaled)};
     replaceAllUses(F, Call, Mapped, Skip);

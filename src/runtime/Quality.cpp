@@ -11,6 +11,11 @@
 using namespace kperf;
 using namespace kperf::rt;
 
+namespace {
+/// How many check errors history() keeps.
+constexpr size_t kHistoryCapacity = 64;
+} // namespace
+
 QualityMonitor::QualityMonitor(Session &S, Kernel Accurate, Variant Approx,
                                sim::Range2 Global,
                                sim::Range2 AccurateLocal,
@@ -33,32 +38,6 @@ unsigned QualityMonitor::launches() const {
 std::deque<double> QualityMonitor::history() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return History;
-}
-
-unsigned QualityMonitor::historyCapacity() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return HistoryCapacity;
-}
-
-Variant QualityMonitor::approx() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Approx;
-}
-
-void QualityMonitor::setHistoryCapacity(unsigned N) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  HistoryCapacity = N;
-  if (HistoryCapacity != 0)
-    while (History.size() > HistoryCapacity)
-      History.pop_front();
-}
-
-void QualityMonitor::reset() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  FellBack = false;
-  Launches = 0;
-  History.clear();
-  ++Generation;
 }
 
 void QualityMonitor::rearm(const Variant &NewApprox) {
@@ -131,9 +110,8 @@ QualityMonitor::launch(const std::vector<sim::KernelArg> &Args,
     std::lock_guard<std::mutex> Lock(Mu);
     if (Gen == Generation) {
       History.push_back(Err);
-      if (HistoryCapacity != 0)
-        while (History.size() > HistoryCapacity)
-          History.pop_front();
+      if (History.size() > kHistoryCapacity)
+        History.pop_front();
       if (Violated)
         FellBack = true;
     }

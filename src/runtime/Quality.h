@@ -89,23 +89,9 @@ public:
   /// Number of launches performed so far.
   unsigned launches() const;
 
-  /// Errors measured at check points, oldest first (a copy). Capped to
-  /// the history capacity: a long-lived monitor keeps a sliding window,
-  /// not an unbounded log.
+  /// The errors of the most recent 64 checks, oldest first (a copy): a
+  /// long-lived monitor keeps a sliding window, not an unbounded log.
   std::deque<double> history() const;
-
-  /// Caps history() to the most recent \p N checks (0 = unbounded;
-  /// default 64). Shrinking drops the oldest entries immediately.
-  void setHistoryCapacity(unsigned N);
-  unsigned historyCapacity() const;
-
-  /// The variant currently monitored (a copy).
-  Variant approx() const;
-  double errorBudget() const { return ErrorBudget; }
-
-  /// Returns the monitor to its initial state: approximate mode, zero
-  /// launches, empty history. The variant is kept.
-  void reset();
 
   /// Swaps in \p NewApprox (e.g. a re-tuned variant) and re-arms the
   /// monitor: FellBack clears and history restarts so stale errors from
@@ -125,12 +111,11 @@ private:
   /// Guards every member below; never held across a launch or a score.
   mutable std::mutex Mu;
   Variant Approx;
-  unsigned HistoryCapacity = 64;
   bool FellBack = false;
   unsigned Launches = 0;
   std::deque<double> History;
-  /// Bumped by rearm() and reset(): a check records its result only if
-  /// the generation it launched under is still current.
+  /// Bumped by rearm(): a check records its result only if the
+  /// generation it launched under is still current.
   unsigned Generation = 0;
 };
 

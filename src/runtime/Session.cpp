@@ -479,13 +479,20 @@ Session::launch(const Variant &V, sim::Range2 FullGlobal,
 //
 // One file per variant under DiskCacheDir, named <16-hex-content-key>.kpv:
 //
-//   KPERF-VARIANT-v1
+//   KPERF-VARIANT-v2
 //   kind <u8>          (VariantKind; must match the requested kind)
 //   local <x> <y>
 //   localmem <words>
 //   div <x> <y>
 //   endheader
 //   <ir::serializeFunction text, own format-version stamp included>
+//   sum <16-hex>       (fnv1a64 of every byte before this line)
+//
+// A file with a stale stamp, a missing or wrong sum, a parse error or IR
+// that fails to verify is a miss; the recompile that follows overwrites
+// it. The sum catches what parsing and verification cannot: one changed
+// digit can still load as a valid but different kernel, such as a loop
+// counter phi reading the wrong value.
 //
 // The content key hashes the printed source-kernel IR, the canonical
 // VariantKey, and the lint-gate setting, so a different kernel body under
@@ -495,7 +502,13 @@ Session::launch(const Variant &V, sim::Range2 FullGlobal,
 // default-constructed pipeline stats.
 
 namespace {
-const char *kVariantFileStamp = "KPERF-VARIANT-v1";
+const char *kVariantFileStamp = "KPERF-VARIANT-v2";
+
+/// The last line of a variant file, which checksums \p Body before it.
+std::string variantFileSum(const std::string &Body) {
+  return format("sum %016llx\n",
+                static_cast<unsigned long long>(fnv1a64(Body)));
+}
 } // namespace
 
 Error Session::setDiskCache(const std::string &Dir) {
@@ -529,9 +542,23 @@ bool Session::loadVariantFromDisk(uint64_t ContentKey, VariantKind Kind,
   const std::string Path =
       DiskCacheDir + "/" + format("%016llx.kpv",
                                   static_cast<unsigned long long>(ContentKey));
-  std::ifstream In(Path);
-  if (!In)
+  std::string Text;
+  {
+    std::ifstream File(Path, std::ios::binary);
+    if (!File)
+      return false;
+    std::ostringstream Whole;
+    Whole << File.rdbuf();
+    Text = Whole.str();
+  }
+  // The last line is the sum of every byte before it.
+  const size_t SumAt = Text.rfind("\nsum ");
+  if (SumAt == std::string::npos ||
+      Text.compare(SumAt + 1, std::string::npos,
+                   variantFileSum(Text.substr(0, SumAt + 1))) != 0)
     return false;
+  Text.resize(SumAt + 1);
+  std::istringstream In(Text);
   std::string Line;
   if (!std::getline(In, Line) || Line != kVariantFileStamp)
     return false; // Stale format version: recompile and overwrite.
@@ -595,16 +622,18 @@ void Session::storeVariantToDisk(uint64_t ContentKey, const Variant &V) {
   const std::string Tmp =
       Path + format(".tmp.%ld", static_cast<long>(::getpid()));
   {
-    std::ofstream Out(Tmp, std::ios::trunc);
+    std::ofstream Out(Tmp, std::ios::trunc | std::ios::binary);
     if (!Out)
       return; // Best effort: an unwritable cache never fails a compile.
-    Out << kVariantFileStamp << "\n";
-    Out << "kind " << static_cast<unsigned>(V.Kind) << "\n";
-    Out << "local " << V.Local.X << " " << V.Local.Y << "\n";
-    Out << "localmem " << V.LocalMemWords << "\n";
-    Out << "div " << V.DivX << " " << V.DivY << "\n";
-    Out << "endheader\n";
-    Out << ir::serializeFunction(*V.K.F);
+    std::ostringstream Body;
+    Body << kVariantFileStamp << "\n";
+    Body << "kind " << static_cast<unsigned>(V.Kind) << "\n";
+    Body << "local " << V.Local.X << " " << V.Local.Y << "\n";
+    Body << "localmem " << V.LocalMemWords << "\n";
+    Body << "div " << V.DivX << " " << V.DivY << "\n";
+    Body << "endheader\n";
+    Body << ir::serializeFunction(*V.K.F);
+    Out << Body.str() << variantFileSum(Body.str());
     Out.flush();
     if (!Out) {
       Out.close();

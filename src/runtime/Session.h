@@ -347,9 +347,9 @@ public:
   /// \p Dir (created if absent). On a variant-cache miss the Session
   /// probes Dir for a file addressed by the hash of the source kernel's
   /// printed IR + the transform descriptor + the pipeline spec; a valid
-  /// file (format-version stamp checked, IR re-verified) is deserialized
-  /// into the module instead of recompiling and counted as a
-  /// DiskVariantHits. Freshly compiled variants are serialized back
+  /// file (format-version stamp and checksum checked, IR re-verified) is
+  /// deserialized into the module instead of recompiling and counted as
+  /// a DiskVariantHits. Freshly compiled variants are serialized back
   /// (atomic rename), so warm restarts and cross-process sweeps skip
   /// recompilation; a variant loaded from disk lives as long as the
   /// Session, like a compiled one. Pass "" to disable. Not thread-safe

@@ -7,6 +7,7 @@
 #include "apps/App.h"
 #include "img/Generators.h"
 #include "ir/AnalysisManager.h"
+#include "ir/Clone.h"
 #include "ir/Dominators.h"
 #include "ir/IRBuilder.h"
 #include "ir/LICM.h"
@@ -164,6 +165,13 @@ unsigned hoist(Function &F) {
   return hoistLoopInvariants(F, AM);
 }
 
+/// A copy of the session kernel \p F in \p Ctx's module, for a test to
+/// transform and launch: the session's own kernels are read-only.
+rt::Kernel copyOf(rt::Session &Ctx, const Function &F) {
+  CloneMap Map;
+  return rt::Kernel{cloneFunction(Ctx.module(), F, F.name() + ".copy", Map)};
+}
+
 const char *LoopKernel = R"(
 kernel void k(global const float* in, global float* out, int w, int h) {
   int x = get_global_id(0);
@@ -282,12 +290,12 @@ TEST(LicmTest, SemanticsPreservedOnAllApps) {
     std::vector<float> Ref = TheApp->reference(W);
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-    // Launch the hoisted compiled kernels themselves, not the session's
+    // Hoist and launch copies of the compiled kernels, not the session's
     // optimized launch copies, so the run below checks the hoist.
-    BK.K = rt::Kernel{BK.K.F};
+    BK.K = copyOf(Ctx, *BK.K.F);
     unsigned Hoisted = hoist(*BK.K.F);
     if (BK.isTwoPass()) {
-      BK.K2 = rt::Kernel{BK.K2.F};
+      BK.K2 = copyOf(Ctx, *BK.K2.F);
       Hoisted += hoist(*BK.K2.F);
     }
     Error E = verifyFunction(*BK.K.F);
@@ -307,9 +315,9 @@ TEST(LicmTest, ReducesDynamicAluWork) {
   auto AluPerItem = [&](bool Licm) {
     rt::Session Ctx;
     rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-    // Launch the compiled kernel itself, not the session's optimized
+    // Launch a copy of the compiled kernel, not the session's optimized
     // launch copy, so the hoist below is what the counters measure.
-    BK.K = rt::Kernel{BK.K.F};
+    BK.K = copyOf(Ctx, *BK.K.F);
     if (Licm)
       hoist(*BK.K.F);
     sim::SimReport R = cantFail(TheApp->run(Ctx, BK, W)).Report;

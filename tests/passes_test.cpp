@@ -7,6 +7,7 @@
 #include "apps/App.h"
 #include "img/Generators.h"
 #include "ir/AnalysisManager.h"
+#include "ir/Clone.h"
 #include "ir/IRBuilder.h"
 #include "ir/PassManager.h"
 #include "ir/Passes.h"
@@ -279,9 +280,11 @@ TEST(PipelineTest, PreservesKernelSemantics) {
 
   rt::Session Ctx;
   rt::Variant BK = cantFail(TheApp->buildPlain(Ctx, {16, 16}));
-  // Launch the optimized compiled kernel itself, not the session's own
-  // launch copy, so the run below checks this pipeline run.
-  BK.K = rt::Kernel{BK.K.F};
+  // Optimize and launch a copy of the compiled kernel, not the session's
+  // own launch copy, so the run below checks this pipeline run.
+  CloneMap Map;
+  BK.K = rt::Kernel{
+      cloneFunction(Ctx.module(), *BK.K.F, BK.K.name() + ".copy", Map)};
   size_t Before = functionInstructionCount(*BK.K.F);
   PipelineStats S = runDefaultPipeline(*BK.K.F, Ctx.module());
   EXPECT_FALSE(verifyFunction(*BK.K.F));

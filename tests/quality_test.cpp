@@ -213,13 +213,15 @@ TEST(QualityMonitorTest, CheckStraddlingRearmRecordsNothing) {
 }
 
 TEST(QualityMonitorTest, HistoryAccumulates) {
+  // A long-lived monitor keeps a sliding window of the last 64 check
+  // errors, not an unbounded log.
   MonitorSetup S(img::ImageClass::Smooth);
   QualityMonitor Mon = S.monitor(0.5, 1);
-  for (int I = 0; I < 3; ++I)
+  for (int I = 0; I < 70; ++I)
     cantFail(Mon.launch(S.Args, S.Out, mre()));
-  ASSERT_EQ(Mon.history().size(), 3u);
+  ASSERT_EQ(Mon.history().size(), 64u);
   // Same input every time: identical measured error.
-  EXPECT_DOUBLE_EQ(Mon.history()[0], Mon.history()[2]);
+  EXPECT_DOUBLE_EQ(Mon.history()[0], Mon.history()[63]);
 }
 
 } // namespace

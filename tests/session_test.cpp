@@ -22,6 +22,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 
 using namespace kperf;
@@ -453,6 +454,51 @@ TEST(SessionTest, DiskCacheKeyTracksSourceIR) {
       V, {32, 32},
       {arg::buffer(In), arg::buffer(Out), arg::i32(32), arg::i32(32)}));
   EXPECT_FLOAT_EQ(S.buffer(Out).floatAt(0), 3.0f);
+}
+
+TEST(SessionTest, DiskCacheRejectsCorruptedEntry) {
+  // One changed digit in a stored variant can still parse and verify as
+  // a different kernel, such as a loop counter phi reading the wrong
+  // value. The file's checksum turns every such rewrite -- in the
+  // header, the IR or the sum itself -- into a miss whose recompile
+  // overwrites the file.
+  std::string Dir = ::testing::TempDir() + "kperf_diskcache_corrupt";
+  std::filesystem::remove_all(Dir); // Stale entries from a previous run.
+  auto App = apps::makeApp("gaussian");
+  perf::PerforationScheme Scheme =
+      perf::PerforationScheme::rows(2, perf::ReconstructionKind::Linear);
+  {
+    Session S;
+    cantFail(S.setDiskCache(Dir));
+    cantFail(App->buildPerforated(S, Scheme, {16, 16}));
+    ASSERT_EQ(S.stats().DiskVariantStores, 1u);
+  }
+  const std::string File =
+      std::filesystem::directory_iterator(Dir)->path().string();
+  auto readFile = [&] {
+    std::ifstream In(File, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In), {});
+  };
+  const std::string Stored = readFile();
+
+  unsigned Digits = 0;
+  for (size_t I = 0; I < Stored.size(); ++I) {
+    if (Stored[I] < '0' || Stored[I] > '9')
+      continue;
+    ++Digits;
+    std::string Corrupt = Stored;
+    Corrupt[I] = Corrupt[I] == '9' ? '0' : Corrupt[I] + 1;
+    std::ofstream(File, std::ios::binary | std::ios::trunc) << Corrupt;
+
+    Session S;
+    cantFail(S.setDiskCache(Dir));
+    cantFail(App->buildPerforated(S, Scheme, {16, 16}));
+    ASSERT_EQ(S.stats().DiskVariantHits, 0u) << "digit at byte " << I;
+    ASSERT_EQ(S.stats().VariantCompiles, 1u) << "digit at byte " << I;
+    ASSERT_EQ(S.stats().DiskVariantStores, 1u) << "digit at byte " << I;
+  }
+  EXPECT_GT(Digits, 100u);
+  EXPECT_EQ(readFile(), Stored);
 }
 
 TEST(SessionTest, StatsLineMentionsCompilesAndHitRate) {
