@@ -23,16 +23,10 @@ using namespace kperf::apps;
 
 BenchSettings BenchSettings::fromEnvironment() {
   BenchSettings S;
-  if (const char *E = std::getenv("KPERF_IMG_SIZE"))
-    S.ImageSize = static_cast<unsigned>(std::atoi(E));
-  if (const char *E = std::getenv("KPERF_NUM_IMAGES"))
-    S.NumImages = static_cast<unsigned>(std::atoi(E));
+  S.ImageSize = std::max(envCount("KPERF_IMG_SIZE", S.ImageSize), 32u);
+  S.NumImages = std::max(envCount("KPERF_NUM_IMAGES", S.NumImages), 1u);
   if (const char *E = std::getenv("KPERF_IMG_DIR"))
     S.ImageDir = E;
-  if (S.ImageSize < 32)
-    S.ImageSize = 32;
-  if (S.NumImages < 1)
-    S.NumImages = 1;
   return S;
 }
 
@@ -169,22 +163,31 @@ std::vector<Expected<VariantEval>> bench::evaluateVariantsParallel(
 
 namespace {
 
-/// Parses a job-count value strictly; a malformed value is a usage
-/// error, not a silent fallback (0 would mean "every hardware thread").
-unsigned parseJobsValue(const char *Value, const char *Origin) {
-  char *End = nullptr;
-  long Jobs = std::strtol(Value, &End, 10);
-  if (End == Value || *End != '\0' || Jobs < 0) {
-    std::fprintf(stderr,
-                 "error: bad %s value '%s' (expected a non-negative "
-                 "integer; 0 = hardware threads)\n",
-                 Origin, Value);
+/// Parses a count strictly: a malformed value, or one past UINT_MAX, is a
+/// usage error, not a silent fallback or a wrapped value (a job count of
+/// 0 would mean "every hardware thread").
+unsigned parseCount(const char *Value, const char *Origin,
+                    const char *Expected) {
+  unsigned Count = 0;
+  if (!parseUnsigned(Value, Count)) {
+    std::fprintf(stderr, "error: bad %s value '%s' (expected %s)\n", Origin,
+                 Value, Expected);
     std::exit(2);
   }
-  return static_cast<unsigned>(Jobs);
+  return Count;
+}
+
+unsigned parseJobsValue(const char *Value, const char *Origin) {
+  return parseCount(Value, Origin,
+                    "a count up to 4294967295; 0 = hardware threads");
 }
 
 } // namespace
+
+unsigned bench::envCount(const char *Name, unsigned Default) {
+  const char *E = std::getenv(Name);
+  return E ? parseCount(E, Name, "a count up to 4294967295") : Default;
+}
 
 unsigned bench::parseJobsFlag(int Argc, char **Argv, unsigned Default) {
   for (int I = 1; I < Argc; ++I) {

@@ -35,7 +35,9 @@
 namespace kperf {
 namespace bench {
 
-/// Benchmark-wide workload sizing, overridable via environment.
+/// Benchmark-wide workload sizing, overridable via environment
+/// (KPERF_IMG_SIZE, floored at 32; KPERF_NUM_IMAGES, floored at 1;
+/// KPERF_IMG_DIR).
 struct BenchSettings {
   unsigned ImageSize = 256;
   unsigned NumImages = 40;
@@ -98,6 +100,11 @@ std::vector<Expected<VariantEval>> evaluateVariantsParallel(
 /// is given (benches default to 1: serial, byte-reproducible without
 /// opting in).
 unsigned parseJobsFlag(int Argc, char **Argv, unsigned Default = 1);
+
+/// The count in environment variable \p Name, or \p Default when it is
+/// unset. A value that is not a decimal count up to UINT_MAX is a usage
+/// error: exits 2 with a "bad NAME value" line.
+unsigned envCount(const char *Name, unsigned Default);
 
 //===--- Machine-readable output (--json) -----------------------------------//
 

@@ -39,10 +39,8 @@ const sim::ExecTier AllTiers[] = {sim::ExecTier::Tree,
                                   sim::ExecTier::Batched};
 
 unsigned workloadSize() {
-  if (const char *Env = std::getenv("KPERF_IMG_SIZE"))
-    if (unsigned V = static_cast<unsigned>(std::atoi(Env)))
-      return V;
-  return 128;
+  unsigned V = envCount("KPERF_IMG_SIZE", 0); // 0 keeps the default.
+  return V ? V : 128;
 }
 
 Workload benchWorkload(const App &A, unsigned Size) {

@@ -33,7 +33,6 @@
 #include "perforation/Tuner.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 
@@ -50,10 +49,8 @@ namespace {
 constexpr double TuneBudget = 0.06;
 
 unsigned workloadSize() {
-  if (const char *Env = std::getenv("KPERF_IMG_SIZE"))
-    if (unsigned V = static_cast<unsigned>(std::atoi(Env)))
-      return V;
-  return 256;
+  unsigned V = envCount("KPERF_IMG_SIZE", 0); // 0 keeps the default.
+  return V ? V : 256;
 }
 
 Workload benchWorkload(unsigned Size) {

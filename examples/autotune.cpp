@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The paper's future-work scenario realized: given a kernel and an error
-// budget, automatically explore scheme x reconstruction x work-group
-// configurations, print the Pareto front, and pick the fastest
-// configuration within the budget.
+// budget, automatically explore scheme x reconstruction x work-group x
+// loop-stride configurations, print the Pareto front, and pick the
+// fastest configuration within the budget.
 //
 // Usage: autotune [app] [error-budget]     (default: median 0.05)
 //
@@ -15,6 +15,7 @@
 
 #include "apps/App.h"
 #include "img/Generators.h"
+#include "ir/PassManager.h"
 #include "perforation/Tuner.h"
 
 #include <cstdio>
@@ -48,7 +49,9 @@ int main(int Argc, char **Argv) {
   std::map<std::pair<unsigned, unsigned>, double> BaselineMs;
 
   // Measure one configuration: speedup vs. the baseline at the same
-  // work-group shape, plus output error.
+  // work-group shape, plus output error. The loop stride is a pipeline
+  // pass (perforate-loop), so each build runs under the configuration's
+  // joint spec; baselines run under the default spec.
   perf::EvaluateFn Evaluate =
       [&](const perf::TunerConfig &Config)
       -> Expected<perf::Measurement> {
@@ -56,6 +59,7 @@ int main(int Argc, char **Argv) {
     auto Key = std::make_pair(Local.X, Local.Y);
     auto It = BaselineMs.find(Key);
     if (It == BaselineMs.end()) {
+      App->setPipelineSpec(ir::defaultPipelineSpec());
       Expected<rt::Variant> Base = App->buildBaseline(S, Local);
       if (!Base)
         return Base.takeError();
@@ -65,8 +69,10 @@ int main(int Argc, char **Argv) {
       It = BaselineMs.emplace(Key, R->Report.TimeMs).first;
     }
     double BaseMs = It->second;
+    App->setPipelineSpec(
+        perf::jointPipelineSpec(ir::defaultPipelineSpec(), Config.LoopStride));
     Expected<rt::Variant> BK =
-        Config.Scheme.Kind == perf::SchemeKind::None
+        Config.Scheme.Kind == perf::SchemeKind::None && Config.LoopStride <= 1
             ? App->buildBaseline(S, Local)
             : App->buildPerforated(S, Config.Scheme, Local);
     if (!BK)

@@ -10,28 +10,24 @@
 #include "perforation/Tuner.h"
 #include "support/StringUtils.h"
 
-#include <cassert>
-
 using namespace kperf;
 using namespace kperf::rt;
 
 //===--- Internal state ------------------------------------------------------//
 
-/// One lock stripe: a fully private session (own module, analyses,
-/// caches). Striping at the session level is what makes the stripes
-/// independent -- ir::Module and the analysis caches are not thread-safe,
-/// so sharing one module across stripes would only re-serialize compiles.
-struct Server::Shard {
-  Session S;
-  explicit Shard(const sim::DeviceConfig &Device) : S(Device) {}
-};
+namespace {
+
+/// Re-tunes a service may spend; its next trip degrades it to
+/// permanently accurate.
+constexpr unsigned MaxReTunesPerService = 2;
+
+} // namespace
 
 struct Server::Service {
   ServiceConfig C;
-  unsigned ShardIdx = 0;
   /// The compiled kernel: its promoted IR is the only input of the
   /// perforating transforms, and launching it -- every accurate launch --
-  /// runs the shard session's copy optimized under the default pipeline.
+  /// runs the session's copy optimized under the default pipeline.
   Kernel K;
   /// Internally synchronized; null when the service registered
   /// accurate-only.
@@ -46,26 +42,12 @@ struct Server::Service {
   /// A re-tune is queued or running: serve accurate, unchecked, and
   /// queue no second one.
   bool ReTunePending = false;
-  unsigned ReTunesLeft = 0;
+  unsigned ReTunesLeft = MaxReTunesPerService;
 };
 
 //===--- ServerStats ---------------------------------------------------------//
 
 namespace {
-
-void accumulate(SessionStats &Into, const SessionStats &From) {
-  Into.SourceCompiles += From.SourceCompiles.load();
-  Into.SourceCacheHits += From.SourceCacheHits.load();
-  Into.VariantCompiles += From.VariantCompiles.load();
-  Into.VariantCacheHits += From.VariantCacheHits.load();
-  Into.BufferCreates += From.BufferCreates.load();
-  Into.BufferReuses += From.BufferReuses.load();
-  Into.BytecodeCompiles += From.BytecodeCompiles.load();
-  Into.BytecodeCacheHits += From.BytecodeCacheHits.load();
-  Into.LintRejections += From.LintRejections.load();
-  Into.DiskVariantHits += From.DiskVariantHits.load();
-  Into.DiskVariantStores += From.DiskVariantStores.load();
-}
 
 /// One frame's input and output buffers, checked out of a session for
 /// the lifetime of a request or an evaluation and released on every
@@ -97,30 +79,19 @@ struct FrameBuffers {
 
 std::string ServerStats::str() const {
   return format("requests: %u; checks: %u; re-tunes: %u; degraded: %u; "
-                "services: %u; shards: %u; sessions: %s",
+                "services: %u; sessions: %s",
                 Requests, Checks, ReTunes, DegradedServices, Services,
-                Shards, Sessions.str().c_str());
+                Sessions.str().c_str());
 }
 
 //===--- Server --------------------------------------------------------------//
 
-Server::Server(ServerConfig C) : Config(std::move(C)) {
-  if (Config.Shards == 0)
-    Config.Shards = 1;
-  for (unsigned I = 0; I < Config.Shards; ++I) {
-    auto Sh = std::make_unique<Shard>(Config.Device);
-    Sh->S.setLintGate(Config.LintGate);
-    Shards.push_back(std::move(Sh));
-  }
+Server::Server(const ServerConfig &Config) {
+  S.setLintGate(Config.LintGate);
   // An unusable cache directory costs warm restarts, not service: come
-  // up without the disk cache on every shard and keep the reason.
-  for (const auto &Sh : Shards)
-    if (Error E = Sh->S.setDiskCache(Config.DiskCacheDir)) {
-      DiskCacheError = E.message();
-      for (const auto &Off : Shards)
-        cantFail(Off->S.setDiskCache(""));
-      break;
-    }
+  // up without the disk cache and keep the reason.
+  if (Error E = S.setDiskCache(Config.DiskCacheDir))
+    DiskCacheError = E.message();
 }
 
 Server::~Server() {
@@ -143,7 +114,7 @@ Server::buildVariant(Service &Svc, const perf::PerforationScheme &Scheme,
   Plan.TileY = Svc.C.Tile.Y;
   Plan.PipelineSpec =
       perf::jointPipelineSpec(Plan.PipelineSpec, LoopStride);
-  return Shards[Svc.ShardIdx]->S.perforate(Svc.K, Plan);
+  return S.perforate(Svc.K, Plan);
 }
 
 Error Server::addService(const ServiceConfig &C) {
@@ -173,20 +144,11 @@ Error Server::addService(const ServiceConfig &C) {
   }
 
   auto Svc = std::make_unique<Service>();
-  // Hashed lock striping: the kernel and source identity every
-  // VariantKey of this service shares picks the stripe, so all its
-  // variants compile and cache on one shard while distinct kernels
-  // spread across shards.
-  Svc->ShardIdx = static_cast<unsigned>(
-      fnv1a64(Cfg.Kernel + "|" + Cfg.Source) % Shards.size());
   Svc->C = Cfg;
-  Session &S = Shards[Svc->ShardIdx]->S;
-
   Expected<Kernel> K = S.compile(Cfg.Source, Cfg.Kernel);
   if (!K)
     return Error(K.error());
   Svc->K = *K;
-  Svc->ReTunesLeft = Config.MaxReTunesPerService;
 
   Expected<Variant> V = buildVariant(*Svc, Cfg.Scheme);
   if (!V) {
@@ -212,7 +174,6 @@ Error Server::addService(const ServiceConfig &C) {
 
 std::optional<Variant> Server::retune(const ReTuneJob &Job) {
   Service &Svc = *Job.Svc;
-  Session &S = Shards[Svc.ShardIdx]->S;
   const sim::Range2 Global{Svc.C.Width, Svc.C.Height};
 
   // Candidate space: the scheme families at the service tile crossed
@@ -256,7 +217,7 @@ std::optional<Variant> Server::retune(const ReTuneJob &Job) {
     return std::nullopt;
 
   // The winner was already compiled (and cached) during the evaluation,
-  // so this hits the shard's variant cache.
+  // so this hits the session's variant cache.
   Expected<Variant> Winner = buildVariant(
       Svc, Results[Best].Config.Scheme, Results[Best].Config.LoopStride);
   if (!Winner)
@@ -335,7 +296,6 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
     std::lock_guard<std::mutex> Lock(Svc->Mu);
     Accurately = Svc->AccurateOnly || Svc->ReTunePending;
   }
-  Session &S = Shards[Svc->ShardIdx]->S;
   FrameBuffers Frame(S, Input);
   const std::vector<sim::KernelArg> Args = Frame.args(Svc->C);
   const sim::Range2 Global{Svc->C.Width, Svc->C.Height};
@@ -393,22 +353,12 @@ std::vector<std::string> Server::services() const {
   return ServiceOrder;
 }
 
-Expected<unsigned> Server::shardOf(const std::string &Service) const {
-  std::lock_guard<std::mutex> Lock(ServicesMutex);
-  auto It = ServiceMap.find(Service);
-  if (It == ServiceMap.end())
-    return makeError("no service named '%s'", Service.c_str());
-  return It->second->ShardIdx;
-}
-
 ServerStats Server::stats() const {
   ServerStats St;
-  for (const auto &Sh : Shards)
-    accumulate(St.Sessions, Sh->S.stats());
+  St.Sessions = S.stats();
   St.Requests = Requests.load();
   St.Checks = Checks.load();
   St.ReTunes = ReTunes.load();
-  St.Shards = static_cast<unsigned>(Shards.size());
   std::lock_guard<std::mutex> Lock(ServicesMutex);
   St.Services = static_cast<unsigned>(ServiceMap.size());
   for (const auto &Entry : ServiceMap) {

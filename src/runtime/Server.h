@@ -10,26 +10,25 @@
 /// launches behind a quality guarantee, re-tune online when observed
 /// error drifts past the budget.
 ///
-/// A Server owns a small pool of shards, each a fully private rt::Session
-/// (own ir::Module, analyses, caches, CompileMutex). Services are routed
-/// to a shard by hashing their kernel name and source, so two distinct
-/// kernels compile genuinely concurrently -- lock striping at the shard
-/// granularity rather than one global compile lock. Requests for the same
-/// key land on the same shard and dedup under that shard's CompileMutex,
-/// exactly once.
+/// A Server owns one rt::Session, and every service compiles and
+/// launches in it. Requests never take the session's compile lock: a
+/// launch runs lock-free, and on the batched tier a kernel's first launch
+/// compiles its bytecode under the session's separate bytecode lock. The
+/// only source and variant compiles are addService()'s and the re-tune
+/// worker's candidates, and the session's one compile lock serializes
+/// them; a key compiles exactly once.
 ///
 /// Each registered service wraps one standard-signature image kernel
 /// (global const float* in, global float* out, int w, int h) with a fixed
 /// frame shape, an initial perforation scheme, and an error budget. The
-/// service compiles its source once on its shard. The compiled kernel
-/// (Kernel::F, promoted IR) is the only input of the perforating
-/// transforms (so every variant and cache key is that of it); every
-/// accurate launch -- check references, accurate-only and
-/// re-tune-pending requests -- runs the session's launch copy of it,
-/// optimized under the library default pipeline (see Session.h). The
-/// default pipeline holds only exact passes, so both produce the same
-/// bytes and the same modeled time; the optimized copy just simulates
-/// faster.
+/// service compiles its source once. The compiled kernel (Kernel::F,
+/// promoted IR) is the only input of the perforating transforms (so every
+/// variant and cache key is that of it); every accurate launch -- check
+/// references, accurate-only and re-tune-pending requests -- runs the
+/// session's launch copy of it, optimized under the library default
+/// pipeline (see Session.h). The default pipeline holds only exact
+/// passes, so both produce the same bytes and the same modeled time; the
+/// optimized copy just simulates faster.
 ///
 /// serve() launches the current variant through a rt::QualityMonitor;
 /// when the request's own check trips the monitor (measured error past
@@ -45,12 +44,11 @@
 ///
 /// Thread-safety: every public method may be called from any client
 /// thread. A request waits only for its own launches: it checks its
-/// frame buffers out of the shard session, and the service lock guards
-/// only the service's mode flags, so requests to one service run
-/// concurrently just as requests to different services do. They share
-/// the monitor (internally synchronized) and the shard's session (whose
-/// compile caches are internally synchronized and whose launches run
-/// lock-free).
+/// frame buffers out of the session, and the service lock guards only
+/// the service's mode flags, so requests to one service run concurrently
+/// just as requests to different services do. They share the monitor
+/// (internally synchronized) and the session (whose compile caches are
+/// internally synchronized and whose launches run lock-free).
 ///
 /// Lock order: registry lock -> service lock -> monitor lock; the service
 /// lock is never held across a launch or a re-tune, and the re-tune
@@ -80,20 +78,12 @@ namespace rt {
 
 /// Server-wide configuration, fixed at construction.
 struct ServerConfig {
-  /// Number of shard sessions (lock stripes). Distinct variant keys
-  /// hash across shards and compile concurrently; 0 is clamped to 1.
-  unsigned Shards = 4;
-  /// Root of the content-addressed on-disk variant cache shared by all
-  /// shards ("" = off). Warm restarts then skip recompilation entirely.
-  /// A directory that cannot be created leaves the cache off; see
-  /// Server::diskCacheError().
+  /// Root of the content-addressed on-disk variant cache ("" = off).
+  /// Warm restarts then skip recompilation entirely. A directory that
+  /// cannot be created leaves the cache off; see Server::diskCacheError().
   std::string DiskCacheDir;
   /// Run every generated kernel through the static lint gate.
   bool LintGate = false;
-  /// Re-tunes allowed per service before it degrades to permanently
-  /// accurate.
-  unsigned MaxReTunesPerService = 2;
-  sim::DeviceConfig Device;
 };
 
 /// One quality-managed kernel service. The kernel must have the standard
@@ -129,8 +119,8 @@ struct ServeResult {
   bool ReTuned = false;
 };
 
-/// Aggregated serving counters. Session is the sum over all shard
-/// sessions (snapshot semantics, see SessionStats).
+/// Serving counters. Sessions is the session's own stats() (snapshot
+/// semantics, see SessionStats).
 struct ServerStats {
   SessionStats Sessions;
   unsigned Requests = 0;
@@ -139,32 +129,29 @@ struct ServerStats {
   /// Services currently degraded to permanently accurate.
   unsigned DegradedServices = 0;
   unsigned Services = 0;
-  unsigned Shards = 0;
 
-  /// One report line (append-only format, like SessionStats::str()).
+  /// One report line.
   std::string str() const;
 };
 
 /// Multi-tenant perforation server; see the file comment.
 class Server {
 public:
-  explicit Server(ServerConfig Config = ServerConfig());
+  explicit Server(const ServerConfig &Config = ServerConfig());
   /// Lets a running re-tune finish, drops queued ones, and joins the
   /// re-tune worker.
   ~Server();
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  const ServerConfig &config() const { return Config; }
-
   /// Why the configured disk cache is off, e.g. "disk cache: cannot
   /// create directory '...'"; "" when it is on or none was configured.
   /// The server serves without it either way.
   const std::string &diskCacheError() const { return DiskCacheError; }
 
-  /// Registers a service: compiles the kernel on its shard (promoted IR
-  /// plus its optimized launch copy, one source compile), builds the
-  /// initial perforated variant, and arms the quality monitor. Fails if
+  /// Registers a service: compiles the kernel (promoted IR plus its
+  /// optimized launch copy, one source compile), builds the initial
+  /// perforated variant, and arms the quality monitor. Fails if
   /// the name is taken, the shape or tile is zero, the tile does not
   /// divide the shape, or compilation/perforation fails (a lint-gate
   /// rejection arms the service in accurate-only mode instead of failing
@@ -186,18 +173,13 @@ public:
   /// Registered service names, in registration order.
   std::vector<std::string> services() const;
 
-  /// The shard index \p Service is routed to (stable for the server's
-  /// lifetime; exposed for tests and load diagnostics).
-  Expected<unsigned> shardOf(const std::string &Service) const;
-
   ServerStats stats() const;
 
 private:
-  struct Shard;
   struct Service;
 
   /// Builds the perforated variant of \p Svc for \p Scheme from its
-  /// compiled kernel through its shard session (cached by VariantKey,
+  /// compiled kernel through the session (cached by VariantKey,
   /// so re-tunes that pick a previously built scheme hit the cache).
   /// \p LoopStride > 1 splices perforate-loop(stride) into the default
   /// cleanup pipeline (perf::jointPipelineSpec); the spec is part of the
@@ -228,9 +210,8 @@ private:
   /// applies each result under the service lock.
   void reTuneLoop();
 
-  ServerConfig Config;
+  Session S;
   std::string DiskCacheError;
-  std::vector<std::unique_ptr<Shard>> Shards;
 
   /// Guards the service registry (not the per-service state).
   mutable std::mutex ServicesMutex;

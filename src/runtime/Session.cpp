@@ -212,36 +212,38 @@ Expected<Kernel> Session::compile(const std::string &Source,
 }
 
 unsigned Session::createBuffer(size_t NumElements) {
+  return placeBuffer(sim::BufferData(NumElements));
+}
+
+unsigned Session::createBufferFrom(const std::vector<float> &Values) {
+  sim::BufferData Data;
+  Data.uploadFloats(Values);
+  return placeBuffer(std::move(Data));
+}
+
+unsigned Session::placeBuffer(sim::BufferData Data) {
   std::lock_guard<std::mutex> Lock(BufferMutex);
   if (!FreeBuffers.empty()) {
     unsigned Index = FreeBuffers.back();
     FreeBuffers.pop_back();
-    Buffers[Index] = sim::BufferData(NumElements);
+    Buffers[Index] = std::move(Data);
     ++Stats.BufferReuses;
     return Index;
   }
   ++Stats.BufferCreates;
-  Buffers.emplace_back(NumElements);
+  Buffers.push_back(std::move(Data));
   return static_cast<unsigned>(Buffers.size() - 1);
 }
 
-unsigned Session::createBufferFrom(const std::vector<float> &Values) {
-  unsigned Index = createBuffer(Values.size());
-  {
-    std::lock_guard<std::mutex> Lock(BufferMutex);
-    Buffers[Index].uploadFloats(Values);
-  }
-  return Index;
-}
-
 void Session::releaseBuffer(unsigned Index) {
+  sim::BufferData Dropped; // Freed after the lock is released.
   std::lock_guard<std::mutex> Lock(BufferMutex);
   assert(Index < Buffers.size() && "releaseBuffer index out of range");
 #ifndef NDEBUG
   for (unsigned Free : FreeBuffers)
     assert(Free != Index && "double release of a session buffer");
 #endif
-  Buffers[Index] = sim::BufferData(); // Drop the storage now.
+  std::swap(Buffers[Index], Dropped);
   FreeBuffers.push_back(Index);
 }
 

@@ -366,6 +366,10 @@ private:
   /// released slots are nulled so a stale index fails the launch.
   std::vector<sim::BufferData *> snapshotBufferBank();
 
+  /// Puts \p Data in a free slot, or a new one, and returns its index.
+  /// Callers allocate and fill the storage before, outside BufferMutex.
+  unsigned placeBuffer(sim::BufferData Data);
+
   /// Builds one variant into the module under the fresh kernel name it
   /// is given, or fails (transform refused, lint gate).
   using VariantBuilder = std::function<Expected<Variant>(const std::string &)>;
@@ -417,7 +421,9 @@ private:
   /// the two compile caches. Held across actual compiles, so concurrent
   /// requests for one key block until the first inserts it, then hit.
   mutable std::mutex CompileMutex;
-  /// Guards the buffer table and free list (never held during a launch).
+  /// Guards the buffer table and free list. Never held during a launch,
+  /// nor while buffer storage is allocated, filled or freed: concurrent
+  /// requests contend only for the slot bookkeeping.
   mutable std::mutex BufferMutex;
 
   /// Buffer slots; a deque so element addresses survive growth and

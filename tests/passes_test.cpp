@@ -308,7 +308,11 @@ TEST(PipelineTest, ShrinksPerforatedKernels) {
       Ctx,
       perf::PerforationScheme::rows(2, perf::ReconstructionKind::Linear),
       {16, 16}));
-  PipelineStats S = runDefaultPipeline(*BK.K.F, Ctx.module());
+  // Run it on a copy: the session's variant is read-only.
+  CloneMap Map;
+  Function *Copy =
+      cloneFunction(Ctx.module(), *BK.K.F, BK.K.name() + ".copy", Map);
+  PipelineStats S = runDefaultPipeline(*Copy, Ctx.module());
   EXPECT_EQ(S.total(), 0u);
 }
 

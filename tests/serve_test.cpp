@@ -4,15 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// rt::Server: service registration and shard routing, serve() parity
-// with a direct session launch, accurate launches on the optimized
-// kernel at the service tile, the online re-tune hot-swap (quality
-// loop) on the background worker, degradation when the budget proves
-// unreachable or the scorer returns NaN, the lint-gate accurate-only
-// path, disk-cache warm restarts with zero variant compiles, serving
-// without the disk cache when its directory cannot be created, fresh
-// output buffers per request, concurrent clients across services and on
-// one service, and shutdown with re-tunes in flight.
+// rt::Server: service registration, serve() parity with a direct
+// session launch, accurate launches on the optimized kernel at the
+// service tile, the online re-tune hot-swap (quality loop) on the
+// background worker, registration while a re-tune runs, degradation when
+// the budget proves unreachable, the scorer returns NaN or the service
+// has spent its re-tunes, the lint-gate accurate-only path, disk-cache
+// warm restarts with zero variant compiles, serving without the disk
+// cache when its directory cannot be created, fresh output buffers per
+// request, concurrent clients across services and on one service, and
+// shutdown with re-tunes in flight.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,7 +102,7 @@ private:
   unsigned Held = 0;
 };
 
-TEST(ServerTest, RegistrationAndStableRouting) {
+TEST(ServerTest, RegistrationRejectsDuplicateNames) {
   Server Srv(ServerConfig{});
   std::vector<std::pair<const char *, const char *>> Defs = {
       {"gaussian", apps::gaussianSource()},
@@ -115,15 +116,8 @@ TEST(ServerTest, RegistrationAndStableRouting) {
   EXPECT_EQ(Srv.services(),
             (std::vector<std::string>{"gaussian", "inversion", "sobel3",
                                       "mean"}));
-  for (const auto &D : Defs) {
-    unsigned Shard = cantFail(Srv.shardOf(D.first));
-    EXPECT_LT(Shard, Srv.config().Shards);
-    // Routing is a pure hash of the service's key material: stable.
-    EXPECT_EQ(Shard, cantFail(Srv.shardOf(D.first)));
-  }
   ServerStats St = Srv.stats();
   EXPECT_EQ(St.Services, 4u);
-  EXPECT_EQ(St.Shards, 4u);
   EXPECT_EQ(St.Sessions.VariantCompiles, 4u);
   EXPECT_NE(St.str().find("services: 4"), std::string::npos);
 
@@ -257,7 +251,7 @@ TEST(ServerTest, QualityLoopReTunesAndHotSwaps) {
   EXPECT_EQ(St.DegradedServices, 0u);
   EXPECT_EQ(St.Requests, 2u);
   EXPECT_EQ(St.Checks, 2u);
-  // The re-tune evaluated its candidate space through the shard's
+  // The re-tune evaluated its candidate space through the session's
   // variant cache, and the winner's rebuild was a pure cache hit.
   EXPECT_GE(St.Sessions.VariantCacheHits, 1u);
   // Registration compiled the source once (frontend IR plus its launch
@@ -273,9 +267,7 @@ TEST(ServerTest, UnreachableBudgetDegradesToAccurate) {
   // pipeline, with no private traffic and fewer ALU ops than the
   // compiled kernel itself, yet must match a launch of that kernel byte
   // for byte and in modeled time.
-  ServerConfig SC;
-  SC.MaxReTunesPerService = 1;
-  Server Srv(SC);
+  Server Srv(ServerConfig{});
   ServiceConfig C = imageService("mean", apps::meanSource());
   C.CheckEvery = 1;
   C.Score = [](const std::vector<float> &, const std::vector<float> &) {
@@ -343,6 +335,44 @@ TEST(ServerTest, NanScoreReTunesThenDegradesToAccurate) {
   EXPECT_EQ(St.DegradedServices, 1u);
 }
 
+TEST(ServerTest, ThirdTripAfterTwoReTunesDegrades) {
+  // Every request's check trips (the test thread's scorer reports over
+  // budget) and every re-tune succeeds (the worker's reports clean). A
+  // service spends two re-tunes; its third trip degrades it to
+  // permanently accurate instead of queuing a third.
+  Server Srv(ServerConfig{});
+  ServiceConfig C = imageService("gaussian", apps::gaussianSource());
+  C.CheckEvery = 1;
+  const std::thread::id Client = std::this_thread::get_id();
+  C.Score = [Client](const std::vector<float> &,
+                     const std::vector<float> &) {
+    return std::this_thread::get_id() == Client ? 1.0 : 0.0;
+  };
+  ASSERT_FALSE(static_cast<bool>(Srv.addService(C)));
+
+  std::vector<float> Input = frame(img::ImageClass::Smooth, 64, 12);
+  for (unsigned Trip = 1; Trip <= 2; ++Trip) {
+    ServeResult R = cantFail(Srv.serve("gaussian", Input));
+    EXPECT_TRUE(R.Checked) << "trip " << Trip;
+    EXPECT_FALSE(R.UsedApproximate) << "trip " << Trip;
+    EXPECT_TRUE(R.ReTuned) << "trip " << Trip;
+    Srv.waitForReTunes();
+  }
+
+  ServeResult Third = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_TRUE(Third.Checked);
+  EXPECT_FALSE(Third.UsedApproximate);
+  EXPECT_FALSE(Third.ReTuned);
+  ServeResult Fourth = cantFail(Srv.serve("gaussian", Input));
+  EXPECT_FALSE(Fourth.Checked); // Accurate-only: the monitor is bypassed.
+  EXPECT_FALSE(Fourth.UsedApproximate);
+
+  ServerStats St = Srv.stats();
+  EXPECT_EQ(St.ReTunes, 2u);
+  EXPECT_EQ(St.Checks, 3u);
+  EXPECT_EQ(St.DegradedServices, 1u);
+}
+
 TEST(ServerTest, ThrowingReTuneScorerDegradesToAccurate) {
   // A scorer that throws on the re-tune worker fails that re-tune like
   // an infeasible space: the service degrades and keeps serving. (On
@@ -373,7 +403,9 @@ TEST(ServerTest, TrippingRequestReturnsBeforeItsReTune) {
   // The request whose check trips returns the accurate output its check
   // computed without waiting for the re-tune it queued: the re-tune's
   // scorer calls are held until the next request has been served. While
-  // the re-tune is pending the service serves accurate, unchecked.
+  // the re-tune is pending the service serves accurate, unchecked, and a
+  // new service registers and serves: registration and the re-tune share
+  // the session's compile lock, which the held worker does not hold.
   Server Srv(ServerConfig{});
   ServiceConfig C = imageService("gaussian", apps::gaussianSource());
   C.CheckEvery = 1;
@@ -409,6 +441,11 @@ TEST(ServerTest, TrippingRequestReturnsBeforeItsReTune) {
   EXPECT_EQ(Pending.Output, First.Output);
   EXPECT_EQ(*TestCalls, 1u); // The pending request ran no check.
 
+  ASSERT_TRUE(Gate->awaitHeld()); // The worker is in its scorer.
+  ASSERT_FALSE(static_cast<bool>(
+      Srv.addService(imageService("mean", apps::meanSource()))));
+  EXPECT_TRUE(cantFail(Srv.serve("mean", Input)).UsedApproximate);
+
   Gate->open();
   Srv.waitForReTunes();
   ServeResult After = cantFail(Srv.serve("gaussian", Input));
@@ -419,7 +456,7 @@ TEST(ServerTest, TrippingRequestReturnsBeforeItsReTune) {
   ServerStats St = Srv.stats();
   EXPECT_EQ(St.ReTunes, 1u);
   EXPECT_EQ(St.DegradedServices, 0u);
-  EXPECT_EQ(St.Requests, 3u);
+  EXPECT_EQ(St.Requests, 4u);
   EXPECT_EQ(St.Checks, 2u);
 }
 
@@ -585,7 +622,7 @@ TEST(ServerTest, UncreatableCacheDirServesWithoutIt) {
 
 TEST(ServerTest, ConcurrentClientsAcrossServices) {
   // Clients hammering different services proceed concurrently (distinct
-  // service locks, shard sessions synchronized internally) and each
+  // service locks, the session synchronized internally) and each
   // stream sees exactly the single-threaded outputs.
   Server Srv(ServerConfig{});
   std::vector<std::pair<const char *, const char *>> Defs = {

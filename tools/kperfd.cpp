@@ -11,8 +11,7 @@
 // quality guarantee" deployment of the paper's end-game -- and measures
 // it.
 //
-//   kperfd [--shards N]      lock stripes / shard sessions   (default 4)
-//          [--clients N]     concurrent client threads       (default 4;
+//   kperfd [--clients N]     concurrent client threads       (default 4;
 //                            at most one per request)
 //          [--requests N]    total requests to serve         (default 360)
 //          [--size N]        frame edge length               (default 128)
@@ -118,9 +117,7 @@ int main(int Argc, char **Argv) {
       }
       return false;
     };
-    if (eat("--shards"))
-      Cfg.Shards = countValue(Value, "--shards");
-    else if (eat("--clients"))
+    if (eat("--clients"))
       Clients = countValue(Value, "--clients");
     else if (eat("--requests"))
       Requests = countValue(Value, "--requests");
@@ -170,18 +167,14 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  std::printf("kperfd: %u shards, %zu services, %u clients, %u requests, "
-              "%ux%u frames%s\n",
-              Server.config().Shards, Defs.size(), Clients, Requests, Size,
-              Size,
+  std::printf("kperfd: %zu services, %u clients, %u requests, %ux%u "
+              "frames%s\n",
+              Defs.size(), Clients, Requests, Size, Size,
               Cfg.DiskCacheDir.empty()
                   ? ""
                   : format(", disk cache %s",
                            Cfg.DiskCacheDir.c_str())
                         .c_str());
-  for (const std::string &Name : Server.services())
-    std::printf("  service %-12s -> shard %u\n", Name.c_str(),
-                cantFail(Server.shardOf(Name)));
 
   // Precomputed deterministic request schedule (a zipfian service draw,
   // the schedule RNG's only use) over a pool of mostly smooth frames.
@@ -276,7 +269,6 @@ int main(int Argc, char **Argv) {
       bench::JsonRecord R;
       R.add("bench", "serve");
       R.add("service", Defs[I].Name);
-      R.add("shard", count(cantFail(Server.shardOf(Defs[I].Name))));
       R.add("requests", count(Counts[I].Served.load()));
       R.add("approx", count(Counts[I].Approx.load()));
       R.add("checks", count(Counts[I].Checks.load()));
@@ -290,7 +282,6 @@ int main(int Argc, char **Argv) {
     Total.add("requests", count(Requests));
     Total.add("failed", count(Failures.load()));
     Total.add("clients", count(Clients));
-    Total.add("shards", count(Server.config().Shards));
     Total.add("size", count(Size));
     Total.add("launches_per_sec", RequestsPerSec);
     Total.add("p50_ms", percentile(0.50));
