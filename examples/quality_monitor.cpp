@@ -21,6 +21,7 @@
 #include "img/Generators.h"
 #include "img/Metrics.h"
 #include "runtime/Quality.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -29,9 +30,15 @@ using namespace kperf;
 
 int main(int Argc, char **Argv) {
   double Budget = Argc > 1 ? std::atof(Argv[1]) : 0.05;
-  unsigned CheckEvery = Argc > 2
-                            ? static_cast<unsigned>(std::atoi(Argv[2]))
-                            : 4;
+  unsigned CheckEvery = 4;
+  if (Argc > 2 && !parseUnsigned(Argv[2], CheckEvery)) {
+    // A count, not a wrapped negative: exit before anything runs.
+    std::fprintf(stderr,
+                 "error: bad check-every value '%s' (expected a count up "
+                 "to 4294967295)\n",
+                 Argv[2]);
+    return 2;
+  }
   const unsigned Size = 128;
   const unsigned NumFrames = 24;
 

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/App.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -21,11 +22,29 @@
 using namespace kperf;
 using namespace kperf::apps;
 
+namespace {
+
+/// Reads count argument \p Text: anything but a decimal count up to
+/// 4294967295 exits 2 before anything runs, instead of wrapping.
+unsigned countArg(const char *Text, const char *Name) {
+  unsigned V = 0;
+  if (!parseUnsigned(Text, V)) {
+    std::fprintf(stderr,
+                 "error: bad %s value '%s' (expected a count up to "
+                 "4294967295)\n",
+                 Name, Text);
+    std::exit(2);
+  }
+  return V;
+}
+
+} // namespace
+
 int main(int Argc, char **Argv) {
-  unsigned Size = Argc > 1 ? static_cast<unsigned>(std::atoi(Argv[1])) : 128;
-  unsigned Steps = Argc > 2 ? static_cast<unsigned>(std::atoi(Argv[2])) : 16;
-  if (Size % 16 != 0) {
-    std::fprintf(stderr, "grid size must be a multiple of 16\n");
+  unsigned Size = Argc > 1 ? countArg(Argv[1], "grid-size") : 128;
+  unsigned Steps = Argc > 2 ? countArg(Argv[2], "steps") : 16;
+  if (Size == 0 || Size % 16 != 0) {
+    std::fprintf(stderr, "grid size must be a positive multiple of 16\n");
     return 1;
   }
 

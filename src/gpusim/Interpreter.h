@@ -7,6 +7,12 @@
 /// \file
 /// Executes kernel IR over a simulated NDRange with OpenCL semantics:
 ///
+///  * The reference (tree) tier lowers the IR per launch, without a
+///    cache: each instruction becomes one typed operation that already
+///    encodes its operand kind, address space or builtin, and phis
+///    become parallel copies on the CFG edges into their block. Each
+///    work item owns one frame of values that starts with the arguments
+///    and constants, so an operand read is one indexed load.
 ///  * Work groups run independently; inside a group, work items execute
 ///    sequentially but are suspended and resumed around barriers (phase
 ///    execution), so `barrier()` behaves exactly as on a GPU. Divergent

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 using namespace kperf;
 using namespace kperf::ir;
@@ -31,40 +33,43 @@ bool hasSideEffects(const Instruction &I) {
 } // namespace
 
 unsigned ir::eliminateDeadCode(Function &F) {
-  unsigned Deleted = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    std::unordered_map<const Value *, unsigned> UseCount;
-    for (const auto &BB : F.blocks())
-      for (const auto &I : BB->instructions())
-        for (const Value *Op : I->operands())
-          if (Op != I.get()) // A phi's self-edge is not a real use.
-            ++UseCount[Op];
+  // Count uses once; a phi's self-edge is not a real use.
+  std::unordered_map<const Value *, unsigned> Uses;
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions())
+      for (const Value *Op : I->operands())
+        if (Op != I.get())
+          ++Uses[Op];
+  std::vector<const Instruction *> Work;
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions())
+      if (!hasSideEffects(*I) && !Uses.count(I.get()))
+        Work.push_back(I.get());
+  if (Work.empty())
+    return 0;
 
-    for (const auto &BB : F.blocks()) {
-      // Collect-then-erase to keep iteration simple.
-      std::vector<const Instruction *> Dead;
-      for (const auto &I : BB->instructions()) {
-        if (hasSideEffects(*I))
-          continue;
-        if (UseCount[I.get()] == 0)
-          Dead.push_back(I.get());
-      }
-      if (Dead.empty())
-        continue;
-      auto &Instrs = BB->mutableInstructions();
-      Instrs.erase(std::remove_if(Instrs.begin(), Instrs.end(),
-                                  [&](const auto &I) {
-                                    for (const Instruction *D : Dead)
-                                      if (D == I.get())
-                                        return true;
-                                    return false;
-                                  }),
-                   Instrs.end());
-      Deleted += static_cast<unsigned>(Dead.size());
-      Changed = true;
+  // Each dead instruction gives up its operands' uses; an operand whose
+  // last use goes is dead in turn. Counts only fall, so each instruction
+  // joins the worklist at most once.
+  std::unordered_set<const Instruction *> Dead;
+  while (!Work.empty()) {
+    const Instruction *I = Work.back();
+    Work.pop_back();
+    Dead.insert(I);
+    for (const Value *Op : I->operands()) {
+      const auto *OpI = dyn_cast<Instruction>(Op);
+      if (OpI && OpI != I && --Uses[OpI] == 0 && !hasSideEffects(*OpI))
+        Work.push_back(OpI);
     }
   }
-  return Deleted;
+
+  for (const auto &BB : F.blocks()) {
+    auto &Instrs = BB->mutableInstructions();
+    Instrs.erase(std::remove_if(Instrs.begin(), Instrs.end(),
+                                [&](const auto &I) {
+                                  return Dead.count(I.get()) != 0;
+                                }),
+                 Instrs.end());
+  }
+  return static_cast<unsigned>(Dead.size());
 }

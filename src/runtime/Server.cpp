@@ -167,7 +167,6 @@ Error Server::addService(const ServiceConfig &C) {
   std::lock_guard<std::mutex> Lock(ServicesMutex);
   if (ServiceMap.count(Cfg.Name))
     return makeError("service '%s' already registered", Cfg.Name.c_str());
-  ServiceOrder.push_back(Cfg.Name);
   ServiceMap.emplace(Cfg.Name, std::move(Svc));
   return Error::success();
 }
@@ -346,11 +345,6 @@ Expected<ServeResult> Server::serve(const std::string &ServiceName,
     queueReTune(ReTuneJob{Svc, Input, Result.Output, Result.Report.TimeMs});
   }
   return Result;
-}
-
-std::vector<std::string> Server::services() const {
-  std::lock_guard<std::mutex> Lock(ServicesMutex);
-  return ServiceOrder;
 }
 
 ServerStats Server::stats() const {

@@ -170,9 +170,6 @@ public:
   /// too.
   void waitForReTunes();
 
-  /// Registered service names, in registration order.
-  std::vector<std::string> services() const;
-
   ServerStats stats() const;
 
 private:
@@ -216,7 +213,6 @@ private:
   /// Guards the service registry (not the per-service state).
   mutable std::mutex ServicesMutex;
   std::map<std::string, std::unique_ptr<Service>> ServiceMap;
-  std::vector<std::string> ServiceOrder;
 
   std::atomic<unsigned> Requests{0};
   std::atomic<unsigned> Checks{0};

@@ -13,13 +13,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CompilePromoted.h"
 #include "gpusim/CostModel.h"
 #include "gpusim/Interpreter.h"
+#include "ir/IRBuilder.h"
+#include "ir/Verifier.h"
 #include "pcl/Compiler.h"
 
 #include <cmath>
 #include <gtest/gtest.h>
 #include <string>
+#include <utility>
 
 using namespace kperf;
 using namespace kperf::sim;
@@ -73,11 +77,36 @@ protected:
   }
 };
 
+std::string tierName(const ::testing::TestParamInfo<ExecTier> &Info) {
+  return execTierName(Info.param);
+}
+
 INSTANTIATE_TEST_SUITE_P(Tiers, InterpCounterTest,
                          ::testing::Values(ExecTier::Tree, ExecTier::Batched),
-                         [](const ::testing::TestParamInfo<ExecTier> &Info) {
-                           return std::string(execTierName(Info.param));
-                         });
+                         tierName);
+
+/// InterpCounterTest for kernels in promoted (mem2reg) IR, whose outputs
+/// the cases compute themselves: these pin values, not counters.
+class InterpValueTest : public InterpCounterTest {
+protected:
+  ir::Function *compilePromoted(const std::string &Source) {
+    Expected<ir::Function *> F = kperf::compilePromoted(M, Source, "f");
+    EXPECT_TRUE(static_cast<bool>(F)) << (F ? "" : F.error().message());
+    return F ? *F : nullptr;
+  }
+
+  static unsigned countPhis(const ir::Function &F) {
+    unsigned N = 0;
+    for (const auto &BB : F.blocks())
+      for (const auto &I : BB->instructions())
+        N += I->opcode() == ir::Opcode::Phi;
+    return N;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Tiers, InterpValueTest,
+                         ::testing::Values(ExecTier::Tree, ExecTier::Batched),
+                         tierName);
 
 //===----------------------------------------------------------------------===//
 // Basic execution and arithmetic
@@ -370,6 +399,172 @@ TEST_F(InterpTest, DivisionByZeroReported) {
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_NE(R.error().message().find("division by zero"),
             std::string::npos);
+}
+
+TEST_F(InterpTest, PhiWithoutValueForTheTakenEdgeFaults) {
+  // Unverified IR: a phi runs as a copy on the edge into its block, so
+  // an edge it has no value for faults when taken, and so does a phi
+  // reached without an edge (in the entry block, or below a non-phi).
+  // Items 0-3 take the then-edge, items 4-7 the else-edge.
+  enum class Bad { MissingEdge, InEntry, BelowNonPhi };
+  for (Bad Case : {Bad::MissingEdge, Bad::InEntry, Bad::BelowNonPhi}) {
+    ir::Function *F = M.createFunction("bad" + std::to_string(int(Case)));
+    ir::Argument *Out = F->addArgument(
+        ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global),
+        "out", false);
+    ir::BasicBlock *Entry = F->createBlock("entry");
+    ir::BasicBlock *Then = F->createBlock("then");
+    ir::BasicBlock *Else = F->createBlock("else");
+    ir::BasicBlock *Join = F->createBlock("join");
+    ir::IRBuilder B(M);
+    B.setInsertPoint(Entry);
+    ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)});
+    B.createCondBr(B.createCmp(ir::Opcode::CmpLt, X, M.getInt(4)), Then,
+                   Else);
+    B.setInsertPoint(Then);
+    B.createBr(Join);
+    B.setInsertPoint(Else);
+    B.createBr(Join);
+    B.setInsertPoint(Case == Bad::InEntry ? Entry : Join);
+    ir::Instruction *Phi = B.createPhi(ir::Type::intTy(), "p");
+    Phi->addIncoming(M.getInt(7), Then);
+    if (Case != Bad::MissingEdge)
+      Phi->addIncoming(M.getInt(9), Else);
+    if (Case == Bad::BelowNonPhi) {
+      B.setInsertPoint(Join, 0);
+      B.createAdd(X, M.getInt(1));
+    }
+    B.setInsertPoint(Join);
+    B.createStore(Phi, B.createGep(Out, X));
+    B.createRet();
+    EXPECT_TRUE(static_cast<bool>(ir::verifyFunction(*F)));
+
+    Buffers.clear();
+    unsigned OutB = makeBuffer(8);
+    Expected<SimReport> R =
+        run(F, {8, 1}, {8, 1}, {KernelArg::makeBuffer(OutB)});
+    ASSERT_FALSE(static_cast<bool>(R)) << int(Case);
+    EXPECT_NE(R.error().message().find(
+                  "phi has no incoming value for the executed edge"),
+              std::string::npos)
+        << R.error().message();
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Phis on CFG edges and pointer selects, against hand-computed values
+//===----------------------------------------------------------------------===//
+
+TEST_P(InterpValueTest, SwapCycleOnLoopBackEdge) {
+  // a and b are loop-header phis whose back-edge values are each other:
+  // a parallel copy with a cycle. Five iterations swap an odd number of
+  // times, so a copy that overwrites a before b reads it shows.
+  ir::Function *F = compilePromoted("kernel void f(global const float* in, "
+                                    "global float* out) {"
+                                    "  int x = get_global_id(0);"
+                                    "  float a = in[x];"
+                                    "  float b = a * 3.0 + 1.0;"
+                                    "  for (int i = 0; i < 5; i++) {"
+                                    "    float t = a;"
+                                    "    a = b;"
+                                    "    b = t;"
+                                    "  }"
+                                    "  out[x] = a * 2.0 - b;"
+                                    "}");
+  ASSERT_NE(F, nullptr);
+  EXPECT_GE(countPhis(*F), 3u); // a, b and i.
+  std::vector<float> In(32);
+  for (size_t X = 0; X < In.size(); ++X)
+    In[X] = 0.25f * static_cast<float>(X) - 3.0f;
+  unsigned InB = makeBuffer(In);
+  unsigned Out = makeBuffer(In.size());
+  cantFail(run(F, {32, 1}, {16, 1},
+               {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(Out)}));
+  for (size_t X = 0; X < In.size(); ++X) {
+    float A = In[X], B = A * 3.0f + 1.0f;
+    for (int I = 0; I < 5; ++I)
+      std::swap(A, B);
+    EXPECT_EQ(Buffers[Out].floatAt(X), A * 2.0f - B) << X;
+  }
+}
+
+TEST_P(InterpValueTest, LoopPhisLiveAcrossBarriers) {
+  // The header phis (acc, k) and the ids stay live across both barriers
+  // and the back edge, and every iteration reads another item's slot: an
+  // item that lost a value while suspended, or ran ahead of its group,
+  // changes the output.
+  ir::Function *F = compilePromoted("kernel void f(global const float* in, "
+                                    "global float* out) {"
+                                    "  local float t[16];"
+                                    "  int l = get_local_id(0);"
+                                    "  int g = get_global_id(0);"
+                                    "  float acc = in[g];"
+                                    "  for (int k = 0; k < 3; k++) {"
+                                    "    t[l] = acc + (float)k;"
+                                    "    barrier();"
+                                    "    acc += t[15 - l] * 0.5;"
+                                    "    barrier();"
+                                    "  }"
+                                    "  out[g] = acc;"
+                                    "}");
+  ASSERT_NE(F, nullptr);
+  EXPECT_GE(countPhis(*F), 2u); // acc and k.
+  std::vector<float> In(32);
+  for (size_t X = 0; X < In.size(); ++X)
+    In[X] = 1.0f + static_cast<float>(X);
+  unsigned InB = makeBuffer(In);
+  unsigned Out = makeBuffer(In.size());
+  cantFail(run(F, {32, 1}, {16, 1},
+               {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(Out)}));
+  std::vector<float> Acc = In;
+  for (size_t G0 = 0; G0 < Acc.size(); G0 += 16)
+    for (int K = 0; K < 3; ++K) {
+      float T[16];
+      for (size_t L = 0; L < 16; ++L)
+        T[L] = Acc[G0 + L] + static_cast<float>(K);
+      for (size_t L = 0; L < 16; ++L)
+        Acc[G0 + L] += T[15 - L] * 0.5f;
+    }
+  for (size_t X = 0; X < Acc.size(); ++X)
+    EXPECT_FLOAT_EQ(Buffers[Out].floatAt(X), Acc[X]) << X;
+}
+
+TEST_P(InterpValueTest, SelectOfGlobalPointersKeepsItsBuffer) {
+  // A select between two buffer arguments yields a pointer whose buffer
+  // index rides in the value's scalar payload; a gep and a load off it
+  // must read the chosen buffer. A leading unused buffer keeps both
+  // indices nonzero.
+  ir::Function *F = M.createFunction("f");
+  ir::Type FloatPtr =
+      ir::Type::pointerTo(ir::ScalarKind::Float, ir::AddressSpace::Global);
+  ir::Argument *A = F->addArgument(FloatPtr, "a", true);
+  ir::Argument *Bp = F->addArgument(FloatPtr, "b", true);
+  ir::Argument *Out = F->addArgument(FloatPtr, "out", false);
+  ir::IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *Even = B.createCmp(
+      ir::Opcode::CmpEq, B.createRem(X, M.getInt(2)), M.getInt(0), "even");
+  ir::Value *P = B.createSelect(Even, A, Bp, "p");
+  ir::Value *V = B.createLoad(B.createGep(P, B.createAdd(X, M.getInt(1))));
+  B.createStore(V, B.createGep(Out, X));
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+
+  makeBuffer(1);
+  std::vector<float> AV(17), BV(17);
+  for (size_t I = 0; I < AV.size(); ++I) {
+    AV[I] = 100.0f + static_cast<float>(I);
+    BV[I] = 200.0f + static_cast<float>(I);
+  }
+  unsigned AB = makeBuffer(AV);
+  unsigned BB = makeBuffer(BV);
+  unsigned OutB = makeBuffer(16);
+  cantFail(run(F, {16, 1}, {8, 1},
+               {KernelArg::makeBuffer(AB), KernelArg::makeBuffer(BB),
+                KernelArg::makeBuffer(OutB)}));
+  for (size_t X = 0; X < 16; ++X)
+    EXPECT_EQ(Buffers[OutB].floatAt(X), (X % 2 == 0 ? AV : BV)[X + 1]) << X;
 }
 
 //===----------------------------------------------------------------------===//

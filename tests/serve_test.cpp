@@ -113,9 +113,6 @@ TEST(ServerTest, RegistrationRejectsDuplicateNames) {
     ASSERT_FALSE(
         static_cast<bool>(Srv.addService(imageService(D.first, D.second))));
 
-  EXPECT_EQ(Srv.services(),
-            (std::vector<std::string>{"gaussian", "inversion", "sobel3",
-                                      "mean"}));
   ServerStats St = Srv.stats();
   EXPECT_EQ(St.Services, 4u);
   EXPECT_EQ(St.Sessions.VariantCompiles, 4u);
@@ -185,7 +182,15 @@ TEST(ServerTest, ServeErrors) {
   Error Z = Srv.addService(ZeroTile);
   ASSERT_TRUE(static_cast<bool>(Z));
   EXPECT_NE(Z.message().find("0x16 tile"), std::string::npos);
-  EXPECT_EQ(Srv.services(), std::vector<std::string>{"inversion"});
+
+  // Only the first registration took: every rejected name serves nothing.
+  EXPECT_EQ(Srv.stats().Services, 1u);
+  for (const char *Rejected : {"zero", "ragged", "zerotile"}) {
+    Expected<ServeResult> R = Srv.serve(Rejected, {});
+    ASSERT_FALSE(static_cast<bool>(R)) << Rejected;
+    EXPECT_EQ(R.error().message(),
+              std::string("no service named '") + Rejected + "'");
+  }
 }
 
 TEST(ServerTest, NonSquareTileServesEveryRequestChecksIncluded) {
