@@ -17,9 +17,9 @@
 #include "img/Generators.h"
 #include "ir/PassManager.h"
 #include "perforation/Tuner.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -28,7 +28,14 @@ using namespace kperf::apps;
 
 int main(int Argc, char **Argv) {
   std::string AppName = Argc > 1 ? Argv[1] : "median";
-  double Budget = Argc > 2 ? std::atof(Argv[2]) : 0.05;
+  double Budget = 0.05;
+  if (Argc > 2 && !parseNonNegative(Argv[2], Budget)) {
+    std::fprintf(stderr,
+                 "error: bad error-budget value '%s' (expected a finite "
+                 "number >= 0)\n",
+                 Argv[2]);
+    return 2;
+  }
   auto App = makeApp(AppName);
   if (!App) {
     std::fprintf(stderr, "unknown app '%s'\n", AppName.c_str());

@@ -24,12 +24,20 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace kperf;
 
 int main(int Argc, char **Argv) {
-  double Budget = Argc > 1 ? std::atof(Argv[1]) : 0.05;
+  double Budget = 0.05;
+  if (Argc > 1 && !parseNonNegative(Argv[1], Budget)) {
+    // A number, not whatever prefix of the text parses: exit before
+    // anything runs.
+    std::fprintf(stderr,
+                 "error: bad error-budget value '%s' (expected a finite "
+                 "number >= 0)\n",
+                 Argv[1]);
+    return 2;
+  }
   unsigned CheckEvery = 4;
   if (Argc > 2 && !parseUnsigned(Argv[2], CheckEvery)) {
     // A count, not a wrapped negative: exit before anything runs.

@@ -6,6 +6,7 @@
 
 #include "gpusim/Bytecode.h"
 
+#include "gpusim/ExecCommon.h"
 #include "ir/DivergenceAnalysis.h"
 
 #include <algorithm>
@@ -80,7 +81,6 @@ public:
     computeLiveness();
     buildIntervals();
     linearScan();
-    planFusion();
     if (Error E = emit())
       return E;
     fusePeephole();
@@ -434,103 +434,41 @@ private:
 
   //===--- Superinstruction fusion ------------------------------------------//
 
-  enum FuseKind : uint8_t {
-    FuseNone = 0,
-    FuseGepLoad,  ///< Gep + Ld{G,L,P} -> Ld{G,L,P}X
-    FuseGepStore, ///< Gep + St{G,L,P} -> St{G,L,P}X
-    FuseCmpBr,    ///< Cmp?? + CondBr  -> JmpCmp{I,F}
-    FuseMulAdd,   ///< Mul + Add       -> MulAdd{I,F}
-  };
-
-  /// Marks adjacent single-use producer/consumer pairs whose pair of
-  /// opcodes has a fused superinstruction. The producer's only use must
-  /// be the instruction textually next to it (phis count as uses via
-  /// their operand lists, so values feeding edge copies never fuse);
-  /// nothing executes between the two, so folding the producer into the
-  /// consumer preserves evaluation order, rounding, and every counter.
-  void planFusion() {
-    std::unordered_map<const irns::Value *, unsigned> Uses;
-    for (const auto &BB : F.blocks())
-      for (const auto &I : BB->instructions())
-        for (irns::Value *Op : I->operands())
-          ++Uses[Op];
-    for (const auto &BB : F.blocks()) {
-      const auto &Insts = BB->instructions();
-      for (size_t K = 0; K + 1 < Insts.size(); ++K) {
-        const irns::Instruction *A = Insts[K].get();
-        const irns::Instruction *B = Insts[K + 1].get();
-        if (A->opcode() == irns::Opcode::Phi)
-          continue;
-        auto UI = Uses.find(A);
-        if (UI == Uses.end() || UI->second != 1)
-          continue;
-        FuseKind Kind = FuseNone;
-        switch (A->opcode()) {
-        case irns::Opcode::Gep:
-          if (B->opcode() == irns::Opcode::Load && B->operand(0) == A)
-            Kind = FuseGepLoad;
-          else if (B->opcode() == irns::Opcode::Store &&
-                   B->operand(1) == A && B->operand(0) != A)
-            Kind = FuseGepStore;
-          break;
-        case irns::Opcode::CmpEq:
-        case irns::Opcode::CmpNe:
-        case irns::Opcode::CmpLt:
-        case irns::Opcode::CmpLe:
-        case irns::Opcode::CmpGt:
-        case irns::Opcode::CmpGe:
-          if (B->opcode() == irns::Opcode::CondBr && B->operand(0) == A)
-            Kind = FuseCmpBr;
-          break;
-        case irns::Opcode::Mul:
-          if (B->opcode() == irns::Opcode::Add &&
-              (B->operand(0) == A || B->operand(1) == A))
-            Kind = FuseMulAdd;
-          break;
-        default:
-          break;
-        }
-        if (Kind != FuseNone)
-          FuseKindAt[A] = Kind;
-      }
-    }
-  }
-
-  /// Collapses each marked pair in the emitted code into its fused
-  /// opcode and remaps every branch target. Only block heads are jump
-  /// targets and a consumer is never a block head, so no branch can land
-  /// between the two halves of a pair.
+  /// Collapses each pair planFusedPairs() (gpusim/ExecCommon.h) marked
+  /// in the emitted code into its fused opcode and remaps every branch
+  /// target. Only block heads are jump targets and a consumer is never a
+  /// block head, so no branch can land between the two halves of a pair.
   void fusePeephole() {
-    if (FuseKindAt.empty())
-      return;
     std::vector<Instr> NewCode;
     NewCode.reserve(P.Code.size());
     std::vector<uint32_t> NewPc(P.Code.size());
     for (uint32_t Pc = 0; Pc < P.Code.size(); ++Pc) {
       NewPc[Pc] = static_cast<uint32_t>(NewCode.size());
-      uint8_t K = FuseAtPc[Pc];
-      if (K == FuseNone) {
+      FusedPair K = FuseAtPc[Pc];
+      if (K == FusedPair::None) {
         NewCode.push_back(P.Code[Pc]);
         continue;
       }
       const Instr &A = P.Code[Pc], &B = P.Code[Pc + 1];
       Instr FI = B;
       switch (K) {
-      case FuseGepLoad:
+      case FusedPair::None:
+        break;
+      case FusedPair::GepLoad:
         FI.Opc = B.Opc == Op::LdG   ? Op::LdGX
                  : B.Opc == Op::LdL ? Op::LdLX
                                     : Op::LdPX;
         FI.A = A.A; // Pointer.
         FI.B = A.B; // Index.
         break;
-      case FuseGepStore:
+      case FusedPair::GepStore:
         FI.Opc = B.Opc == Op::StG   ? Op::StGX
                  : B.Opc == Op::StL ? Op::StLX
                                     : Op::StPX;
         FI.B = A.A; // Pointer (A stays the stored value).
         FI.C = A.B; // Index.
         break;
-      case FuseCmpBr: {
+      case FusedPair::CmpBr: {
         bool FltCmp = A.Opc >= Op::CmpEqF && A.Opc <= Op::CmpGeF;
         FI.Opc = FltCmp ? Op::JmpCmpF : Op::JmpCmpI;
         FI.Sub = static_cast<uint8_t>(
@@ -540,7 +478,7 @@ private:
         FI.B = A.B;
         break;
       }
-      case FuseMulAdd:
+      case FusedPair::MulAdd:
         FI.Opc = B.Opc == Op::AddF ? Op::MulAddF : Op::MulAddI;
         FI.C = B.A == A.Dst ? B.B : B.A; // The non-product addend.
         FI.A = A.A;
@@ -572,14 +510,15 @@ private:
 
   Error emit() {
     P.Code.reserve(CodeLen);
-    FuseAtPc.assign(CodeLen, FuseNone);
+    FuseAtPc.assign(CodeLen, FusedPair::None);
+    std::vector<FusedPair> Pairs = planFusedPairs(F);
+    size_t K = 0;
     for (const auto &BB : F.blocks())
       for (const auto &I : BB->instructions()) {
+        FusedPair Pair = Pairs[K++];
         if (I->opcode() == irns::Opcode::Phi)
           continue;
-        auto FK = FuseKindAt.find(I.get());
-        if (FK != FuseKindAt.end())
-          FuseAtPc[P.Code.size()] = FK->second;
+        FuseAtPc[P.Code.size()] = Pair;
         Expected<Instr> BI = lower(*I);
         if (!BI)
           return BI.takeError();
@@ -843,10 +782,8 @@ private:
   uint32_t NextReg = 0;
   unsigned ScratchMax = 0;
 
-  /// Producer instructions folded into their consumer, and the per-pc
-  /// image of that map over the emitted (pre-fusion) code.
-  std::unordered_map<const irns::Instruction *, FuseKind> FuseKindAt;
-  std::vector<uint8_t> FuseAtPc;
+  /// The pair each pc of the emitted (pre-fusion) code opens.
+  std::vector<FusedPair> FuseAtPc;
 };
 
 } // namespace

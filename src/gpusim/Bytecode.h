@@ -76,10 +76,11 @@ enum class Op : uint8_t {
   JmpIf, ///< A.I != 0 ? (CL0, goto Imm) : (CL1, goto Aux).
   Ret,
 
-  // Fused superinstructions. The compiler's peephole pass (see
-  // Compiler::planFusion) folds an adjacent single-use producer into its
-  // consumer; each fused op performs both operations and charges both
-  // operations' event counters, so SimReport stays bit-identical.
+  // Fused superinstructions. The compiler's peephole pass folds each
+  // adjacent single-use producer that sim::planFusedPairs (shared with the
+  // tree walker, gpusim/ExecCommon.h) pairs into its consumer; each fused
+  // op performs both operations and charges both operations' event
+  // counters, so SimReport stays bit-identical.
   LdGX, ///< Gep+LdG: Dst = load through pointer A advanced by B.I.
   LdLX, ///< Gep+LdL.
   LdPX, ///< Gep+LdP.

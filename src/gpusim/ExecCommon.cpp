@@ -6,6 +6,8 @@
 
 #include "gpusim/ExecCommon.h"
 
+#include <unordered_map>
+
 using namespace kperf;
 using namespace kperf::sim;
 
@@ -54,4 +56,64 @@ Error sim::validateLaunch(const ir::Function &F, Range2 Global, Range2 Local,
     }
   }
   return Error::success();
+}
+
+/// The pair \p A and the instruction \p B right after it would form if
+/// \p A had no other use.
+static FusedPair pairOf(const ir::Instruction &A, const ir::Instruction &B) {
+  switch (A.opcode()) {
+  case ir::Opcode::Gep:
+    if (B.opcode() == ir::Opcode::Load && B.operand(0) == &A)
+      return FusedPair::GepLoad;
+    if (B.opcode() == ir::Opcode::Store && B.operand(1) == &A)
+      return FusedPair::GepStore;
+    return FusedPair::None;
+  case ir::Opcode::CmpEq:
+  case ir::Opcode::CmpNe:
+  case ir::Opcode::CmpLt:
+  case ir::Opcode::CmpLe:
+  case ir::Opcode::CmpGt:
+  case ir::Opcode::CmpGe:
+    return B.opcode() == ir::Opcode::CondBr && B.operand(0) == &A
+               ? FusedPair::CmpBr
+               : FusedPair::None;
+  case ir::Opcode::Mul:
+    return B.opcode() == ir::Opcode::Add &&
+                   (B.operand(0) == &A || B.operand(1) == &A)
+               ? FusedPair::MulAdd
+               : FusedPair::None;
+  default:
+    return FusedPair::None;
+  }
+}
+
+std::vector<FusedPair> sim::planFusedPairs(const ir::Function &F) {
+  std::vector<FusedPair> Plan;
+  std::unordered_map<const ir::Value *, unsigned> Uses; // Of candidates.
+  for (const auto &BB : F.blocks()) {
+    const auto &Insts = BB->instructions();
+    for (size_t K = 0; K < Insts.size(); ++K) {
+      Plan.push_back(K + 1 < Insts.size() ? pairOf(*Insts[K], *Insts[K + 1])
+                                          : FusedPair::None);
+      if (Plan.back() != FusedPair::None)
+        Uses.emplace(Insts[K].get(), 0);
+    }
+  }
+  if (Uses.empty())
+    return Plan;
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions())
+      for (const ir::Value *Op : I->operands()) {
+        auto It = Uses.find(Op);
+        if (It != Uses.end())
+          ++It->second;
+      }
+  size_t K = 0;
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions()) {
+      if (Plan[K] != FusedPair::None && Uses.at(I.get()) != 1)
+        Plan[K] = FusedPair::None;
+      ++K;
+    }
+  return Plan;
 }

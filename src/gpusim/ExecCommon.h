@@ -8,7 +8,9 @@
 /// Helpers shared by both execution tiers (tree walker and batched). The
 /// launch-validation rules live here so both tiers reject a malformed
 /// launch with the exact same error text -- callers and tests must not be
-/// able to tell the tiers apart by their error messages.
+/// able to tell the tiers apart by their error messages. So does the
+/// superinstruction planner, so both tiers fuse the same pairs; each tier
+/// keeps its own fused-op semantics, which the pipeline oracle compares.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include "ir/Function.h"
 #include "support/Error.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace kperf {
@@ -31,6 +34,25 @@ namespace sim {
 Error validateLaunch(const ir::Function &F, Range2 Global, Range2 Local,
                      const std::vector<KernelArg> &Args,
                      const std::vector<BufferData *> &Buffers);
+
+/// An adjacent producer/consumer pair an execution tier runs as one fused
+/// op.
+enum class FusedPair : uint8_t {
+  None,
+  GepLoad,  ///< Gep, then a load through it.
+  GepStore, ///< Gep, then a store through it.
+  CmpBr,    ///< Compare, then a conditional branch on it.
+  MulAdd,   ///< Multiply, then an add of the product.
+};
+
+/// Plans the fused pairs of \p F. Entry K is the pair the K-th instruction
+/// of \p F (blocks in order, phis included) opens as the producer, or
+/// None. A producer's only use must be the instruction right after it:
+/// phi operands count as uses, so a value an edge copy reads never fuses.
+/// Nothing runs between the two, so folding the producer into its
+/// consumer keeps evaluation order, rounding, faults and every counter,
+/// and only the consumer's result is ever read.
+std::vector<FusedPair> planFusedPairs(const ir::Function &F);
 
 } // namespace sim
 } // namespace kperf

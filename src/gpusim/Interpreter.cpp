@@ -36,37 +36,64 @@ struct RtValue {
   RtValue() : I(0) {}
 };
 
-/// Typed operations. Every IR instruction lowers to exactly one, which
-/// already encodes its operand kind (I/F), address space (G/L/P) or
-/// builtin, so the item loop dispatches once per instruction. The
-/// families familyOp() maps keep the order of their IR enumerators.
+/// OP(Name, AluOps): the typed operations, each with the AluOps it
+/// charges (transcendentals cost 4). Every IR instruction lowers to one,
+/// or with the instruction after it to one fused op (the pairs of
+/// sim::planFusedPairs), which charges both instructions' AluOps. Each op
+/// already encodes its operand kind (I/F), address space (P/L/G) or
+/// builtin, so an item dispatches once per op. The families familyOp()
+/// maps keep the order of their IR enumerators.
+#define KPERF_TREE_OPS(OP)                                                     \
+  OP(Alloca, 0) /* Pointer at arena word offset Imm. */                        \
+  OP(LoadP, 0) OP(LoadL, 0) OP(LoadG, 0) /* In ir::AddressSpace order. */      \
+  OP(StoreP, 0) OP(StoreL, 0) OP(StoreG, 0)                                    \
+  OP(Gep, 1)                                                                   \
+  OP(AddI, 1) OP(SubI, 1) OP(MulI, 1) OP(DivI, 1) OP(RemI, 1)                  \
+  OP(AddF, 1) OP(SubF, 1) OP(MulF, 1) OP(DivF, 1) OP(RemF, 1)                  \
+  OP(EqI, 1) OP(NeI, 1) OP(LtI, 1) OP(LeI, 1) OP(GtI, 1) OP(GeI, 1)            \
+  OP(EqF, 1) OP(NeF, 1) OP(LtF, 1) OP(LeF, 1) OP(GtF, 1) OP(GeF, 1)            \
+  OP(And, 1) OP(Or, 1) OP(Not, 1)                                              \
+  OP(NegI, 1) OP(NegF, 1)                                                      \
+  OP(IToF, 1) OP(FToI, 1)                                                      \
+  OP(Select, 1)                                                                \
+  OP(GlobalId, 1) OP(LocalId, 1) OP(GroupId, 1)                                \
+  OP(LocalSize, 1) OP(GlobalSize, 1) OP(NumGroups, 1)                          \
+  OP(Barrier, 0)                                                               \
+  OP(MinI, 1) OP(MinF, 1) OP(MaxI, 1) OP(MaxF, 1)                              \
+  OP(ClampI, 1) OP(ClampF, 1)                                                  \
+  OP(AbsI, 1) OP(AbsF, 1)                                                      \
+  OP(Sqrt, 4) OP(Exp, 4) OP(Log, 4) OP(Pow, 4) OP(Floor, 1)                    \
+  OP(Br, 1) OP(CondBr, 1) OP(Ret, 0)                                           \
+  /* Reached only without an edge (phis run on edges): faults. */              \
+  OP(Phi, 0)                                                                   \
+  /* Gep + Load: loads through pointer Ops[0] advanced by Ops[1]. */           \
+  OP(LoadPX, 1) OP(LoadLX, 1) OP(LoadGX, 1)                                    \
+  /* Gep + Store: stores Ops[0] through Ops[1] advanced by Ops[2]. */          \
+  OP(StorePX, 1) OP(StoreLX, 1) OP(StoreGX, 1)                                 \
+  /* Cmp + CondBr: branches on Ops[0] <rel> Ops[1]. */                         \
+  OP(BrEqI, 2) OP(BrNeI, 2) OP(BrLtI, 2) OP(BrLeI, 2) OP(BrGtI, 2)             \
+  OP(BrGeI, 2) OP(BrEqF, 2) OP(BrNeF, 2) OP(BrLtF, 2) OP(BrLeF, 2)             \
+  OP(BrGtF, 2) OP(BrGeF, 2)                                                    \
+  /* Mul + Add: Ops[0] * Ops[1] + Ops[2], rounded twice. */                    \
+  OP(MulAddI, 2) OP(MulAddF, 2)
+
 enum class Op : uint8_t {
-  Alloca, ///< Pointer at arena word offset Imm.
-  LoadP, LoadL, LoadG, // Families in ir::AddressSpace order.
-  StoreP, StoreL, StoreG,
-  Gep,
-  AddI, SubI, MulI, DivI, RemI,
-  AddF, SubF, MulF, DivF, RemF,
-  EqI, NeI, LtI, LeI, GtI, GeI,
-  EqF, NeF, LtF, LeF, GtF, GeF,
-  And, Or, Not,
-  NegI, NegF,
-  IToF, FToI,
-  Select,
-  GlobalId, LocalId, GroupId, LocalSize, GlobalSize, NumGroups,
-  Barrier,
-  MinI, MinF, MaxI, MaxF,
-  ClampI, ClampF,
-  AbsI, AbsF,
-  Sqrt, Exp, Log, Pow, // Transcendentals: 4 AluOps each.
-  Floor,
-  Br, CondBr, Ret,
-  Phi, ///< Reached only without an edge (phis run on edges): faults.
+#define KPERF_OP_NAME(Name, AluOps) Name,
+  KPERF_TREE_OPS(KPERF_OP_NAME)
+#undef KPERF_OP_NAME
 };
 
-/// The member of a typed-op family for IR enumerator \p E, where the
-/// family starts with \p First for enumerator \p FirstE.
-template <typename IREnum> Op familyOp(Op First, IREnum FirstE, IREnum E) {
+/// AluOps charged per op, indexed by Op.
+constexpr uint8_t AluOpsOf[] = {
+#define KPERF_OP_ALU(Name, AluOps) AluOps,
+    KPERF_TREE_OPS(KPERF_OP_ALU)
+#undef KPERF_OP_ALU
+};
+
+/// The member of a typed-op family for enumerator \p E (of the IR, or of
+/// a parallel op family), where the family starts with \p First for
+/// enumerator \p FirstE.
+template <typename Enum> Op familyOp(Op First, Enum FirstE, Enum E) {
   return static_cast<Op>(static_cast<int>(First) + static_cast<int>(E) -
                          static_cast<int>(FirstE));
 }
@@ -87,7 +114,11 @@ static_assert(
         span(Op::GlobalId, Op::NumGroups) ==
             span(irns::Builtin::GetGlobalId, irns::Builtin::GetNumGroups) &&
         span(Op::Sqrt, Op::Floor) ==
-            span(irns::Builtin::Sqrt, irns::Builtin::Floor),
+            span(irns::Builtin::Sqrt, irns::Builtin::Floor) &&
+        span(Op::LoadPX, Op::LoadGX) == span(Op::LoadP, Op::LoadG) &&
+        span(Op::StorePX, Op::StoreGX) == span(Op::StoreP, Op::StoreG) &&
+        span(Op::BrEqI, Op::BrGeI) == span(Op::EqI, Op::GeI) &&
+        span(Op::BrEqF, Op::BrGeF) == span(Op::EqI, Op::GeI),
     "typed-op families must keep the order of their IR enumerators");
 
 /// The typed op of a call to \p B; \p IsFloat picks the variant of the
@@ -133,17 +164,17 @@ RtValue constantValue(const irns::Value &C) {
   return V;
 }
 
-/// A lowered instruction: its typed op, with operand and result slots
-/// resolved to frame indices (slot 0 where it has none).
+/// A lowered instruction or fused pair: its typed op, with operand and
+/// result slots resolved to frame indices (slot 0 where it has none).
 struct CInstr {
   Op Code = Op::Ret;
-  uint8_t Alu = 0; ///< AluOps it charges (transcendentals cost 4).
   uint32_t Result = 0;
   uint32_t Ops[3] = {0, 0, 0};
-  /// Alloca: arena offset in words. LoadL/StoreL: dense id among local
-  /// accesses; StoreG: among global stores (their accounting groups).
+  /// Alloca: arena offset in words. Local loads and stores: dense id
+  /// among local accesses; global stores: among global stores (their
+  /// accounting groups).
   uint32_t Imm = 0;
-  uint32_t Edges[2] = {0, 0}; ///< Br/CondBr: index into the edge table.
+  uint32_t Edges[2] = {0, 0}; ///< Branches: index into the edge table.
 };
 
 /// A CFG edge as a branch takes it: the successor's leading phis as one
@@ -216,22 +247,37 @@ private:
             Prefix.push_back(constantValue(*Op));
     NumSlots = static_cast<uint32_t>(Prefix.size());
 
-    // Branch targets point past their block's leading phis.
+    // Branch targets point past their block's leading phis. A fused pair
+    // is one op at its producer's place (a phi never opens one).
+    std::vector<FusedPair> Pairs = planFusedPairs(F);
     BlockMap BodyStart;
     uint32_t Index = 0;
+    size_t K = 0;
     for (const auto &BB : F.blocks()) {
       BodyStart[BB.get()] =
           Index + static_cast<uint32_t>(BB->firstNonPhiIndex());
-      Index += static_cast<uint32_t>(BB->size());
-      for (const auto &I : BB->instructions())
+      for (const auto &I : BB->instructions()) {
+        Index += Pairs[K++] == FusedPair::None;
         if (!I->type().isVoid())
           Slot[I.get()] = NumSlots++;
+      }
     }
     FaultPc = Index;
     Code.reserve(Index + 1);
-    for (const auto &BB : F.blocks())
-      for (const auto &I : BB->instructions())
-        Code.push_back(lower(*I, BodyStart));
+    K = 0;
+    for (const auto &BB : F.blocks()) {
+      const auto &Insts = BB->instructions();
+      for (size_t J = 0; J < Insts.size(); ++J, ++K) {
+        if (Pairs[K] == FusedPair::None) {
+          Code.push_back(lower(*Insts[J], BodyStart));
+          continue;
+        }
+        Code.push_back(lowerPair(Pairs[K], *Insts[J], *Insts[J + 1],
+                                 BodyStart));
+        ++J; // The consumer.
+        ++K;
+      }
+    }
     Code.emplace_back().Code = Op::Phi; // The target of incomplete edges.
     if (LocalWords * 4 > Device.LocalMemBytes)
       return makeError("launch: kernel '%s' needs %u bytes of local memory, "
@@ -254,12 +300,10 @@ private:
     for (unsigned OI = 0; OI < I.numOperands(); ++OI)
       C.Ops[OI] = Slot.at(I.operand(OI));
     bool IsFloat = I.numOperands() > 0 && I.operand(0)->type().isFloat();
-    C.Alu = 1;
 
     switch (I.opcode()) {
     case irns::Opcode::Alloca:
       C.Code = Op::Alloca;
-      C.Alu = 0;
       if (I.allocaSpace() == irns::AddressSpace::Local) {
         C.Imm = LocalWords;
         LocalWords += I.allocaCount();
@@ -275,7 +319,6 @@ private:
           I.operand(IsLoad ? 0 : 1)->type().addressSpace();
       C.Code = familyOp(IsLoad ? Op::LoadP : Op::StoreP,
                         irns::AddressSpace::Private, Space);
-      C.Alu = 0;
       if (Space == irns::AddressSpace::Local)
         C.Imm = NumLocalOps++;
       else if (Space == irns::AddressSpace::Global && !IsLoad)
@@ -325,11 +368,6 @@ private:
       break;
     case irns::Opcode::Call:
       C.Code = builtinOp(I.callee(), IsFloat);
-      // Transcendentals cost more than simple ALU operations.
-      if (C.Code == Op::Barrier)
-        C.Alu = 0;
-      else if (C.Code >= Op::Sqrt && C.Code <= Op::Pow)
-        C.Alu = 4;
       break;
     case irns::Opcode::Br:
       C.Code = Op::Br;
@@ -342,10 +380,44 @@ private:
       break;
     case irns::Opcode::Ret:
       C.Code = Op::Ret;
-      C.Alu = 0;
       break;
     case irns::Opcode::Phi:
       break; // Lowered above.
+    }
+    return C;
+  }
+
+  /// Lowers the fused \p Pair of producer \p A and its consumer \p B to
+  /// one op: \p B's, reading \p A's operands in place of \p A's result.
+  CInstr lowerPair(FusedPair Pair, const irns::Instruction &A,
+                   const irns::Instruction &B, const BlockMap &BodyStart) {
+    CInstr C = lower(B, BodyStart);
+    uint32_t X = Slot.at(A.operand(0)), Y = Slot.at(A.operand(1));
+    switch (Pair) {
+    case FusedPair::GepLoad:
+      C.Code = familyOp(Op::LoadPX, Op::LoadP, C.Code);
+      C.Ops[0] = X;
+      C.Ops[1] = Y;
+      break;
+    case FusedPair::GepStore:
+      C.Code = familyOp(Op::StorePX, Op::StoreP, C.Code);
+      C.Ops[1] = X;
+      C.Ops[2] = Y;
+      break;
+    case FusedPair::CmpBr:
+      C.Code = familyOp(A.operand(0)->type().isFloat() ? Op::BrEqF : Op::BrEqI,
+                        irns::Opcode::CmpEq, A.opcode());
+      C.Ops[0] = X;
+      C.Ops[1] = Y;
+      break;
+    case FusedPair::MulAdd:
+      C.Code = C.Code == Op::AddF ? Op::MulAddF : Op::MulAddI;
+      C.Ops[2] = B.operand(0) == &A ? C.Ops[1] : C.Ops[0]; // The addend.
+      C.Ops[0] = X;
+      C.Ops[1] = Y;
+      break;
+    case FusedPair::None:
+      break;
     }
     return C;
   }
@@ -511,7 +583,17 @@ private:
   }
 
   /// Runs \p Item from its saved pc to its next barrier, return or fault.
+  ///
+  /// Threaded dispatch: every handler ends by jumping straight to the next
+  /// op's handler through a table of label addresses (labels as values, a
+  /// GCC and Clang extension), with no trip back through a shared switch
+  /// and its range check.
   void runItem(unsigned Item) {
+    static const void *const Handlers[] = {
+#define KPERF_OP_LABEL(Name, AluOps) &&Do##Name,
+        KPERF_TREE_OPS(KPERF_OP_LABEL)
+#undef KPERF_OP_LABEL
+    };
     RtValue *R = Frames.data() + static_cast<size_t>(Item) * NumSlots;
     uint32_t *Priv =
         PrivArena.data() + static_cast<size_t>(Item) * PrivateWords;
@@ -525,264 +607,298 @@ private:
     auto dim = [](int32_t D, unsigned X, unsigned Y) {
       return static_cast<int32_t>(D == 0 ? X : Y);
     };
+    auto gep = [](RtValue P, const RtValue &Index) {
+      P.Off += Index.I;
+      return P;
+    };
 
-    while (true) {
-      const CInstr &C = *Ip;
-      // Operand and result slots, addressed only by the ops that use them.
-      auto val = [&](unsigned K) -> const RtValue & { return R[C.Ops[K]]; };
-      auto out = [&]() -> RtValue & { return R[C.Result]; };
-      Alu += C.Alu;
-      switch (C.Code) {
-      case Op::Alloca:
-        out().Base = 0;
-        out().Off = static_cast<int32_t>(C.Imm);
-        break;
-      case Op::LoadG: {
-        RtValue P = val(0);
-        const BufferData &Buf = *Buffers[P.Base];
-        if (P.Off < 0 || static_cast<size_t>(P.Off) >= Buf.size())
-          return fail(Item, Ip, Alu,
-                      format("kernel '%s': global read out of bounds "
-                             "(buffer %u, offset %d, size %zu)",
-                             F.name().c_str(), P.Base, P.Off, Buf.size()));
-        out().I = static_cast<int32_t>(Buf.word(static_cast<size_t>(P.Off)));
-        ++Group.GlobalReads;
-        Acct.noteRead(P.Base, static_cast<uint64_t>(P.Off), Wavefront);
-        break;
-      }
-      case Op::LoadL: {
-        int32_t Off = val(0).Off;
-        if (Off < 0 || static_cast<uint32_t>(Off) >= LocalWords)
-          return fail(Item, Ip, Alu,
-                      format("kernel '%s': local read out of bounds "
-                             "(offset %d, size %u words)",
-                             F.name().c_str(), Off, LocalWords));
-        out().I = static_cast<int32_t>(Lds[Off]);
-        ++Group.LocalAccesses;
-        Acct.noteLocal(C.Imm, nextExec(LocalExec, NumLocalOps, Item, C.Imm),
-                       Off, Wavefront);
-        break;
-      }
-      case Op::LoadP: {
-        int32_t Off = val(0).Off;
-        if (Off < 0 || static_cast<uint32_t>(Off) >= PrivateWords)
-          return fail(Item, Ip, Alu, faultText("private read out of bounds"));
-        out().I = static_cast<int32_t>(Priv[Off]);
-        ++Group.PrivateAccesses;
-        break;
-      }
-      case Op::StoreG: {
-        RtValue P = val(1);
-        BufferData &Buf = *Buffers[P.Base];
-        if (P.Off < 0 || static_cast<size_t>(P.Off) >= Buf.size())
-          return fail(Item, Ip, Alu,
-                      format("kernel '%s': global write out of bounds "
-                             "(buffer %u, offset %d, size %zu)",
-                             F.name().c_str(), P.Base, P.Off, Buf.size()));
-        Buf.setWord(static_cast<size_t>(P.Off),
-                    static_cast<uint32_t>(val(0).I));
-        ++Group.GlobalWrites;
-        Acct.noteWrite(C.Imm,
-                       nextExec(GlobalExec, NumGlobalStores, Item, C.Imm),
-                       P.Base, static_cast<uint64_t>(P.Off), Wavefront);
-        break;
-      }
-      case Op::StoreL: {
-        int32_t Off = val(1).Off;
-        if (Off < 0 || static_cast<uint32_t>(Off) >= LocalWords)
-          return fail(Item, Ip, Alu,
-                      format("kernel '%s': local write out of bounds "
-                             "(offset %d, size %u words)",
-                             F.name().c_str(), Off, LocalWords));
-        Lds[Off] = static_cast<uint32_t>(val(0).I);
-        ++Group.LocalAccesses;
-        Acct.noteLocal(C.Imm, nextExec(LocalExec, NumLocalOps, Item, C.Imm),
-                       Off, Wavefront);
-        break;
-      }
-      case Op::StoreP: {
-        int32_t Off = val(1).Off;
-        if (Off < 0 || static_cast<uint32_t>(Off) >= PrivateWords)
-          return fail(Item, Ip, Alu, faultText("private write out of bounds"));
-        Priv[Off] = static_cast<uint32_t>(val(0).I);
-        ++Group.PrivateAccesses;
-        break;
-      }
-      case Op::Gep: {
-        RtValue P = val(0);
-        P.Off += val(1).I;
-        out() = P;
-        break;
-      }
-      case Op::AddI:
-        out().I = val(0).I + val(1).I;
-        break;
-      case Op::SubI:
-        out().I = val(0).I - val(1).I;
-        break;
-      case Op::MulI:
-        out().I = val(0).I * val(1).I;
-        break;
-      case Op::DivI:
-        if (val(1).I == 0)
-          return fail(Item, Ip, Alu, faultText("integer division by zero"));
-        out().I = irns::wrapIntDiv(val(0).I, val(1).I);
-        break;
-      case Op::RemI:
-        if (val(1).I == 0)
-          return fail(Item, Ip, Alu, faultText("integer division by zero"));
-        out().I = irns::wrapIntRem(val(0).I, val(1).I);
-        break;
-      case Op::AddF:
-        out().F = val(0).F + val(1).F;
-        break;
-      case Op::SubF:
-        out().F = val(0).F - val(1).F;
-        break;
-      case Op::MulF:
-        out().F = val(0).F * val(1).F;
-        break;
-      case Op::DivF:
-        out().F = val(0).F / val(1).F;
-        break;
-      case Op::RemF:
-        out().F = 0; // Float remainder is not modeled.
-        break;
-      case Op::EqI:
-        out().I = val(0).I == val(1).I;
-        break;
-      case Op::NeI:
-        out().I = val(0).I != val(1).I;
-        break;
-      case Op::LtI:
-        out().I = val(0).I < val(1).I;
-        break;
-      case Op::LeI:
-        out().I = val(0).I <= val(1).I;
-        break;
-      case Op::GtI:
-        out().I = val(0).I > val(1).I;
-        break;
-      case Op::GeI:
-        out().I = val(0).I >= val(1).I;
-        break;
-      case Op::EqF:
-        out().I = val(0).F == val(1).F;
-        break;
-      case Op::NeF:
-        out().I = val(0).F != val(1).F;
-        break;
-      case Op::LtF:
-        out().I = val(0).F < val(1).F;
-        break;
-      case Op::LeF:
-        out().I = val(0).F <= val(1).F;
-        break;
-      case Op::GtF:
-        out().I = val(0).F > val(1).F;
-        break;
-      case Op::GeF:
-        out().I = val(0).F >= val(1).F;
-        break;
-      case Op::And:
-        out().I = val(0).I != 0 && val(1).I != 0;
-        break;
-      case Op::Or:
-        out().I = val(0).I != 0 || val(1).I != 0;
-        break;
-      case Op::Not:
-        out().I = val(0).I == 0;
-        break;
-      case Op::NegI:
-        out().I = -val(0).I;
-        break;
-      case Op::NegF:
-        out().F = -val(0).F;
-        break;
-      case Op::IToF:
-        out().F = static_cast<float>(val(0).I);
-        break;
-      case Op::FToI:
-        out().I = static_cast<int32_t>(val(0).F);
-        break;
-      case Op::Select:
-        out() = val(0).I != 0 ? val(1) : val(2);
-        break;
-      case Op::GlobalId:
-        out().I = dim(val(0).I, GroupX * Local.X + Lx, GroupY * Local.Y + Ly);
-        break;
-      case Op::LocalId:
-        out().I = dim(val(0).I, Lx, Ly);
-        break;
-      case Op::GroupId:
-        out().I = dim(val(0).I, GroupX, GroupY);
-        break;
-      case Op::LocalSize:
-        out().I = dim(val(0).I, Local.X, Local.Y);
-        break;
-      case Op::GlobalSize:
-        out().I = dim(val(0).I, Global.X, Global.Y);
-        break;
-      case Op::NumGroups:
-        out().I = dim(val(0).I, Global.X / Local.X, Global.Y / Local.Y);
-        break;
-      case Op::Barrier:
-        ++Group.Barriers;
-        return stop(Item, Ip + 1, Alu, StopReason::Barrier);
-      case Op::MinI:
-        out().I = std::min(val(0).I, val(1).I);
-        break;
-      case Op::MinF:
-        out().F = std::min(val(0).F, val(1).F);
-        break;
-      case Op::MaxI:
-        out().I = std::max(val(0).I, val(1).I);
-        break;
-      case Op::MaxF:
-        out().F = std::max(val(0).F, val(1).F);
-        break;
-      case Op::ClampI:
-        out().I = std::min(std::max(val(0).I, val(1).I), val(2).I);
-        break;
-      case Op::ClampF:
-        out().F = std::min(std::max(val(0).F, val(1).F), val(2).F);
-        break;
-      case Op::AbsI:
-        out().I = std::abs(val(0).I);
-        break;
-      case Op::AbsF:
-        out().F = std::fabs(val(0).F);
-        break;
-      case Op::Sqrt:
-        out().F = std::sqrt(val(0).F);
-        break;
-      case Op::Exp:
-        out().F = std::exp(val(0).F);
-        break;
-      case Op::Log:
-        out().F = std::log(val(0).F);
-        break;
-      case Op::Pow:
-        out().F = std::pow(val(0).F, val(1).F);
-        break;
-      case Op::Floor:
-        out().F = std::floor(val(0).F);
-        break;
-      case Op::Br:
-        Ip = Prog + take(R, C.Edges[0]);
-        continue;
-      case Op::CondBr:
-        Ip = Prog + take(R, C.Edges[val(0).I != 0 ? 0 : 1]);
-        continue;
-      case Op::Ret:
-        return stop(Item, Ip, Alu, StopReason::Returned);
-      case Op::Phi:
-        return fail(Item, Ip, Alu,
-                    faultText("phi has no incoming value for the executed "
-                              "edge"));
-      }
-      ++Ip;
+    // Operand K and the result of the current op, addressed only by the
+    // ops that use them. Macros, not lambdas: a lambda capturing Ip by
+    // reference would keep Ip in memory rather than in a register.
+#define VAL(K) R[Ip->Ops[K]]
+#define OUT R[Ip->Result]
+
+#define KPERF_DISPATCH() goto *Handlers[static_cast<unsigned>(Ip->Code)]
+#define KPERF_NEXT()                                                           \
+  do {                                                                         \
+    ++Ip;                                                                      \
+    KPERF_DISPATCH();                                                          \
+  } while (false)
+#define KPERF_OP(Name)                                                         \
+  Do##Name:                                                                    \
+  Alu += AluOpsOf[static_cast<unsigned>(Op::Name)];
+
+    // The pointer of a load or store. A plain and a fused (gep folded in)
+    // access set it, then share the access itself.
+    RtValue P;
+
+    KPERF_DISPATCH();
+
+    KPERF_OP(Alloca)
+    OUT.Base = 0;
+    OUT.Off = static_cast<int32_t>(Ip->Imm);
+    KPERF_NEXT();
+    KPERF_OP(LoadGX)
+    P = gep(VAL(0), VAL(1));
+    goto LoadGAccess;
+    KPERF_OP(LoadG)
+    P = VAL(0);
+  LoadGAccess : {
+    const BufferData &Buf = *Buffers[P.Base];
+    if (P.Off < 0 || static_cast<size_t>(P.Off) >= Buf.size())
+      return fail(Item, Ip, Alu,
+                  format("kernel '%s': global read out of bounds "
+                         "(buffer %u, offset %d, size %zu)",
+                         F.name().c_str(), P.Base, P.Off, Buf.size()));
+    OUT.I = static_cast<int32_t>(Buf.word(static_cast<size_t>(P.Off)));
+    ++Group.GlobalReads;
+    Acct.noteRead(P.Base, static_cast<uint64_t>(P.Off), Wavefront);
+  }
+    KPERF_NEXT();
+    KPERF_OP(LoadLX)
+    P = gep(VAL(0), VAL(1));
+    goto LoadLAccess;
+    KPERF_OP(LoadL)
+    P = VAL(0);
+  LoadLAccess:
+    if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= LocalWords)
+      return fail(Item, Ip, Alu,
+                  format("kernel '%s': local read out of bounds "
+                         "(offset %d, size %u words)",
+                         F.name().c_str(), P.Off, LocalWords));
+    OUT.I = static_cast<int32_t>(Lds[P.Off]);
+    ++Group.LocalAccesses;
+    Acct.noteLocal(Ip->Imm, nextExec(LocalExec, NumLocalOps, Item, Ip->Imm),
+                   P.Off, Wavefront);
+    KPERF_NEXT();
+    KPERF_OP(LoadPX)
+    P = gep(VAL(0), VAL(1));
+    goto LoadPAccess;
+    KPERF_OP(LoadP)
+    P = VAL(0);
+  LoadPAccess:
+    if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= PrivateWords)
+      return fail(Item, Ip, Alu, faultText("private read out of bounds"));
+    OUT.I = static_cast<int32_t>(Priv[P.Off]);
+    ++Group.PrivateAccesses;
+    KPERF_NEXT();
+    KPERF_OP(StoreGX)
+    P = gep(VAL(1), VAL(2));
+    goto StoreGAccess;
+    KPERF_OP(StoreG)
+    P = VAL(1);
+  StoreGAccess : {
+    BufferData &Buf = *Buffers[P.Base];
+    if (P.Off < 0 || static_cast<size_t>(P.Off) >= Buf.size())
+      return fail(Item, Ip, Alu,
+                  format("kernel '%s': global write out of bounds "
+                         "(buffer %u, offset %d, size %zu)",
+                         F.name().c_str(), P.Base, P.Off, Buf.size()));
+    Buf.setWord(static_cast<size_t>(P.Off), static_cast<uint32_t>(VAL(0).I));
+    ++Group.GlobalWrites;
+    Acct.noteWrite(Ip->Imm,
+                   nextExec(GlobalExec, NumGlobalStores, Item, Ip->Imm),
+                   P.Base, static_cast<uint64_t>(P.Off), Wavefront);
+  }
+    KPERF_NEXT();
+    KPERF_OP(StoreLX)
+    P = gep(VAL(1), VAL(2));
+    goto StoreLAccess;
+    KPERF_OP(StoreL)
+    P = VAL(1);
+  StoreLAccess:
+    if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= LocalWords)
+      return fail(Item, Ip, Alu,
+                  format("kernel '%s': local write out of bounds "
+                         "(offset %d, size %u words)",
+                         F.name().c_str(), P.Off, LocalWords));
+    Lds[P.Off] = static_cast<uint32_t>(VAL(0).I);
+    ++Group.LocalAccesses;
+    Acct.noteLocal(Ip->Imm, nextExec(LocalExec, NumLocalOps, Item, Ip->Imm),
+                   P.Off, Wavefront);
+    KPERF_NEXT();
+    KPERF_OP(StorePX)
+    P = gep(VAL(1), VAL(2));
+    goto StorePAccess;
+    KPERF_OP(StoreP)
+    P = VAL(1);
+  StorePAccess:
+    if (P.Off < 0 || static_cast<uint32_t>(P.Off) >= PrivateWords)
+      return fail(Item, Ip, Alu, faultText("private write out of bounds"));
+    Priv[P.Off] = static_cast<uint32_t>(VAL(0).I);
+    ++Group.PrivateAccesses;
+    KPERF_NEXT();
+    KPERF_OP(Gep)
+    OUT = gep(VAL(0), VAL(1));
+    KPERF_NEXT();
+    KPERF_OP(AddI)
+    OUT.I = VAL(0).I + VAL(1).I;
+    KPERF_NEXT();
+    KPERF_OP(SubI)
+    OUT.I = VAL(0).I - VAL(1).I;
+    KPERF_NEXT();
+    KPERF_OP(MulI)
+    OUT.I = VAL(0).I * VAL(1).I;
+    KPERF_NEXT();
+    KPERF_OP(MulAddI)
+    OUT.I = VAL(0).I * VAL(1).I + VAL(2).I;
+    KPERF_NEXT();
+    KPERF_OP(DivI)
+    if (VAL(1).I == 0)
+      return fail(Item, Ip, Alu, faultText("integer division by zero"));
+    OUT.I = irns::wrapIntDiv(VAL(0).I, VAL(1).I);
+    KPERF_NEXT();
+    KPERF_OP(RemI)
+    if (VAL(1).I == 0)
+      return fail(Item, Ip, Alu, faultText("integer division by zero"));
+    OUT.I = irns::wrapIntRem(VAL(0).I, VAL(1).I);
+    KPERF_NEXT();
+    KPERF_OP(AddF)
+    OUT.F = VAL(0).F + VAL(1).F;
+    KPERF_NEXT();
+    KPERF_OP(SubF)
+    OUT.F = VAL(0).F - VAL(1).F;
+    KPERF_NEXT();
+    KPERF_OP(MulF)
+    OUT.F = VAL(0).F * VAL(1).F;
+    KPERF_NEXT();
+    KPERF_OP(MulAddF) {
+      // Two roundings, as the unfused MulF and AddF (this file is built
+      // without FMA contraction).
+      float Product = VAL(0).F * VAL(1).F;
+      OUT.F = Product + VAL(2).F;
     }
+    KPERF_NEXT();
+    KPERF_OP(DivF)
+    OUT.F = VAL(0).F / VAL(1).F;
+    KPERF_NEXT();
+    KPERF_OP(RemF)
+    OUT.F = 0; // Float remainder is not modeled.
+    KPERF_NEXT();
+
+    // Each compare, and the compare fused with the branch on it, which
+    // reads its operands before the edge's moves may overwrite them.
+#define KPERF_CMP(Name, Rel, Field)                                            \
+  KPERF_OP(Name)                                                               \
+  OUT.I = VAL(0).Field Rel VAL(1).Field;                                     \
+  KPERF_NEXT();                                                                \
+  KPERF_OP(Br##Name)                                                           \
+  Ip = Prog + take(R, Ip->Edges[VAL(0).Field Rel VAL(1).Field ? 0 : 1]);       \
+  KPERF_DISPATCH();
+    KPERF_CMP(EqI, ==, I)
+    KPERF_CMP(NeI, !=, I)
+    KPERF_CMP(LtI, <, I)
+    KPERF_CMP(LeI, <=, I)
+    KPERF_CMP(GtI, >, I)
+    KPERF_CMP(GeI, >=, I)
+    KPERF_CMP(EqF, ==, F)
+    KPERF_CMP(NeF, !=, F)
+    KPERF_CMP(LtF, <, F)
+    KPERF_CMP(LeF, <=, F)
+    KPERF_CMP(GtF, >, F)
+    KPERF_CMP(GeF, >=, F)
+#undef KPERF_CMP
+
+    KPERF_OP(And)
+    OUT.I = VAL(0).I != 0 && VAL(1).I != 0;
+    KPERF_NEXT();
+    KPERF_OP(Or)
+    OUT.I = VAL(0).I != 0 || VAL(1).I != 0;
+    KPERF_NEXT();
+    KPERF_OP(Not)
+    OUT.I = VAL(0).I == 0;
+    KPERF_NEXT();
+    KPERF_OP(NegI)
+    OUT.I = -VAL(0).I;
+    KPERF_NEXT();
+    KPERF_OP(NegF)
+    OUT.F = -VAL(0).F;
+    KPERF_NEXT();
+    KPERF_OP(IToF)
+    OUT.F = static_cast<float>(VAL(0).I);
+    KPERF_NEXT();
+    KPERF_OP(FToI)
+    OUT.I = static_cast<int32_t>(VAL(0).F);
+    KPERF_NEXT();
+    KPERF_OP(Select)
+    OUT = VAL(0).I != 0 ? VAL(1) : VAL(2);
+    KPERF_NEXT();
+    KPERF_OP(GlobalId)
+    OUT.I = dim(VAL(0).I, GroupX * Local.X + Lx, GroupY * Local.Y + Ly);
+    KPERF_NEXT();
+    KPERF_OP(LocalId)
+    OUT.I = dim(VAL(0).I, Lx, Ly);
+    KPERF_NEXT();
+    KPERF_OP(GroupId)
+    OUT.I = dim(VAL(0).I, GroupX, GroupY);
+    KPERF_NEXT();
+    KPERF_OP(LocalSize)
+    OUT.I = dim(VAL(0).I, Local.X, Local.Y);
+    KPERF_NEXT();
+    KPERF_OP(GlobalSize)
+    OUT.I = dim(VAL(0).I, Global.X, Global.Y);
+    KPERF_NEXT();
+    KPERF_OP(NumGroups)
+    OUT.I = dim(VAL(0).I, Global.X / Local.X, Global.Y / Local.Y);
+    KPERF_NEXT();
+    KPERF_OP(Barrier)
+    ++Group.Barriers;
+    return stop(Item, Ip + 1, Alu, StopReason::Barrier);
+    KPERF_OP(MinI)
+    OUT.I = std::min(VAL(0).I, VAL(1).I);
+    KPERF_NEXT();
+    KPERF_OP(MinF)
+    OUT.F = std::min(VAL(0).F, VAL(1).F);
+    KPERF_NEXT();
+    KPERF_OP(MaxI)
+    OUT.I = std::max(VAL(0).I, VAL(1).I);
+    KPERF_NEXT();
+    KPERF_OP(MaxF)
+    OUT.F = std::max(VAL(0).F, VAL(1).F);
+    KPERF_NEXT();
+    KPERF_OP(ClampI)
+    OUT.I = std::min(std::max(VAL(0).I, VAL(1).I), VAL(2).I);
+    KPERF_NEXT();
+    KPERF_OP(ClampF)
+    OUT.F = std::min(std::max(VAL(0).F, VAL(1).F), VAL(2).F);
+    KPERF_NEXT();
+    KPERF_OP(AbsI)
+    OUT.I = std::abs(VAL(0).I);
+    KPERF_NEXT();
+    KPERF_OP(AbsF)
+    OUT.F = std::fabs(VAL(0).F);
+    KPERF_NEXT();
+    KPERF_OP(Sqrt)
+    OUT.F = std::sqrt(VAL(0).F);
+    KPERF_NEXT();
+    KPERF_OP(Exp)
+    OUT.F = std::exp(VAL(0).F);
+    KPERF_NEXT();
+    KPERF_OP(Log)
+    OUT.F = std::log(VAL(0).F);
+    KPERF_NEXT();
+    KPERF_OP(Pow)
+    OUT.F = std::pow(VAL(0).F, VAL(1).F);
+    KPERF_NEXT();
+    KPERF_OP(Floor)
+    OUT.F = std::floor(VAL(0).F);
+    KPERF_NEXT();
+    KPERF_OP(Br)
+    Ip = Prog + take(R, Ip->Edges[0]);
+    KPERF_DISPATCH();
+    KPERF_OP(CondBr)
+    Ip = Prog + take(R, Ip->Edges[VAL(0).I != 0 ? 0 : 1]);
+    KPERF_DISPATCH();
+    KPERF_OP(Ret)
+    return stop(Item, Ip, Alu, StopReason::Returned);
+    KPERF_OP(Phi)
+    return fail(Item, Ip, Alu,
+                faultText("phi has no incoming value for the executed edge"));
+#undef KPERF_OP
+#undef KPERF_NEXT
+#undef KPERF_DISPATCH
+#undef OUT
+#undef VAL
   }
 
   /// The next execution instance of \p Item of op \p OpId, in a table of

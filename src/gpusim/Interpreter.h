@@ -10,9 +10,14 @@
 ///  * The reference (tree) tier lowers the IR per launch, without a
 ///    cache: each instruction becomes one typed operation that already
 ///    encodes its operand kind, address space or builtin, and phis
-///    become parallel copies on the CFG edges into their block. Each
-///    work item owns one frame of values that starts with the arguments
-///    and constants, so an operand read is one indexed load.
+///    become parallel copies on the CFG edges into their block. The
+///    adjacent single-use pairs the batched tier fuses (planned once for
+///    both tiers by sim::planFusedPairs, gpusim/ExecCommon.h) become one
+///    fused operation each: gep+load, gep+store, compare+branch and
+///    multiply+add. Each handler jumps straight to the next operation's
+///    (threaded dispatch through a table of label addresses). Each work
+///    item owns one frame of values that starts with the arguments and
+///    constants, so an operand read is one indexed load.
 ///  * Work groups run independently; inside a group, work items execute
 ///    sequentially but are suspended and resumed around barriers (phase
 ///    execution), so `barrier()` behaves exactly as on a GPU. Divergent

@@ -271,35 +271,29 @@ private:
     return Tiles.emplace(A.Buffer, T).first->second;
   }
 
-  /// Emits `for (t = lin; t < Count; t += WgSize) Body(t)` as explicit CFG.
+  /// Emits `for (t = lin; t < Count; t += WgSize) Body(t)` as explicit CFG,
+  /// in SSA form: t is the phi `<Tag>.t` heading the condition block.
   /// On return the builder is positioned in the exit block.
   void emitStridedLoop(irns::Value *Count, const std::string &Tag,
                        const std::function<void(irns::Value *)> &Body) {
-    irns::IRBuilder EB(M);
-    EB.setInsertPoint(EntryBlock, 0);
-    irns::Value *TVar = EB.createAlloca(irns::ScalarKind::Int, 1,
-                                        irns::AddressSpace::Private,
-                                        Tag + ".t");
-
+    irns::BasicBlock *Preheader = B.insertBlock();
     irns::BasicBlock *CondBB = newBlock(Tag + ".cond");
     irns::BasicBlock *BodyBB = newBlock(Tag + ".body");
     irns::BasicBlock *ExitBB = newBlock(Tag + ".exit");
 
-    B.createStore(Lin, TVar);
     B.createBr(CondBB);
 
     B.setInsertPoint(CondBB);
-    irns::Value *T = B.createLoad(TVar, Tag + ".tv");
+    irns::Instruction *T = B.createPhi(irns::Type::intTy(), Tag + ".t");
     B.createCondBr(B.createCmp(irns::Opcode::CmpLt, T, Count), BodyBB,
                    ExitBB);
 
     B.setInsertPoint(BodyBB);
-    irns::Value *TBody = B.createLoad(TVar);
-    Body(TBody);
-    B.createStore(
-        B.createAdd(TBody,
-                    B.getInt(static_cast<int32_t>(Plan.TileX * Plan.TileY))),
-        TVar);
+    Body(T);
+    irns::Value *Next = B.createAdd(
+        T, B.getInt(static_cast<int32_t>(Plan.TileX * Plan.TileY)));
+    T->addIncoming(Lin, Preheader);
+    T->addIncoming(Next, B.insertBlock()); // The latch.
     B.createBr(CondBB);
 
     B.setInsertPoint(ExitBB);

@@ -15,6 +15,7 @@
 
 #include "CompilePromoted.h"
 #include "gpusim/CostModel.h"
+#include "gpusim/ExecCommon.h"
 #include "gpusim/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
@@ -565,6 +566,251 @@ TEST_P(InterpValueTest, SelectOfGlobalPointersKeepsItsBuffer) {
                 KernelArg::makeBuffer(OutB)}));
   for (size_t X = 0; X < 16; ++X)
     EXPECT_EQ(Buffers[OutB].floatAt(X), (X % 2 == 0 ? AV : BV)[X + 1]) << X;
+}
+
+//===----------------------------------------------------------------------===//
+// Fused pairs, against hand-computed values and counters
+//===----------------------------------------------------------------------===//
+
+/// How many pairs of kind \p Kind sim::planFusedPairs plans in \p F: the
+/// cases below check that the pair they target is (or is not) fused.
+unsigned plannedPairs(const ir::Function &F, FusedPair Kind) {
+  unsigned N = 0;
+  for (FusedPair P : planFusedPairs(F))
+    N += P == Kind;
+  return N;
+}
+
+TEST_P(InterpValueTest, FusedAccessOutOfBoundsFaultsWithTheUnfusedText) {
+  // A gep folded into its load or store faults at the offset after the
+  // gep's add, with the unfused op's text. Items 0 and 1 stay in bounds;
+  // item 2 is the first out of bounds. The global case reads through a
+  // gep of a gep, so the offset in the text is the sum of both indices.
+  enum class Case { LocalWrite, LocalRead, GlobalRead };
+  const std::pair<Case, const char *> Cases[] = {
+      {Case::LocalWrite,
+       "kernel 'f': local write out of bounds (offset 4, size 4 words)"},
+      {Case::LocalRead,
+       "kernel 'f': local read out of bounds (offset 4, size 4 words)"},
+      {Case::GlobalRead, "kernel 'f': global read out of bounds (buffer 0, "
+                         "offset 5, size 5)"},
+  };
+  for (const auto &[Kind, Text] : Cases) {
+    ir::Module Mod;
+    ir::Function *F = Mod.createFunction("f");
+    ir::Type IntPtr =
+        ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global);
+    ir::Argument *In = F->addArgument(IntPtr, "in", true);
+    ir::Argument *Out = F->addArgument(IntPtr, "out", false);
+    ir::Argument *K = F->addArgument(ir::Type::intTy(), "k", false);
+    ir::IRBuilder B(Mod);
+    B.setInsertPoint(F->createBlock("entry"));
+    ir::Value *Tile = B.createAlloca(ir::ScalarKind::Int, 4,
+                                     ir::AddressSpace::Local, "tile");
+    ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {Mod.getInt(0)});
+    ir::Value *Idx = B.createAdd(X, K);
+    if (Kind == Case::LocalWrite) {
+      B.createStore(X, B.createGep(Tile, Idx));
+    } else {
+      ir::Value *Base =
+          Kind == Case::LocalRead ? Tile : B.createGep(In, Mod.getInt(1));
+      ir::Value *V = B.createLoad(B.createGep(Base, Idx));
+      B.createStore(V, B.createGep(Out, X));
+    }
+    B.createRet();
+    ASSERT_FALSE(ir::verifyFunction(*F));
+    EXPECT_EQ(plannedPairs(*F, FusedPair::GepLoad),
+              Kind == Case::LocalWrite ? 0u : 1u);
+    EXPECT_EQ(plannedPairs(*F, FusedPair::GepStore), 1u);
+
+    Buffers.clear();
+    unsigned InB = makeBuffer(5);
+    unsigned OutB = makeBuffer(4);
+    Expected<SimReport> R =
+        run(F, {4, 1}, {4, 1},
+            {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(OutB),
+             KernelArg::makeInt(2)});
+    ASSERT_FALSE(static_cast<bool>(R)) << Text;
+    EXPECT_EQ(R.error().message(), Text);
+  }
+}
+
+TEST_P(InterpValueTest, GepWithASecondUseInAPhiIsNotFused) {
+  // %g feeds the load right after it and the join's phi, on the edge from
+  // entry. A fused gep+load would leave %g's slot unwritten, and items
+  // 2-7 (which take that edge) would load through a stale pointer.
+  ir::Function *F = M.createFunction("f");
+  ir::Type FloatPtr =
+      ir::Type::pointerTo(ir::ScalarKind::Float, ir::AddressSpace::Global);
+  ir::Argument *In = F->addArgument(FloatPtr, "in", true);
+  ir::Argument *Out = F->addArgument(FloatPtr, "out", false);
+  ir::BasicBlock *Entry = F->createBlock("entry");
+  ir::BasicBlock *Then = F->createBlock("then");
+  ir::BasicBlock *Join = F->createBlock("join");
+  ir::IRBuilder B(M);
+  B.setInsertPoint(Entry);
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *G = B.createGep(In, X, "g");
+  ir::Value *V = B.createLoad(G, "v");
+  B.createCondBr(B.createCmp(ir::Opcode::CmpLt, X, M.getInt(2)), Then, Join);
+  B.setInsertPoint(Then);
+  ir::Value *G2 = B.createGep(In, B.createAdd(X, M.getInt(2)), "g2");
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  ir::Instruction *P = B.createPhi(FloatPtr, "p");
+  P->addIncoming(G, Entry);
+  P->addIncoming(G2, Then);
+  ir::Value *W = B.createLoad(P, "w");
+  ir::Value *Sum = B.createAdd(B.createMul(V, M.getFloat(10.0f)), W);
+  B.createStore(Sum, B.createGep(Out, X));
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+  EXPECT_EQ(plannedPairs(*F, FusedPair::GepLoad), 0u);
+  EXPECT_EQ(plannedPairs(*F, FusedPair::CmpBr), 1u);
+  EXPECT_EQ(plannedPairs(*F, FusedPair::MulAdd), 1u);
+  EXPECT_EQ(plannedPairs(*F, FusedPair::GepStore), 1u);
+
+  std::vector<float> In8(8);
+  for (size_t I = 0; I < In8.size(); ++I)
+    In8[I] = 1.0f + static_cast<float>(I);
+  unsigned InB = makeBuffer(In8);
+  unsigned OutB = makeBuffer(8);
+  SimReport R = cantFail(run(
+      F, {8, 1}, {8, 1},
+      {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(OutB)}));
+  for (size_t X8 = 0; X8 < 8; ++X8)
+    EXPECT_EQ(Buffers[OutB].floatAt(X8),
+              In8[X8] * 10.0f + In8[X8 < 2 ? X8 + 2 : X8])
+        << X8;
+  // Per item: entry 4 (id, gep, cmp+condbr), join 3 (mul+add, gep+store);
+  // items 0-1 also run then's add, gep and br.
+  EXPECT_EQ(R.Totals.AluOps, 8u * 7u + 2u * 3u);
+  EXPECT_EQ(R.Totals.GlobalReads, 16u);
+  EXPECT_EQ(R.Totals.GlobalWrites, 8u);
+}
+
+TEST_P(InterpValueTest, MulWithASecondUseIsNotFused) {
+  // %m feeds the add right after it and a later sub, so it stays a MulI;
+  // %u's only use is the next add, whose other addend comes first, so it
+  // fuses into a MulAddI.
+  ir::Function *F = M.createFunction("f");
+  ir::Type IntPtr =
+      ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global);
+  ir::Argument *In = F->addArgument(IntPtr, "in", true);
+  ir::Argument *Out = F->addArgument(IntPtr, "out", false);
+  ir::IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *A = B.createLoad(B.createGep(In, X), "a");
+  ir::Value *Mul = B.createMul(A, M.getInt(3), "m");
+  ir::Value *S = B.createAdd(Mul, X, "s");
+  ir::Value *T = B.createSub(Mul, M.getInt(1), "t");
+  ir::Value *U = B.createMul(S, T, "u");
+  ir::Value *Res = B.createAdd(X, U, "r");
+  B.createStore(Res, B.createGep(Out, X));
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+  EXPECT_EQ(plannedPairs(*F, FusedPair::MulAdd), 1u);
+
+  const int32_t InV[8] = {5, -7, 0, 11, 2, -3, 8, 1};
+  unsigned InB = makeBuffer(8);
+  for (size_t K = 0; K < 8; ++K)
+    Buffers[InB].setInt(K, InV[K]);
+  unsigned OutB = makeBuffer(8);
+  SimReport R = cantFail(run(
+      F, {8, 1}, {4, 1},
+      {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(OutB)}));
+  for (int32_t X8 = 0; X8 < 8; ++X8) {
+    int32_t M3 = InV[X8] * 3;
+    EXPECT_EQ(Buffers[OutB].intAt(X8), X8 + (M3 + X8) * (M3 - 1)) << X8;
+  }
+  // Per item: id, gep+load, mul, add, sub, mul+add (2), gep+store.
+  EXPECT_EQ(R.Totals.AluOps, 8u * 8u);
+  EXPECT_EQ(R.Totals.GlobalReads, 8u);
+  EXPECT_EQ(R.Totals.GlobalWrites, 8u);
+}
+
+TEST_P(InterpValueTest, CmpBrLoopsFuseAndRun) {
+  // Two loops whose header compare feeds only the branch after it: an
+  // int one summing n inputs, then a float one doubling the sum until it
+  // reaches 100. Both compares fuse with their branches; the loop-carried
+  // values move on the back edges the fused branches take.
+  ir::Function *F = M.createFunction("f");
+  ir::Type FloatPtr =
+      ir::Type::pointerTo(ir::ScalarKind::Float, ir::AddressSpace::Global);
+  ir::Argument *In = F->addArgument(FloatPtr, "in", true);
+  ir::Argument *Out = F->addArgument(FloatPtr, "out", false);
+  ir::Argument *N = F->addArgument(ir::Type::intTy(), "n", false);
+  ir::BasicBlock *Entry = F->createBlock("entry");
+  ir::BasicBlock *Head = F->createBlock("head");
+  ir::BasicBlock *Body = F->createBlock("body");
+  ir::BasicBlock *FHead = F->createBlock("fhead");
+  ir::BasicBlock *FBody = F->createBlock("fbody");
+  ir::BasicBlock *Exit = F->createBlock("exit");
+  ir::IRBuilder B(M);
+  B.setInsertPoint(Entry);
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *Base = B.createMul(X, N, "base");
+  B.createBr(Head);
+  B.setInsertPoint(Head);
+  ir::Instruction *I = B.createPhi(ir::Type::intTy(), "i");
+  ir::Instruction *Acc = B.createPhi(ir::Type::floatTy(), "acc");
+  B.createCondBr(B.createCmp(ir::Opcode::CmpLt, I, N), Body, FHead);
+  B.setInsertPoint(Body);
+  ir::Value *V = B.createLoad(B.createGep(In, B.createAdd(Base, I)));
+  ir::Value *Acc1 = B.createAdd(Acc, V, "acc1");
+  ir::Value *I1 = B.createAdd(I, M.getInt(1), "i1");
+  B.createBr(Head);
+  I->addIncoming(M.getInt(0), Entry);
+  I->addIncoming(I1, Body);
+  Acc->addIncoming(M.getFloat(0.0f), Entry);
+  Acc->addIncoming(Acc1, Body);
+  B.setInsertPoint(FHead);
+  ir::Instruction *Fv = B.createPhi(ir::Type::floatTy(), "f");
+  B.createCondBr(B.createCmp(ir::Opcode::CmpLt, Fv, M.getFloat(100.0f)),
+                 FBody, Exit);
+  B.setInsertPoint(FBody);
+  ir::Value *F1 =
+      B.createAdd(B.createMul(Fv, M.getFloat(2.0f)), M.getFloat(1.0f), "f1");
+  B.createBr(FHead);
+  Fv->addIncoming(Acc, Head);
+  Fv->addIncoming(F1, FBody);
+  B.setInsertPoint(Exit);
+  B.createStore(Fv, B.createGep(Out, X));
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+  EXPECT_EQ(plannedPairs(*F, FusedPair::CmpBr), 2u);
+  EXPECT_EQ(plannedPairs(*F, FusedPair::GepLoad), 1u);
+  EXPECT_EQ(plannedPairs(*F, FusedPair::MulAdd), 1u);
+
+  const int32_t Steps = 3;
+  std::vector<float> InV(8 * Steps);
+  for (size_t K = 0; K < InV.size(); ++K)
+    InV[K] = static_cast<float>(K % 7) + 1.0f;
+  unsigned InB = makeBuffer(InV);
+  unsigned OutB = makeBuffer(8);
+  SimReport R = cantFail(
+      run(F, {8, 1}, {8, 1},
+          {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(OutB),
+           KernelArg::makeInt(Steps)}));
+  uint64_t Alu = 0;
+  for (int32_t X8 = 0; X8 < 8; ++X8) {
+    float Sum = 0.0f;
+    for (int32_t K = 0; K < Steps; ++K)
+      Sum += InV[X8 * Steps + K];
+    unsigned Doublings = 0;
+    for (; Sum < 100.0f; ++Doublings)
+      Sum = Sum * 2.0f + 1.0f; // Exact either way: Sum * 2 is exact.
+    EXPECT_EQ(Buffers[OutB].floatAt(X8), Sum) << X8;
+    // entry 3 (id, mul, br); head 2 per visit (cmp+condbr), body 5 per
+    // iteration (add, gep+load, add, add, br); fhead 2 per visit; fbody
+    // 3 per doubling (mul+add, br); exit 1 (gep+store).
+    Alu += 3 + 2 * (Steps + 1) + 5 * Steps + 2 * (Doublings + 1) +
+           3 * Doublings + 1;
+  }
+  EXPECT_EQ(R.Totals.AluOps, Alu);
+  EXPECT_EQ(R.Totals.GlobalReads, 8u * Steps);
+  EXPECT_EQ(R.Totals.GlobalWrites, 8u);
 }
 
 //===----------------------------------------------------------------------===//

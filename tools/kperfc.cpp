@@ -94,7 +94,6 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -250,10 +249,10 @@ Expected<Options> parseArgs(int Argc, char **Argv) {
       auto V = next();
       if (!V)
         return V.takeError();
-      char *End = nullptr;
-      O.Budget = std::strtod(V->c_str(), &End);
-      if (End == V->c_str() || O.Budget < 0)
-        return makeError("bad --budget value '%s'", V->c_str());
+      if (!parseNonNegative(*V, O.Budget))
+        return makeError("bad --budget value '%s' (expected a finite "
+                         "number >= 0)",
+                         V->c_str());
     } else if (A == "--size") {
       auto V = next();
       if (!V)
