@@ -11,12 +11,17 @@
 // while control flow is uniform and fall back to sorted item lists only
 // across divergent branches, re-densifying on reconvergence.
 //
+// Each address space has one access path, a member template that the
+// plain and the gep-folded load and store opcodes instantiate, so every
+// bounds check, fault text and accounting call exists once per space.
 // Memory accounting is shared with the tree walker (gpusim/MemAccounting.h)
-// and fed per lane. Two per-chunk shortcuts sit on top of it: a fragment
-// reading one buffer in bounds fetches its read bitmap once, and a full
-// wavefront accessing local memory at one exec instance folds its bank
-// histogram on the stack (in closed form for consecutive offsets) and
-// reports the whole access group at once.
+// and fed per lane. Two per-chunk shortcuts sit inside the access paths:
+// the global path's fragment reading one buffer in bounds fetches its read
+// bitmap once, and the local path's full wavefront at one exec instance
+// folds its bank histogram on the stack (in closed form for consecutive
+// offsets) and reports the whole access group at once. The lane-wise ALU
+// ops come from one table, and both branch forms share one take, skip or
+// split path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +51,43 @@ union Val32 {
   int32_t I;
   float F;
 };
+
+/// The lane-wise ALU ops of the batched tier: opcode, AluOps charged per
+/// item, the result's Val32 field, and the result computed from the
+/// item's operands X, Y and Z (the values of registers A, B and C). The
+/// fused MulAdd ops round the product and the sum separately: this file
+/// is built without FMA contraction.
+#define KPERF_BC_LANE_OPS(OP)                                                  \
+  OP(AddI, 1, I, irns::wrapIntAdd(X.I, Y.I))                                   \
+  OP(SubI, 1, I, irns::wrapIntSub(X.I, Y.I))                                   \
+  OP(MulI, 1, I, irns::wrapIntMul(X.I, Y.I))                                   \
+  OP(MulAddI, 2, I, irns::wrapIntAdd(irns::wrapIntMul(X.I, Y.I), Z.I))         \
+  OP(AddF, 1, F, X.F + Y.F) OP(SubF, 1, F, X.F - Y.F)                          \
+  OP(MulF, 1, F, X.F * Y.F) OP(DivF, 1, F, X.F / Y.F)                          \
+  OP(MulAddF, 2, F, X.F * Y.F + Z.F)                                           \
+  OP(RemF, 1, F, 0.0f) /* Float remainder is not modeled. */                   \
+  OP(AndB, 1, I, X.I != 0 && Y.I != 0) OP(OrB, 1, I, X.I != 0 || Y.I != 0)     \
+  OP(NotB, 1, I, X.I == 0)                                                     \
+  OP(NegI, 1, I, irns::wrapIntNeg(X.I)) OP(NegF, 1, F, -X.F)                   \
+  OP(I2F, 1, F, static_cast<float>(X.I))                                       \
+  OP(F2I, 1, I, irns::wrapFloatToInt(X.F))                                     \
+  OP(MinI, 1, I, std::min(X.I, Y.I)) OP(MinF, 1, F, std::min(X.F, Y.F))        \
+  OP(MaxI, 1, I, std::max(X.I, Y.I)) OP(MaxF, 1, F, std::max(X.F, Y.F))        \
+  OP(ClampI, 1, I, std::min(std::max(X.I, Y.I), Z.I))                          \
+  OP(ClampF, 1, F, std::min(std::max(X.F, Y.F), Z.F))                          \
+  OP(AbsI, 1, I, irns::wrapIntAbs(X.I)) OP(AbsF, 1, F, std::fabs(X.F))         \
+  OP(SqrtF, 4, F, std::sqrt(X.F)) OP(ExpF, 4, F, std::exp(X.F))                \
+  OP(LogF, 4, F, std::log(X.F)) OP(PowF, 4, F, std::pow(X.F, Y.F))             \
+  OP(FloorF, 1, F, std::floor(X.F))
+
+/// The compares, which the fused compare-and-branch ops evaluate too:
+/// opcode, the Val32 field compared, and the relation (the result is 1
+/// or 0).
+#define KPERF_BC_CMPS(CMP)                                                     \
+  CMP(CmpEqI, I, ==) CMP(CmpNeI, I, !=) CMP(CmpLtI, I, <)                      \
+  CMP(CmpLeI, I, <=) CMP(CmpGtI, I, >) CMP(CmpGeI, I, >=)                      \
+  CMP(CmpEqF, F, ==) CMP(CmpNeF, F, !=) CMP(CmpLtF, F, <)                      \
+  CMP(CmpLeF, F, <=) CMP(CmpGtF, F, >) CMP(CmpGeF, F, >=)
 
 class BcExecutor {
 public:
@@ -81,6 +123,7 @@ public:
     LxA.resize(BN);
     LyA.resize(BN);
     WfA.resize(BN);
+    CondRow.resize(BN);
     for (unsigned Item = 0; Item < BN; ++Item) {
       LxA[Item] = Item % Local.X;
       LyA[Item] = Item / Local.X;
@@ -230,6 +273,8 @@ private:
 
     bool dense() const { return Runs.empty(); }
     size_t size() const { return dense() ? N : Count; }
+    /// The lowest item.
+    uint32_t first() const { return dense() ? First : Runs[0].First; }
   };
 
   Val32 *valRow(uint16_t Reg) {
@@ -380,11 +425,272 @@ private:
       }                                                                        \
   }
 
+// Returns a fault, first adding the AluOps counted so far to the group.
 #define BT_FAULT(...)                                                          \
   do {                                                                         \
     Group.AluOps += Alu;                                                       \
     return makeError(__VA_ARGS__);                                             \
   } while (0)
+
+  //===--- Memory accesses: one path per address space -----------------------//
+  //
+  // A gep-folded op (Folded) adds the gep's index to the pointer's offset
+  // and charges the gep's AluOp for every item whose address it computes,
+  // as the unfused Gep would.
+
+  /// The planes a load or store reads and writes: its pointer's base and
+  /// offset, the gep index a folded op adds, and the value it loads into
+  /// or stores from.
+  template <bool Folded, bool Store> struct Access {
+    const uint32_t *Base;
+    const int32_t *Off;
+    const Val32 *Idx;
+    Val32 *Val;
+
+    int32_t offset(uint32_t It) const {
+      if constexpr (Folded)
+        return irns::wrapIntAdd(Off[It], Idx[It].I);
+      return Off[It];
+    }
+    /// Moves item \p It's value to or from \p Word.
+    void move(uint32_t &Word, uint32_t It) const {
+      if constexpr (Store)
+        Word = static_cast<uint32_t>(Val[It].I);
+      else
+        Val[It].I = static_cast<int32_t>(Word);
+    }
+  };
+
+  /// Loads are Dst = *(A + B), stores *(B + C) = A (B or C the folded
+  /// gep's index).
+  template <bool Folded, bool Store>
+  Access<Folded, Store> accessOf(const bc::Instr &I) {
+    uint16_t Ptr = Store ? I.B : I.A;
+    return {baseRow(Ptr), offRow(Ptr), Folded ? valRow(Store ? I.C : I.B)
+                                              : nullptr,
+            valRow(Store ? I.A : I.Dst)};
+  }
+
+  template <bool Folded, bool Store>
+  Error accessGlobal(const bc::Instr &I, const Frag &Cur, uint64_t &Alu) {
+    const Access<Folded, Store> P = accessOf<Folded, Store>(I);
+    if constexpr (!Store) {
+      // A fragment whose pointers all carry the same in-bounds buffer
+      // (the common case: the chain descends from one buffer argument)
+      // hoists the per-buffer transaction bitmap and folds the wavefront
+      // id per chunk; anything else -- mixed bases or a potential fault --
+      // takes the per-item loop below.
+      uint32_t Base0 = P.Base[Cur.first()];
+      const BufRef &Bf = Bufs[Base0];
+      bool OneBuffer = true;
+      FOR_ITEMS(It, {
+        int32_t Off = P.offset(It);
+        OneBuffer &= P.Base[It] == Base0 && Off >= 0 &&
+                     static_cast<size_t>(Off) < Bf.Size;
+      })
+      if (OneBuffer) {
+        if constexpr (Folded)
+          Alu += Cur.size();
+        uint32_t *Seen = Acct.readBitmap(Base0);
+        const uint32_t WfSize = Device.WavefrontSize;
+        FOR_WF_CHUNKS(CB, CE, Full, {
+          (void)Full;
+          const unsigned WfIdx = CB / WfSize;
+          for (uint32_t It = CB; It < CE; ++It) {
+            int32_t Off = P.offset(It);
+            P.move(Bf.Data[Off], It);
+            Acct.markRead(Seen, static_cast<uint64_t>(Off), WfIdx);
+          }
+        })
+        Group.GlobalReads += Cur.size();
+        return Error::success();
+      }
+    }
+    uint32_t *ExecRow = GlobalExec.data() + static_cast<size_t>(I.Aux) * BN;
+    FOR_ITEMS(It, {
+      if constexpr (Folded)
+        ++Alu;
+      uint32_t Base = P.Base[It];
+      const BufRef &B = Bufs[Base];
+      int32_t Off = P.offset(It);
+      if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
+        BT_FAULT("kernel '%s': global %s out of bounds (buffer %u, offset "
+                 "%d, size %zu)",
+                 F.name().c_str(), Store ? "write" : "read", Base, Off,
+                 B.Size);
+      P.move(B.Data[Off], It);
+      if constexpr (Store)
+        Acct.noteWrite(I.Aux, ExecRow[It]++, Base, static_cast<uint64_t>(Off),
+                       WfA[It]);
+      else
+        Acct.noteRead(Base, static_cast<uint64_t>(Off), WfA[It]);
+    })
+    (Store ? Group.GlobalWrites : Group.GlobalReads) += Cur.size();
+    return Error::success();
+  }
+
+  template <bool Folded, bool Store>
+  Error accessLocal(const bc::Instr &I, const Frag &Cur, uint64_t &Alu) {
+    const Access<Folded, Store> P = accessOf<Folded, Store>(I);
+    uint32_t *Lds = LocalArena.data();
+    uint32_t *ExecRow = LocalExec.data() + static_cast<size_t>(I.Aux) * BN;
+    const uint32_t WfSize = Device.WavefrontSize;
+    const uint32_t Banks = Device.NumLocalBanks;
+    FOR_WF_CHUNKS(CB, CE, Full, {
+      // A chunk that owns its whole wavefront with one shared exec
+      // instance owns the (op, exec, wavefront) accounting key outright:
+      // fold it on a stack histogram and never touch the persistent
+      // tables (the key cannot recur -- exec advances). Devices with more
+      // banks than the histogram holds take the tables.
+      bool Fold = false;
+      if (Full && Banks <= MaxFastBanks) {
+        uint32_t E0 = ExecRow[CB];
+        uint32_t Off0 = static_cast<uint32_t>(P.offset(CB));
+        uint32_t Bad = 0, NonCon = 0;
+        for (uint32_t It = CB; It < CE; ++It) {
+          uint32_t Off = static_cast<uint32_t>(P.offset(It));
+          Bad |= (ExecRow[It] ^ E0) | (Off >= Prog.LocalWords ? 1u : 0u);
+          NonCon |= Off ^ (Off0 + (It - CB));
+        }
+        Fold = Bad == 0;
+        if (Fold) {
+          uint32_t Max = 0;
+          if (NonCon == 0) {
+            // Consecutive offsets cycle through the banks, so the
+            // conflict profile is closed-form and the move is one
+            // straight copy.
+            size_t Bytes = (CE - CB) * sizeof(uint32_t);
+            if constexpr (Store)
+              std::memcpy(Lds + Off0, P.Val + CB, Bytes);
+            else
+              std::memcpy(P.Val + CB, Lds + Off0, Bytes);
+            Max = (CE - CB + Banks - 1) / Banks;
+          } else {
+            uint32_t Hist[MaxFastBanks];
+            std::fill_n(Hist, Banks, 0u);
+            for (uint32_t It = CB; It < CE; ++It) {
+              int32_t Off = P.offset(It);
+              P.move(Lds[Off], It);
+              Max = std::max(Max, ++Hist[Acct.bankOf(Off)]);
+            }
+          }
+          std::fill(ExecRow + CB, ExecRow + CE, E0 + 1);
+          if constexpr (Folded)
+            Alu += CE - CB;
+          Acct.noteLocalGroup(Max);
+        }
+      }
+      if (!Fold) {
+        for (uint32_t It = CB; It < CE; ++It) {
+          if constexpr (Folded)
+            ++Alu;
+          int32_t Off = P.offset(It);
+          if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.LocalWords)
+            BT_FAULT("kernel '%s': local %s out of bounds (offset %d, size "
+                     "%u words)",
+                     F.name().c_str(), Store ? "write" : "read", Off,
+                     Prog.LocalWords);
+          P.move(Lds[Off], It);
+          Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
+        }
+      }
+    })
+    Group.LocalAccesses += Cur.size();
+    return Error::success();
+  }
+
+  template <bool Folded, bool Store>
+  Error accessPrivate(const bc::Instr &I, const Frag &Cur, uint64_t &Alu) {
+    const Access<Folded, Store> P = accessOf<Folded, Store>(I);
+    uint32_t *Priv = PrivArena.data();
+    FOR_ITEMS(It, {
+      if constexpr (Folded)
+        ++Alu;
+      int32_t Off = P.offset(It);
+      if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.PrivateWords)
+        BT_FAULT("kernel '%s': private %s out of bounds", F.name().c_str(),
+                 Store ? "write" : "read");
+      P.move(Priv[static_cast<size_t>(It) * Prog.PrivateWords + Off], It);
+    })
+    Group.PrivateAccesses += Cur.size();
+    return Error::success();
+  }
+
+  //===--- Branches ----------------------------------------------------------//
+
+  /// Writes compare \p Cmp of planes \p A and \p B to \p D for each item
+  /// of \p Cur.
+  void compare(bc::Op Cmp, const Frag &Cur, Val32 *D, const Val32 *A,
+               const Val32 *B) {
+    switch (Cmp) {
+#define KPERF_CMP_CASE(Name, Field, Rel)                                       \
+  case bc::Op::Name:                                                           \
+    FOR_ITEMS(It, D[It].I = A[It].Field Rel B[It].Field;)                      \
+    break;
+      KPERF_BC_CMPS(KPERF_CMP_CASE)
+#undef KPERF_CMP_CASE
+    default:
+      break;
+    }
+  }
+
+  /// Sends the items of \p Cur down the edges of branch \p I (JmpIf or a
+  /// fused JmpCmp): all of them along one edge, where Cur stays whole, or
+  /// split into a taken and a not-taken fragment appended to \p Frags.
+  /// Returns whether Cur stays. A fused compare is evaluated for every
+  /// item before any edge copy can clobber an operand register. A
+  /// condition ir::DivergenceAnalysis proved uniform (bc::FlagUniformCond)
+  /// is read, or its compare evaluated, for the first item only, and the
+  /// per-item scan and split are skipped.
+  bool branch(const bc::Instr &I, Frag &Cur, std::vector<Frag> &Frags) {
+    const bool Uniform = I.Flags & bc::FlagUniformCond;
+    const Val32 *Cond = valRow(I.A);
+    if (I.Opc != bc::Op::JmpIf) {
+      Frag Lead;
+      Lead.First = Cur.first();
+      Lead.N = 1;
+      bc::Op Base = I.Opc == bc::Op::JmpCmpF ? bc::Op::CmpEqF : bc::Op::CmpEqI;
+      compare(static_cast<bc::Op>(static_cast<unsigned>(Base) + I.Sub),
+              Uniform ? Lead : Cur, CondRow.data(), valRow(I.A), valRow(I.B));
+      Cond = CondRow.data();
+    }
+    size_t Taken = 0;
+    if (Uniform) {
+      Taken = Cond[Cur.first()].I != 0 ? Cur.size() : 0;
+    } else {
+      FOR_ITEMS(It, Taken += Cond[It].I != 0 ? 1 : 0;)
+    }
+    if (Taken == Cur.size()) {
+      runCopiesBatched(I.CL0, Cur);
+      Cur.Pc = static_cast<uint32_t>(I.Imm);
+      return true;
+    }
+    if (Taken == 0) {
+      runCopiesBatched(I.CL1, Cur);
+      Cur.Pc = I.Aux;
+      return true;
+    }
+    Frag FT, FN;
+    FT.Runs = takeRuns();
+    FN.Runs = takeRuns();
+    auto Append = [](Frag &Fr, uint32_t It) {
+      if (!Fr.Runs.empty() && Fr.Runs.back().First + Fr.Runs.back().Len == It)
+        ++Fr.Runs.back().Len;
+      else
+        Fr.Runs.push_back({It, 1});
+      ++Fr.Count;
+    };
+    FOR_ITEMS(It, Append(Cond[It].I != 0 ? FT : FN, It);)
+    FT.Pc = static_cast<uint32_t>(I.Imm);
+    FN.Pc = I.Aux;
+    runCopiesBatched(I.CL0, FT);
+    runCopiesBatched(I.CL1, FN);
+    Frags.push_back(std::move(FT));
+    Frags.push_back(std::move(FN));
+    return false;
+  }
+
+  //===--- The group's instruction loop --------------------------------------//
 
   Error runGroupBatched() {
     uint64_t Alu = 0;
@@ -444,268 +750,58 @@ private:
           ++Cur.Pc;
           break;
         }
-        case bc::Op::LdG: {
-          const uint32_t *PB = baseRow(I.A);
-          const int32_t *PO = offRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          // A fragment whose pointers all carry the same in-bounds buffer
-          // (the common case: the chain descends from one buffer
-          // argument) hoists the per-buffer transaction bitmap and folds
-          // the wavefront id per chunk; anything else -- mixed bases or a
-          // potential fault -- takes the general per-item loop.
-          uint32_t Base0 = PB[Cur.dense() ? Cur.First : Cur.Runs[0].First];
-          const BufRef &Bf = Bufs[Base0];
-          bool FastG = true;
-          FOR_ITEMS(It, FastG &= PB[It] == Base0 && PO[It] >= 0 &&
-                                 static_cast<size_t>(PO[It]) < Bf.Size;)
-          if (FastG) {
-            uint32_t *Seen = Acct.readBitmap(Base0);
-            const uint32_t *Src = Bf.Data;
-            const uint32_t WfSize = Device.WavefrontSize;
-            FOR_WF_CHUNKS(CB, CE, Full, {
-              (void)Full;
-              const unsigned WfIdx = CB / WfSize;
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It];
-                D[It].I = static_cast<int32_t>(Src[Off]);
-                Acct.markRead(Seen, static_cast<uint64_t>(Off), WfIdx);
-              }
-            })
-          } else {
-            FOR_ITEMS(It, {
-              const BufRef &B = Bufs[PB[It]];
-              int32_t Off = PO[It];
-              if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-                BT_FAULT("kernel '%s': global read out of bounds (buffer "
-                         "%u, offset %d, size %zu)",
-                         F.name().c_str(), PB[It], Off, B.Size);
-              D[It].I = static_cast<int32_t>(B.Data[Off]);
-              Acct.noteRead(PB[It], static_cast<uint64_t>(Off), WfA[It]);
-            })
-          }
-          Group.GlobalReads += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::LdL: {
-          const int32_t *PO = offRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          uint32_t *ExecRow =
-              LocalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          const uint32_t WfSize = Device.WavefrontSize;
-          const bool FastOk = Device.NumLocalBanks <= MaxFastBanks;
-          FOR_WF_CHUNKS(CB, CE, Full, {
-            // A chunk that owns its whole wavefront with one shared exec
-            // instance owns the (op, exec, wavefront) accounting key
-            // outright: fold it on a stack histogram and never touch the
-            // persistent tables (the key cannot recur -- exec advances).
-            bool Fast = false;
-            if (Full && FastOk) {
-              uint32_t E0 = ExecRow[CB];
-              int32_t Off0 = PO[CB];
-              uint32_t Bad = 0, NonCon = 0;
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It];
-                Bad |= (ExecRow[It] ^ E0) |
-                       (static_cast<uint32_t>(Off) >= Prog.LocalWords ? 1u
-                                                                      : 0u);
-                NonCon |= static_cast<uint32_t>(
-                    Off ^ (Off0 + static_cast<int32_t>(It - CB)));
-              }
-              Fast = Bad == 0;
-              if (Fast) {
-                uint32_t Max;
-                if (NonCon == 0) {
-                  // Consecutive offsets cycle through the banks, so the
-                  // conflict profile is closed-form and the move is one
-                  // straight copy.
-                  std::memcpy(D + CB, LocalArena.data() + Off0,
-                              (CE - CB) * sizeof(uint32_t));
-                  Max = (CE - CB + Device.NumLocalBanks - 1) /
-                        Device.NumLocalBanks;
-                } else {
-                  uint32_t Hist[MaxFastBanks];
-                  std::fill_n(Hist, Device.NumLocalBanks, 0u);
-                  Max = 0;
-                  for (uint32_t It = CB; It < CE; ++It) {
-                    int32_t Off = PO[It];
-                    D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                    uint32_t C = ++Hist[Acct.bankOf(Off)];
-                    if (C > Max)
-                      Max = C;
-                  }
-                }
-                for (uint32_t It = CB; It < CE; ++It)
-                  ExecRow[It] = E0 + 1;
-                Acct.noteLocalGroup(Max);
-              }
-            }
-            if (!Fast) {
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It];
-                if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.LocalWords)
-                  BT_FAULT("kernel '%s': local read out of bounds (offset "
-                           "%d, size %u words)",
-                           F.name().c_str(), Off, Prog.LocalWords);
-                D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
-              }
-            }
-          })
-          Group.LocalAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::LdP: {
-          const int32_t *PO = offRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          const uint32_t *Priv = PrivArena.data();
-          FOR_ITEMS(It, {
-            int32_t Off = PO[It];
-            if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.PrivateWords)
-              BT_FAULT("kernel '%s': private read out of bounds",
-                       F.name().c_str());
-            D[It].I = static_cast<int32_t>(
-                Priv[static_cast<size_t>(It) * Prog.PrivateWords + Off]);
-          })
-          Group.PrivateAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::StG: {
-          const Val32 *V = valRow(I.A);
-          const uint32_t *PB = baseRow(I.B);
-          const int32_t *PO = offRow(I.B);
-          uint32_t *ExecRow =
-              GlobalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          FOR_ITEMS(It, {
-            const BufRef &B = Bufs[PB[It]];
-            int32_t Off = PO[It];
-            if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-              BT_FAULT("kernel '%s': global write out of bounds (buffer "
-                       "%u, offset %d, size %zu)",
-                       F.name().c_str(), PB[It], Off, B.Size);
-            B.Data[Off] = static_cast<uint32_t>(V[It].I);
-            Acct.noteWrite(I.Aux, ExecRow[It]++, PB[It],
-                           static_cast<uint64_t>(Off), WfA[It]);
-          })
-          Group.GlobalWrites += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::StL: {
-          const Val32 *V = valRow(I.A);
-          const int32_t *PO = offRow(I.B);
-          uint32_t *ExecRow =
-              LocalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          const uint32_t WfSize = Device.WavefrontSize;
-          const bool FastOk = Device.NumLocalBanks <= MaxFastBanks;
-          FOR_WF_CHUNKS(CB, CE, Full, {
-            bool Fast = false;
-            if (Full && FastOk) {
-              uint32_t E0 = ExecRow[CB];
-              int32_t Off0 = PO[CB];
-              uint32_t Bad = 0, NonCon = 0;
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It];
-                Bad |= (ExecRow[It] ^ E0) |
-                       (static_cast<uint32_t>(Off) >= Prog.LocalWords ? 1u
-                                                                      : 0u);
-                NonCon |= static_cast<uint32_t>(
-                    Off ^ (Off0 + static_cast<int32_t>(It - CB)));
-              }
-              Fast = Bad == 0;
-              if (Fast) {
-                uint32_t Max;
-                if (NonCon == 0) {
-                  std::memcpy(LocalArena.data() + Off0, V + CB,
-                              (CE - CB) * sizeof(uint32_t));
-                  Max = (CE - CB + Device.NumLocalBanks - 1) /
-                        Device.NumLocalBanks;
-                } else {
-                  uint32_t Hist[MaxFastBanks];
-                  std::fill_n(Hist, Device.NumLocalBanks, 0u);
-                  Max = 0;
-                  for (uint32_t It = CB; It < CE; ++It) {
-                    int32_t Off = PO[It];
-                    LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                    uint32_t C = ++Hist[Acct.bankOf(Off)];
-                    if (C > Max)
-                      Max = C;
-                  }
-                }
-                for (uint32_t It = CB; It < CE; ++It)
-                  ExecRow[It] = E0 + 1;
-                Acct.noteLocalGroup(Max);
-              }
-            }
-            if (!Fast) {
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It];
-                if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.LocalWords)
-                  BT_FAULT("kernel '%s': local write out of bounds (offset "
-                           "%d, size %u words)",
-                           F.name().c_str(), Off, Prog.LocalWords);
-                LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
-              }
-            }
-          })
-          Group.LocalAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::StP: {
-          const Val32 *V = valRow(I.A);
-          const int32_t *PO = offRow(I.B);
-          uint32_t *Priv = PrivArena.data();
-          FOR_ITEMS(It, {
-            int32_t Off = PO[It];
-            if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.PrivateWords)
-              BT_FAULT("kernel '%s': private write out of bounds",
-                       F.name().c_str());
-            Priv[static_cast<size_t>(It) * Prog.PrivateWords + Off] =
-                static_cast<uint32_t>(V[It].I);
-          })
-          Group.PrivateAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
+#define KPERF_ACCESS_CASE(Name, Space, Folded, Store)                          \
+  case bc::Op::Name:                                                           \
+    if (Error E = access##Space<Folded, Store>(I, Cur, Alu))                   \
+      return E;                                                                \
+    ++Cur.Pc;                                                                  \
+    break;
+        KPERF_ACCESS_CASE(LdG, Global, false, false)
+        KPERF_ACCESS_CASE(LdGX, Global, true, false)
+        KPERF_ACCESS_CASE(StG, Global, false, true)
+        KPERF_ACCESS_CASE(StGX, Global, true, true)
+        KPERF_ACCESS_CASE(LdL, Local, false, false)
+        KPERF_ACCESS_CASE(LdLX, Local, true, false)
+        KPERF_ACCESS_CASE(StL, Local, false, true)
+        KPERF_ACCESS_CASE(StLX, Local, true, true)
+        KPERF_ACCESS_CASE(LdP, Private, false, false)
+        KPERF_ACCESS_CASE(LdPX, Private, true, false)
+        KPERF_ACCESS_CASE(StP, Private, false, true)
+        KPERF_ACCESS_CASE(StPX, Private, true, true)
+#undef KPERF_ACCESS_CASE
         case bc::Op::Gep: {
           const uint32_t *PB = baseRow(I.A);
           const int32_t *PO = offRow(I.A);
           const Val32 *Idx = valRow(I.B);
           uint32_t *DB = baseRow(I.Dst);
           int32_t *DO_ = offRow(I.Dst);
-          FOR_ITEMS(It, DB[It] = PB[It]; DO_[It] = PO[It] + Idx[It].I;)
+          FOR_ITEMS(It, DB[It] = PB[It];
+                    DO_[It] = irns::wrapIntAdd(PO[It], Idx[It].I);)
           Alu += Cur.size();
           ++Cur.Pc;
           break;
         }
-        case bc::Op::AddI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I + B[It].I;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::SubI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I - B[It].I;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::MulI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I * B[It].I;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
+
+        // Lane-wise ops: each item's result from its own operands.
+#define KPERF_LANE_CASE(Name, AluOps, Field, Expr)                             \
+  case bc::Op::Name: {                                                         \
+    const Val32 *RA = valRow(I.A), *RB = valRow(I.B), *RC = valRow(I.C);       \
+    Val32 *D = valRow(I.Dst);                                                  \
+    FOR_ITEMS(It, {                                                            \
+      [[maybe_unused]] const Val32 X = RA[It], Y = RB[It], Z = RC[It];         \
+      D[It].Field = (Expr);                                                    \
+    })                                                                         \
+    Alu += (AluOps) * Cur.size();                                              \
+    ++Cur.Pc;                                                                  \
+    break;                                                                     \
+  }
+#define KPERF_CMP_LANE_CASE(Name, Field, Rel)                                  \
+  KPERF_LANE_CASE(Name, 1, I, X.Field Rel Y.Field)
+        KPERF_BC_LANE_OPS(KPERF_LANE_CASE)
+        KPERF_BC_CMPS(KPERF_CMP_LANE_CASE)
+#undef KPERF_CMP_LANE_CASE
+#undef KPERF_LANE_CASE
+
         case bc::Op::DivI:
         case bc::Op::RemI: {
           const Val32 *A = valRow(I.A), *B = valRow(I.B);
@@ -718,7 +814,7 @@ private:
           // division cannot. Exact: the quotient's rounding error is
           // below 1/|b| whenever |a|*|b| < 2^52, so truncation recovers
           // the integer result.
-          int32_t B0 = B[Cur.dense() ? Cur.First : Cur.Runs[0].First].I;
+          int32_t B0 = B[Cur.first()].I;
           uint32_t ZeroAcc = 0, NonUni = 0;
           FOR_ITEMS(It, {
             ZeroAcc |= B[It].I == 0 ? 1u : 0u;
@@ -753,197 +849,6 @@ private:
             FOR_ITEMS(It, D[It].I = ir::wrapIntRem(A[It].I, B[It].I);)
             Alu += Cur.size();
           }
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::AddF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = A[It].F + B[It].F;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::SubF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = A[It].F - B[It].F;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::MulF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = A[It].F * B[It].F;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::DivF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = A[It].F / B[It].F;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::RemF: {
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpEqI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I == B[It].I ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpNeI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I != B[It].I ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpLtI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I < B[It].I ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpLeI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I <= B[It].I ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpGtI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I > B[It].I ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpGeI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I >= B[It].I ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpEqF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].F == B[It].F ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpNeF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].F != B[It].F ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpLtF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].F < B[It].F ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpLeF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].F <= B[It].F ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpGtF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].F > B[It].F ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::CmpGeF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].F >= B[It].F ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::AndB: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = (A[It].I != 0 && B[It].I != 0) ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::OrB: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = (A[It].I != 0 || B[It].I != 0) ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::NotB: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I == 0 ? 1 : 0;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::NegI: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = -A[It].I;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::NegF: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = -A[It].F;)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::I2F: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = static_cast<float>(A[It].I);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::F2I: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = static_cast<int32_t>(A[It].F);)
-          Alu += Cur.size();
           ++Cur.Pc;
           break;
         }
@@ -993,112 +898,6 @@ private:
           ++Cur.Pc;
           break;
         }
-        case bc::Op::MinI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = std::min(A[It].I, B[It].I);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::MinF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::min(A[It].F, B[It].F);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::MaxI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = std::max(A[It].I, B[It].I);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::MaxF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::max(A[It].F, B[It].F);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::ClampI: {
-          const Val32 *A = valRow(I.A), *Lo = valRow(I.B), *Hi = valRow(I.C);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It,
-                    D[It].I = std::min(std::max(A[It].I, Lo[It].I), Hi[It].I);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::ClampF: {
-          const Val32 *A = valRow(I.A), *Lo = valRow(I.B), *Hi = valRow(I.C);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It,
-                    D[It].F = std::min(std::max(A[It].F, Lo[It].F), Hi[It].F);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::AbsI: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = std::abs(A[It].I);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::AbsF: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::fabs(A[It].F);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::SqrtF: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::sqrt(A[It].F);)
-          Alu += 4 * Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::ExpF: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::exp(A[It].F);)
-          Alu += 4 * Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::LogF: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::log(A[It].F);)
-          Alu += 4 * Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::PowF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::pow(A[It].F, B[It].F);)
-          Alu += 4 * Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::FloorF: {
-          const Val32 *A = valRow(I.A);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].F = std::floor(A[It].F);)
-          Alu += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
         case bc::Op::Bar: {
           Group.Barriers += Cur.size();
           uint32_t ResumePc = Cur.Pc + 1;
@@ -1115,414 +914,16 @@ private:
           Cur.Pc = static_cast<uint32_t>(I.Imm);
           break;
         }
-        case bc::Op::JmpIf: {
-          const Val32 *C = valRow(I.A);
-          Alu += Cur.size();
-          if (I.Flags & bc::FlagUniformCond) {
-            // Compile-time divergence analysis proved the condition
-            // uniform: every item in the fragment holds the same value,
-            // so one register read decides the branch and the per-item
-            // scan and fragment-split bookkeeping are skipped entirely.
-            uint32_t First = Cur.dense() ? Cur.First : Cur.Runs[0].First;
-            if (C[First].I != 0) {
-              runCopiesBatched(I.CL0, Cur);
-              Cur.Pc = static_cast<uint32_t>(I.Imm);
-            } else {
-              runCopiesBatched(I.CL1, Cur);
-              Cur.Pc = I.Aux;
-            }
-            break;
-          }
-          size_t Taken = 0;
-          FOR_ITEMS(It, Taken += C[It].I != 0 ? 1 : 0;)
-          if (Taken == Cur.size()) {
-            // Uniform taken: the fragment survives intact (dense stays
-            // dense), only the pc changes.
-            runCopiesBatched(I.CL0, Cur);
-            Cur.Pc = static_cast<uint32_t>(I.Imm);
-            break;
-          }
-          if (Taken == 0) {
-            runCopiesBatched(I.CL1, Cur);
-            Cur.Pc = I.Aux;
-            break;
-          }
-          Frag FT, FN;
-          FT.Runs = takeRuns();
-          FN.Runs = takeRuns();
-          auto Append = [](Frag &Fr, uint32_t It) {
-            if (!Fr.Runs.empty() &&
-                Fr.Runs.back().First + Fr.Runs.back().Len == It)
-              ++Fr.Runs.back().Len;
-            else
-              Fr.Runs.push_back({It, 1});
-            ++Fr.Count;
-          };
-          FOR_ITEMS(It, Append(C[It].I != 0 ? FT : FN, It);)
-          FT.Pc = static_cast<uint32_t>(I.Imm);
-          FN.Pc = I.Aux;
-          runCopiesBatched(I.CL0, FT);
-          runCopiesBatched(I.CL1, FN);
-          Frags.push_back(std::move(FT));
-          Frags.push_back(std::move(FN));
-          Reinsert = false;
+        case bc::Op::JmpIf:
+        case bc::Op::JmpCmpI:
+        case bc::Op::JmpCmpF:
+          // A fused compare charges its own AluOp besides the branch's.
+          Alu += (I.Opc == bc::Op::JmpIf ? 1 : 2) * Cur.size();
+          Reinsert = branch(I, Cur, Frags);
           break;
-        }
         case bc::Op::Ret: {
           Returned += Cur.size();
           Reinsert = false;
-          break;
-        }
-        case bc::Op::LdGX: {
-          const uint32_t *PB = baseRow(I.A);
-          const int32_t *PO = offRow(I.A);
-          const Val32 *Idx = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          // Uniform-base in-bounds fast path; see LdG.
-          uint32_t Base0 = PB[Cur.dense() ? Cur.First : Cur.Runs[0].First];
-          const BufRef &Bf = Bufs[Base0];
-          bool FastG = true;
-          FOR_ITEMS(It, {
-            int32_t Off = PO[It] + Idx[It].I;
-            FastG &= PB[It] == Base0 && Off >= 0 &&
-                     static_cast<size_t>(Off) < Bf.Size;
-          })
-          if (FastG) {
-            Alu += Cur.size(); // The folded address computations.
-            uint32_t *Seen = Acct.readBitmap(Base0);
-            const uint32_t *Src = Bf.Data;
-            const uint32_t WfSize = Device.WavefrontSize;
-            FOR_WF_CHUNKS(CB, CE, Full, {
-              (void)Full;
-              const unsigned WfIdx = CB / WfSize;
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It] + Idx[It].I;
-                D[It].I = static_cast<int32_t>(Src[Off]);
-                Acct.markRead(Seen, static_cast<uint64_t>(Off), WfIdx);
-              }
-            })
-          } else {
-            FOR_ITEMS(It, {
-              ++Alu; // The folded address computation.
-              const BufRef &B = Bufs[PB[It]];
-              int32_t Off = PO[It] + Idx[It].I;
-              if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-                BT_FAULT("kernel '%s': global read out of bounds (buffer "
-                         "%u, offset %d, size %zu)",
-                         F.name().c_str(), PB[It], Off, B.Size);
-              D[It].I = static_cast<int32_t>(B.Data[Off]);
-              Acct.noteRead(PB[It], static_cast<uint64_t>(Off), WfA[It]);
-            })
-          }
-          Group.GlobalReads += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::LdLX: {
-          const int32_t *PO = offRow(I.A);
-          const Val32 *Idx = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          uint32_t *ExecRow =
-              LocalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          const uint32_t WfSize = Device.WavefrontSize;
-          const bool FastOk = Device.NumLocalBanks <= MaxFastBanks;
-          FOR_WF_CHUNKS(CB, CE, Full, {
-            bool Fast = false;
-            if (Full && FastOk) {
-              uint32_t E0 = ExecRow[CB];
-              int32_t Off0 = PO[CB] + Idx[CB].I;
-              uint32_t Bad = 0, NonCon = 0;
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It] + Idx[It].I;
-                Bad |= (ExecRow[It] ^ E0) |
-                       (static_cast<uint32_t>(Off) >= Prog.LocalWords ? 1u
-                                                                      : 0u);
-                NonCon |= static_cast<uint32_t>(
-                    Off ^ (Off0 + static_cast<int32_t>(It - CB)));
-              }
-              Fast = Bad == 0;
-              if (Fast) {
-                uint32_t Max;
-                if (NonCon == 0) {
-                  std::memcpy(D + CB, LocalArena.data() + Off0,
-                              (CE - CB) * sizeof(uint32_t));
-                  Max = (CE - CB + Device.NumLocalBanks - 1) /
-                        Device.NumLocalBanks;
-                } else {
-                  uint32_t Hist[MaxFastBanks];
-                  std::fill_n(Hist, Device.NumLocalBanks, 0u);
-                  Max = 0;
-                  for (uint32_t It = CB; It < CE; ++It) {
-                    int32_t Off = PO[It] + Idx[It].I;
-                    D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                    uint32_t C = ++Hist[Acct.bankOf(Off)];
-                    if (C > Max)
-                      Max = C;
-                  }
-                }
-                for (uint32_t It = CB; It < CE; ++It)
-                  ExecRow[It] = E0 + 1;
-                Alu += CE - CB;
-                Acct.noteLocalGroup(Max);
-              }
-            }
-            if (!Fast) {
-              for (uint32_t It = CB; It < CE; ++It) {
-                ++Alu;
-                int32_t Off = PO[It] + Idx[It].I;
-                if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.LocalWords)
-                  BT_FAULT("kernel '%s': local read out of bounds (offset "
-                           "%d, size %u words)",
-                           F.name().c_str(), Off, Prog.LocalWords);
-                D[It].I = static_cast<int32_t>(LocalArena[Off]);
-                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
-              }
-            }
-          })
-          Group.LocalAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::LdPX: {
-          const int32_t *PO = offRow(I.A);
-          const Val32 *Idx = valRow(I.B);
-          Val32 *D = valRow(I.Dst);
-          const uint32_t *Priv = PrivArena.data();
-          FOR_ITEMS(It, {
-            ++Alu;
-            int32_t Off = PO[It] + Idx[It].I;
-            if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.PrivateWords)
-              BT_FAULT("kernel '%s': private read out of bounds",
-                       F.name().c_str());
-            D[It].I = static_cast<int32_t>(
-                Priv[static_cast<size_t>(It) * Prog.PrivateWords + Off]);
-          })
-          Group.PrivateAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::StGX: {
-          const Val32 *V = valRow(I.A);
-          const uint32_t *PB = baseRow(I.B);
-          const int32_t *PO = offRow(I.B);
-          const Val32 *Idx = valRow(I.C);
-          uint32_t *ExecRow =
-              GlobalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          FOR_ITEMS(It, {
-            ++Alu; // The folded address computation.
-            const BufRef &B = Bufs[PB[It]];
-            int32_t Off = PO[It] + Idx[It].I;
-            if (Off < 0 || static_cast<size_t>(Off) >= B.Size)
-              BT_FAULT("kernel '%s': global write out of bounds (buffer "
-                       "%u, offset %d, size %zu)",
-                       F.name().c_str(), PB[It], Off, B.Size);
-            B.Data[Off] = static_cast<uint32_t>(V[It].I);
-            Acct.noteWrite(I.Aux, ExecRow[It]++, PB[It],
-                           static_cast<uint64_t>(Off), WfA[It]);
-          })
-          Group.GlobalWrites += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::StLX: {
-          const Val32 *V = valRow(I.A);
-          const int32_t *PO = offRow(I.B);
-          const Val32 *Idx = valRow(I.C);
-          uint32_t *ExecRow =
-              LocalExec.data() + static_cast<size_t>(I.Aux) * BN;
-          const uint32_t WfSize = Device.WavefrontSize;
-          const bool FastOk = Device.NumLocalBanks <= MaxFastBanks;
-          FOR_WF_CHUNKS(CB, CE, Full, {
-            bool Fast = false;
-            if (Full && FastOk) {
-              uint32_t E0 = ExecRow[CB];
-              int32_t Off0 = PO[CB] + Idx[CB].I;
-              uint32_t Bad = 0, NonCon = 0;
-              for (uint32_t It = CB; It < CE; ++It) {
-                int32_t Off = PO[It] + Idx[It].I;
-                Bad |= (ExecRow[It] ^ E0) |
-                       (static_cast<uint32_t>(Off) >= Prog.LocalWords ? 1u
-                                                                      : 0u);
-                NonCon |= static_cast<uint32_t>(
-                    Off ^ (Off0 + static_cast<int32_t>(It - CB)));
-              }
-              Fast = Bad == 0;
-              if (Fast) {
-                uint32_t Max;
-                if (NonCon == 0) {
-                  std::memcpy(LocalArena.data() + Off0, V + CB,
-                              (CE - CB) * sizeof(uint32_t));
-                  Max = (CE - CB + Device.NumLocalBanks - 1) /
-                        Device.NumLocalBanks;
-                } else {
-                  uint32_t Hist[MaxFastBanks];
-                  std::fill_n(Hist, Device.NumLocalBanks, 0u);
-                  Max = 0;
-                  for (uint32_t It = CB; It < CE; ++It) {
-                    int32_t Off = PO[It] + Idx[It].I;
-                    LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                    uint32_t C = ++Hist[Acct.bankOf(Off)];
-                    if (C > Max)
-                      Max = C;
-                  }
-                }
-                for (uint32_t It = CB; It < CE; ++It)
-                  ExecRow[It] = E0 + 1;
-                Alu += CE - CB;
-                Acct.noteLocalGroup(Max);
-              }
-            }
-            if (!Fast) {
-              for (uint32_t It = CB; It < CE; ++It) {
-                ++Alu;
-                int32_t Off = PO[It] + Idx[It].I;
-                if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.LocalWords)
-                  BT_FAULT("kernel '%s': local write out of bounds (offset "
-                           "%d, size %u words)",
-                           F.name().c_str(), Off, Prog.LocalWords);
-                LocalArena[Off] = static_cast<uint32_t>(V[It].I);
-                Acct.noteLocal(I.Aux, ExecRow[It]++, Off, WfA[It]);
-              }
-            }
-          })
-          Group.LocalAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::StPX: {
-          const Val32 *V = valRow(I.A);
-          const int32_t *PO = offRow(I.B);
-          const Val32 *Idx = valRow(I.C);
-          uint32_t *Priv = PrivArena.data();
-          FOR_ITEMS(It, {
-            ++Alu;
-            int32_t Off = PO[It] + Idx[It].I;
-            if (Off < 0 || static_cast<uint32_t>(Off) >= Prog.PrivateWords)
-              BT_FAULT("kernel '%s': private write out of bounds",
-                       F.name().c_str());
-            Priv[static_cast<size_t>(It) * Prog.PrivateWords + Off] =
-                static_cast<uint32_t>(V[It].I);
-          })
-          Group.PrivateAccesses += Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::JmpCmpI:
-        case bc::Op::JmpCmpF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B);
-          Alu += 2 * Cur.size(); // Compare + branch per item.
-          if (I.Flags & bc::FlagUniformCond) {
-            // Uniform fused compare (flag inherited from the JmpIf the
-            // peephole pass folded): evaluate one item, branch all.
-            uint32_t It = Cur.dense() ? Cur.First : Cur.Runs[0].First;
-            bool Taken;
-            switch ((I.Opc == bc::Op::JmpCmpF ? 6 : 0) + I.Sub) {
-            case 0: Taken = A[It].I == B[It].I; break;
-            case 1: Taken = A[It].I != B[It].I; break;
-            case 2: Taken = A[It].I < B[It].I; break;
-            case 3: Taken = A[It].I <= B[It].I; break;
-            case 4: Taken = A[It].I > B[It].I; break;
-            case 5: Taken = A[It].I >= B[It].I; break;
-            case 6: Taken = A[It].F == B[It].F; break;
-            case 7: Taken = A[It].F != B[It].F; break;
-            case 8: Taken = A[It].F < B[It].F; break;
-            case 9: Taken = A[It].F <= B[It].F; break;
-            case 10: Taken = A[It].F > B[It].F; break;
-            default: Taken = A[It].F >= B[It].F; break;
-            }
-            if (Taken) {
-              runCopiesBatched(I.CL0, Cur);
-              Cur.Pc = static_cast<uint32_t>(I.Imm);
-            } else {
-              runCopiesBatched(I.CL1, Cur);
-              Cur.Pc = I.Aux;
-            }
-            break;
-          }
-          // Evaluate the comparison for every item before any edge copy
-          // can clobber an operand register.
-          if (CondBuf.size() < BN)
-            CondBuf.resize(BN);
-          uint8_t *C = CondBuf.data();
-#define CMP_FILL(EXPR) FOR_ITEMS(It, C[It] = (EXPR) ? 1 : 0;)
-          switch ((I.Opc == bc::Op::JmpCmpF ? 6 : 0) + I.Sub) {
-          case 0:
-            CMP_FILL(A[It].I == B[It].I) break;
-          case 1:
-            CMP_FILL(A[It].I != B[It].I) break;
-          case 2:
-            CMP_FILL(A[It].I < B[It].I) break;
-          case 3:
-            CMP_FILL(A[It].I <= B[It].I) break;
-          case 4:
-            CMP_FILL(A[It].I > B[It].I) break;
-          case 5:
-            CMP_FILL(A[It].I >= B[It].I) break;
-          case 6:
-            CMP_FILL(A[It].F == B[It].F) break;
-          case 7:
-            CMP_FILL(A[It].F != B[It].F) break;
-          case 8:
-            CMP_FILL(A[It].F < B[It].F) break;
-          case 9:
-            CMP_FILL(A[It].F <= B[It].F) break;
-          case 10:
-            CMP_FILL(A[It].F > B[It].F) break;
-          default:
-            CMP_FILL(A[It].F >= B[It].F) break;
-          }
-#undef CMP_FILL
-          size_t Taken = 0;
-          FOR_ITEMS(It, Taken += C[It];)
-          if (Taken == Cur.size()) {
-            runCopiesBatched(I.CL0, Cur);
-            Cur.Pc = static_cast<uint32_t>(I.Imm);
-            break;
-          }
-          if (Taken == 0) {
-            runCopiesBatched(I.CL1, Cur);
-            Cur.Pc = I.Aux;
-            break;
-          }
-          Frag FT, FN;
-          FT.Runs = takeRuns();
-          FN.Runs = takeRuns();
-          auto Append = [](Frag &Fr, uint32_t It) {
-            if (!Fr.Runs.empty() &&
-                Fr.Runs.back().First + Fr.Runs.back().Len == It)
-              ++Fr.Runs.back().Len;
-            else
-              Fr.Runs.push_back({It, 1});
-            ++Fr.Count;
-          };
-          FOR_ITEMS(It, Append(C[It] ? FT : FN, It);)
-          FT.Pc = static_cast<uint32_t>(I.Imm);
-          FN.Pc = I.Aux;
-          runCopiesBatched(I.CL0, FT);
-          runCopiesBatched(I.CL1, FN);
-          Frags.push_back(std::move(FT));
-          Frags.push_back(std::move(FN));
-          Reinsert = false;
-          break;
-        }
-        case bc::Op::MulAddI: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B), *C = valRow(I.C);
-          Val32 *D = valRow(I.Dst);
-          FOR_ITEMS(It, D[It].I = A[It].I * B[It].I + C[It].I;)
-          Alu += 2 * Cur.size();
-          ++Cur.Pc;
-          break;
-        }
-        case bc::Op::MulAddF: {
-          const Val32 *A = valRow(I.A), *B = valRow(I.B), *C = valRow(I.C);
-          Val32 *D = valRow(I.Dst);
-          // Two roundings, exactly like the unfused MulF + AddF pair.
-          FOR_ITEMS(It, {
-            float T = A[It].F * B[It].F;
-            D[It].F = T + C[It].F;
-          })
-          Alu += 2 * Cur.size();
-          ++Cur.Pc;
           break;
         }
         }
@@ -1594,7 +995,7 @@ private:
 
   std::vector<Run> MergeTmp;
   std::vector<std::vector<Run>> RunPool; ///< Retired run lists for reuse.
-  std::vector<uint8_t> CondBuf; ///< JmpCmp per-item comparison results.
+  std::vector<Val32> CondRow; ///< A fused compare's per-item results.
 
   unsigned GroupX = 0, GroupY = 0;
   Counters Group;

@@ -608,7 +608,7 @@ private:
       return static_cast<int32_t>(D == 0 ? X : Y);
     };
     auto gep = [](RtValue P, const RtValue &Index) {
-      P.Off += Index.I;
+      P.Off = irns::wrapIntAdd(P.Off, Index.I);
       return P;
     };
 
@@ -732,16 +732,16 @@ private:
     OUT = gep(VAL(0), VAL(1));
     KPERF_NEXT();
     KPERF_OP(AddI)
-    OUT.I = VAL(0).I + VAL(1).I;
+    OUT.I = irns::wrapIntAdd(VAL(0).I, VAL(1).I);
     KPERF_NEXT();
     KPERF_OP(SubI)
-    OUT.I = VAL(0).I - VAL(1).I;
+    OUT.I = irns::wrapIntSub(VAL(0).I, VAL(1).I);
     KPERF_NEXT();
     KPERF_OP(MulI)
-    OUT.I = VAL(0).I * VAL(1).I;
+    OUT.I = irns::wrapIntMul(VAL(0).I, VAL(1).I);
     KPERF_NEXT();
     KPERF_OP(MulAddI)
-    OUT.I = VAL(0).I * VAL(1).I + VAL(2).I;
+    OUT.I = irns::wrapIntAdd(irns::wrapIntMul(VAL(0).I, VAL(1).I), VAL(2).I);
     KPERF_NEXT();
     KPERF_OP(DivI)
     if (VAL(1).I == 0)
@@ -809,7 +809,7 @@ private:
     OUT.I = VAL(0).I == 0;
     KPERF_NEXT();
     KPERF_OP(NegI)
-    OUT.I = -VAL(0).I;
+    OUT.I = irns::wrapIntNeg(VAL(0).I);
     KPERF_NEXT();
     KPERF_OP(NegF)
     OUT.F = -VAL(0).F;
@@ -818,7 +818,7 @@ private:
     OUT.F = static_cast<float>(VAL(0).I);
     KPERF_NEXT();
     KPERF_OP(FToI)
-    OUT.I = static_cast<int32_t>(VAL(0).F);
+    OUT.I = irns::wrapFloatToInt(VAL(0).F);
     KPERF_NEXT();
     KPERF_OP(Select)
     OUT = VAL(0).I != 0 ? VAL(1) : VAL(2);
@@ -863,7 +863,7 @@ private:
     OUT.F = std::min(std::max(VAL(0).F, VAL(1).F), VAL(2).F);
     KPERF_NEXT();
     KPERF_OP(AbsI)
-    OUT.I = std::abs(VAL(0).I);
+    OUT.I = irns::wrapIntAbs(VAL(0).I);
     KPERF_NEXT();
     KPERF_OP(AbsF)
     OUT.F = std::fabs(VAL(0).F);

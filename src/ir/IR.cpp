@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "ir/InstructionUtils.h"
 
 using namespace kperf;
 using namespace kperf::ir;
@@ -374,7 +375,7 @@ Value *IRBuilder::foldAdd(Value *L, Value *R) {
   auto *CL = dyn_cast<ConstantInt>(L);
   auto *CR = dyn_cast<ConstantInt>(R);
   if (CL && CR)
-    return getInt(CL->value() + CR->value());
+    return getInt(wrapIntAdd(CL->value(), CR->value()));
   if (CL && CL->value() == 0)
     return R;
   if (CR && CR->value() == 0)

@@ -132,19 +132,49 @@ inline bool evalIntCmp(Opcode Op, int64_t L, int64_t R) {
   }
 }
 
-/// Folds int32 add/sub/mul with the simulator's wraparound semantics
-/// (computed in int64, truncated to int32); nullopt for other opcodes.
-/// Division is deliberately absent: its zero guard stays with simplify.
+/// int32 add, subtract, multiply, negate and absolute value with the IR's
+/// wraparound semantics: computed in uint32_t, since C++ leaves signed
+/// overflow undefined. So INT32_MAX + 1, -INT32_MIN and abs(INT32_MIN)
+/// are INT32_MIN.
+inline int32_t wrapIntAdd(int32_t L, int32_t R) {
+  return static_cast<int32_t>(static_cast<uint32_t>(L) +
+                              static_cast<uint32_t>(R));
+}
+inline int32_t wrapIntSub(int32_t L, int32_t R) {
+  return static_cast<int32_t>(static_cast<uint32_t>(L) -
+                              static_cast<uint32_t>(R));
+}
+inline int32_t wrapIntMul(int32_t L, int32_t R) {
+  return static_cast<int32_t>(static_cast<uint32_t>(L) *
+                              static_cast<uint32_t>(R));
+}
+inline int32_t wrapIntNeg(int32_t V) {
+  return static_cast<int32_t>(0u - static_cast<uint32_t>(V));
+}
+inline int32_t wrapIntAbs(int32_t V) { return V < 0 ? wrapIntNeg(V) : V; }
+
+/// float to int32, truncating toward zero; NaN and values outside int32
+/// give INT32_MIN (C++ leaves both undefined; x86 returns INT32_MIN).
+inline int32_t wrapFloatToInt(float V) {
+  // Both bounds are exact floats, and NaN fails the test. Selecting the
+  // operand rather than the result keeps the conversion defined and
+  // branch-free, so loops over it still vectorize.
+  bool InRange = V >= -2147483648.0f && V < 2147483648.0f;
+  return static_cast<int32_t>(InRange ? V : -2147483648.0f);
+}
+
+/// Folds int32 add/sub/mul with the simulator's wraparound semantics;
+/// nullopt for other opcodes. Division is deliberately absent: its zero
+/// guard stays with simplify.
 inline std::optional<int32_t> foldIntBinary(Opcode Op, int32_t L,
                                             int32_t R) {
-  int64_t A = L, B = R;
   switch (Op) {
   case Opcode::Add:
-    return static_cast<int32_t>(A + B);
+    return wrapIntAdd(L, R);
   case Opcode::Sub:
-    return static_cast<int32_t>(A - B);
+    return wrapIntSub(L, R);
   case Opcode::Mul:
-    return static_cast<int32_t>(A * B);
+    return wrapIntMul(L, R);
   default:
     return std::nullopt;
   }

@@ -161,7 +161,7 @@ private:
     }
     case Opcode::Neg: {
       if (auto V = asInt(I.operand(0)))
-        return M.getInt(-*V);
+        return M.getInt(wrapIntNeg(*V));
       if (auto V = asFloat(I.operand(0)))
         return M.getFloat(-*V);
       if (const auto *Inner = dyn_cast<Instruction>(I.operand(0)))
@@ -175,7 +175,7 @@ private:
       return nullptr;
     case Opcode::FloatToInt:
       if (auto V = asFloat(I.operand(0)))
-        return M.getInt(static_cast<int32_t>(*V));
+        return M.getInt(wrapFloatToInt(*V));
       return nullptr;
     case Opcode::Select: {
       if (auto C = asBool(I.operand(0)))
@@ -345,7 +345,7 @@ private:
     case Builtin::Abs:
       if (I.type().isInt()) {
         if (auto V = asInt(I.operand(0)))
-          return M.getInt(std::abs(*V));
+          return M.getInt(wrapIntAbs(*V));
       } else if (auto V = asFloat(I.operand(0))) {
         return M.getFloat(std::fabs(*V));
       }

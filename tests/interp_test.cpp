@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "CompilePromoted.h"
+#include "gpusim/Bytecode.h"
 #include "gpusim/CostModel.h"
 #include "gpusim/ExecCommon.h"
 #include "gpusim/Interpreter.h"
@@ -811,6 +812,374 @@ TEST_P(InterpValueTest, CmpBrLoopsFuseAndRun) {
   EXPECT_EQ(R.Totals.AluOps, Alu);
   EXPECT_EQ(R.Totals.GlobalReads, 8u * Steps);
   EXPECT_EQ(R.Totals.GlobalWrites, 8u);
+}
+
+//===----------------------------------------------------------------------===//
+// int32 wraparound and float-to-int conversion
+//===----------------------------------------------------------------------===//
+
+/// \p V reduced modulo 2^32 into int32, computed without the simulator.
+int32_t wrap32(int64_t V) {
+  return static_cast<int32_t>(static_cast<uint32_t>(V));
+}
+
+TEST_P(InterpValueTest, IntArithmeticWrapsAround) {
+  // int32 arithmetic wraps, as ir::foldIntBinary folds it: every output
+  // overflows for some item (65536 * 65536 is 2^32; c and d are the int32
+  // extremes).
+  ir::Function *F =
+      compilePromoted("kernel void f(global int* out, int a, int b, int c,"
+                      "              int d) {"
+                      "  int x = get_global_id(0);"
+                      "  out[6 * x] = a * b + x;"
+                      "  out[6 * x + 1] = a * (b + x);"
+                      "  out[6 * x + 2] = c + (x + 1);"
+                      "  out[6 * x + 3] = d - (x + 1);"
+                      "  out[6 * x + 4] = -(d + x);"
+                      "  out[6 * x + 5] = abs(d + x);"
+                      "}");
+  ASSERT_NE(F, nullptr);
+  const int64_t A = 65536, Bv = 65536, C = INT32_MAX, D = INT32_MIN;
+  unsigned Out = makeBuffer(6 * 8);
+  cantFail(run(F, {8, 1}, {4, 1},
+               {KernelArg::makeBuffer(Out), KernelArg::makeInt(A),
+                KernelArg::makeInt(Bv), KernelArg::makeInt(C),
+                KernelArg::makeInt(D)}));
+  for (int64_t X = 0; X < 8; ++X) {
+    const int32_t Want[6] = {wrap32(A * Bv + X), wrap32(A * (Bv + X)),
+                             wrap32(C + X + 1),  wrap32(D - X - 1),
+                             wrap32(-(D + X)),   wrap32(D + X < 0 ? -(D + X)
+                                                                  : D + X)};
+    for (int64_t K = 0; K < 6; ++K)
+      EXPECT_EQ(Buffers[Out].intAt(6 * X + K), Want[K])
+          << "item " << X << ", output " << K;
+  }
+}
+
+TEST_P(InterpValueTest, GepOffsetWrapsAround) {
+  // Pointer offsets add in int32 with the same wraparound:
+  // out + m + (m + x) with m = INT32_MIN is out + x. The second sum runs
+  // once in a plain gep and once in a gep folded into its store.
+  ir::Function *F = M.createFunction("f");
+  ir::Argument *Out = F->addArgument(
+      ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global),
+      "out", false);
+  ir::Argument *Mv = F->addArgument(ir::Type::intTy(), "m", false);
+  ir::IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *G = B.createGep(Out, Mv);
+  ir::Value *I = B.createAdd(Mv, X);
+  ir::Value *H = B.createGep(G, I);
+  ir::Value *V = B.createAdd(X, M.getInt(1));
+  B.createStore(V, H);
+  ir::Value *J = B.createAdd(I, M.getInt(8));
+  B.createStore(X, B.createGep(G, J));
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+  EXPECT_EQ(plannedPairs(*F, FusedPair::GepStore), 1u);
+
+  unsigned OutB = makeBuffer(16);
+  cantFail(run(F, {8, 1}, {8, 1},
+               {KernelArg::makeBuffer(OutB), KernelArg::makeInt(INT32_MIN)}));
+  for (int32_t X8 = 0; X8 < 8; ++X8) {
+    EXPECT_EQ(Buffers[OutB].intAt(X8), X8 + 1) << X8;
+    EXPECT_EQ(Buffers[OutB].intAt(X8 + 8), X8) << X8;
+  }
+}
+
+TEST_P(InterpValueTest, FloatToIntOfNaNOrOutOfRangeIsIntMin) {
+  // (int) truncates toward zero; NaN and values outside int32 give
+  // INT32_MIN. -2^31 itself is in range.
+  ir::Function *F = compilePromoted("kernel void f(global const float* in, "
+                                    "global int* out) {"
+                                    "  int x = get_global_id(0);"
+                                    "  out[x] = (int)in[x];"
+                                    "}");
+  ASSERT_NE(F, nullptr);
+  const std::vector<float> In = {std::nanf(""),   1e10f,         -1e10f,
+                                 2147483648.0f,   -2147483648.0f,
+                                 -2147483904.0f,  2.75f,         -2.75f};
+  const int32_t Want[8] = {INT32_MIN, INT32_MIN, INT32_MIN, INT32_MIN,
+                           INT32_MIN, INT32_MIN, 2,         -2};
+  unsigned InB = makeBuffer(In);
+  unsigned Out = makeBuffer(In.size());
+  cantFail(run(F, {8, 1}, {8, 1},
+               {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(Out)}));
+  for (size_t X = 0; X < In.size(); ++X)
+    EXPECT_EQ(Buffers[Out].intAt(X), Want[X]) << In[X];
+}
+
+//===----------------------------------------------------------------------===//
+// Memory accesses in their plain and gep-folded forms
+//===----------------------------------------------------------------------===//
+
+/// How many \p Op instructions bc::compile emits for \p F: the cases below
+/// check which form of each access the batched tier runs.
+unsigned emittedOps(const ir::Function &F, bc::Op Op) {
+  bc::Program P = cantFail(bc::compile(F));
+  unsigned N = 0;
+  for (const bc::Instr &I : P.Code)
+    N += I.Opc == Op;
+  return N;
+}
+
+TEST_P(InterpCounterTest, EachAccessRunsInItsPlainAndFoldedForm) {
+  // One wavefront moves in[] through local, private and global memory.
+  // Each space is accessed once through a pointer computed before
+  // another instruction (the plain op) and once through a gep right
+  // before the access (folded into it). Item x computes
+  //   tile[x] = in[x], tile[64 + x] = in[x + 1], barrier,
+  //   c = tile[63 - x], d = tile[127 - x],
+  //   priv[1] = c + d, priv[0] = c,
+  //   out[x] = priv[1] + priv[0], out[64 + x] = d.
+  ir::Function *F = M.createFunction("f");
+  ir::Type IntPtr =
+      ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global);
+  ir::Argument *In = F->addArgument(IntPtr, "in", true);
+  ir::Argument *Out = F->addArgument(IntPtr, "out", false);
+  ir::IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *Tile =
+      B.createAlloca(ir::ScalarKind::Int, 128, ir::AddressSpace::Local, "t");
+  ir::Value *Priv =
+      B.createAlloca(ir::ScalarKind::Int, 2, ir::AddressSpace::Private, "p");
+  ir::Value *G = B.createGep(In, X);
+  ir::Value *X1 = B.createAdd(X, M.getInt(1));
+  ir::Value *A = B.createLoad(G);
+  ir::Value *Bv = B.createLoad(B.createGep(In, X1));
+  ir::Value *T0 = B.createGep(Tile, X);
+  ir::Value *X64 = B.createAdd(X, M.getInt(64));
+  B.createStore(A, T0);
+  B.createStore(Bv, B.createGep(Tile, X64));
+  B.createCall(ir::Builtin::Barrier, {});
+  ir::Value *R = B.createSub(M.getInt(63), X);
+  ir::Value *T1 = B.createGep(Tile, R);
+  ir::Value *R64 = B.createAdd(R, M.getInt(64));
+  ir::Value *C = B.createLoad(T1);
+  ir::Value *D = B.createLoad(B.createGep(Tile, R64));
+  ir::Value *P1 = B.createGep(Priv, M.getInt(1));
+  B.createStore(B.createAdd(C, D), P1);
+  B.createStore(C, B.createGep(Priv, M.getInt(0)));
+  ir::Value *Fv = B.createLoad(P1); // P1's second use.
+  ir::Value *E = B.createLoad(B.createGep(Priv, M.getInt(0)));
+  ir::Value *O = B.createGep(Out, X);
+  B.createStore(B.createAdd(Fv, E), O);
+  B.createStore(D, B.createGep(Out, X64));
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+  EXPECT_EQ(plannedPairs(*F, FusedPair::GepLoad), 3u);
+  EXPECT_EQ(plannedPairs(*F, FusedPair::GepStore), 3u);
+  for (bc::Op Op : {bc::Op::LdG, bc::Op::LdL, bc::Op::LdP, bc::Op::StG,
+                    bc::Op::StL, bc::Op::StP, bc::Op::LdGX, bc::Op::LdLX,
+                    bc::Op::LdPX, bc::Op::StGX, bc::Op::StLX, bc::Op::StPX})
+    EXPECT_EQ(emittedOps(*F, Op), 1u) << static_cast<int>(Op);
+
+  unsigned InB = makeBuffer(65);
+  for (int32_t K = 0; K < 65; ++K)
+    Buffers[InB].setInt(K, 7 * K + 3);
+  unsigned OutB = makeBuffer(128);
+  SimReport Rep = cantFail(run(
+      F, {64, 1}, {64, 1},
+      {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(OutB)}));
+  for (int32_t X64v = 0; X64v < 64; ++X64v) {
+    int32_t Cv = 7 * (63 - X64v) + 3, Dv = 7 * (64 - X64v) + 3;
+    EXPECT_EQ(Buffers[OutB].intAt(X64v), 2 * Cv + Dv) << X64v;
+    EXPECT_EQ(Buffers[OutB].intAt(64 + X64v), Dv) << X64v;
+  }
+  // Per item: id, 5 plain geps, 5 adds and a sub, 6 folded geps.
+  EXPECT_EQ(Rep.Totals.AluOps, 64u * 18u);
+  EXPECT_EQ(Rep.Totals.GlobalReads, 128u);
+  EXPECT_EQ(Rep.Totals.GlobalWrites, 128u);
+  // in[0..63] spans segments 0-3, in[1..64] adds segment 4; each store
+  // covers 4 segments of its own.
+  EXPECT_EQ(Rep.Totals.GlobalReadTransactions, 5u);
+  EXPECT_EQ(Rep.Totals.GlobalWriteTransactions, 8u);
+  // Four access groups, each 64 consecutive words (ascending for the
+  // stores, descending for the loads): 2 lanes per bank, extra 1.
+  EXPECT_EQ(Rep.Totals.LocalAccesses, 256u);
+  EXPECT_EQ(Rep.Totals.LocalWavefrontOps, 4u);
+  EXPECT_EQ(Rep.Totals.BankConflictExtra, 4u);
+  EXPECT_EQ(Rep.Totals.PrivateAccesses, 256u);
+  EXPECT_EQ(Rep.Totals.Barriers, 64u);
+}
+
+TEST_P(InterpCounterTest, FullWavefrontLocalAccessesCountTheirBanks) {
+  // One wavefront stores to and loads from tile[k * x] (plain ops) and
+  // tile[k * x + 256] (folded ops); both regions fall on the same banks.
+  // Stride 1 is consecutive, larger strides pile lanes onto fewer banks,
+  // and 128 banks is more than the batched tier's on-stack bank
+  // histogram holds. Each access group adds its busiest bank's lanes
+  // minus one.
+  struct Case {
+    unsigned Banks;
+    int32_t Stride;
+    uint64_t ExtraPerGroup;
+  };
+  const Case Cases[] = {
+      {32, 1, 1},  // 2 lanes on each bank.
+      {32, 2, 3},  // 4 lanes on each even bank.
+      {32, 4, 7},  // 8 lanes on banks 0, 4, ..., 28.
+      {128, 1, 0}, // 1 lane on banks 0-63.
+      {128, 4, 1}, // Lanes x and x + 32 share bank 4x mod 128.
+  };
+  ir::Function *F = M.createFunction("f");
+  ir::Argument *Out = F->addArgument(
+      ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global),
+      "out", false);
+  ir::Argument *K = F->addArgument(ir::Type::intTy(), "k", false);
+  ir::IRBuilder B(M);
+  B.setInsertPoint(F->createBlock("entry"));
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *Tile =
+      B.createAlloca(ir::ScalarKind::Int, 512, ir::AddressSpace::Local, "t");
+  ir::Value *I = B.createMul(X, K);
+  ir::Value *T = B.createGep(Tile, I);
+  ir::Value *I256 = B.createAdd(I, M.getInt(256));
+  B.createStore(X, T);
+  B.createStore(I, B.createGep(Tile, I256));
+  B.createCall(ir::Builtin::Barrier, {});
+  ir::Value *U = B.createLoad(T); // T's second use.
+  ir::Value *W = B.createLoad(B.createGep(Tile, I256));
+  ir::Value *O = B.createGep(Out, X);
+  B.createStore(B.createAdd(U, W), O);
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+  for (bc::Op Op :
+       {bc::Op::StL, bc::Op::StLX, bc::Op::LdL, bc::Op::LdLX, bc::Op::StG})
+    EXPECT_EQ(emittedOps(*F, Op), 1u) << static_cast<int>(Op);
+
+  for (const Case &C : Cases) {
+    Device.NumLocalBanks = C.Banks;
+    Buffers.clear();
+    unsigned OutB = makeBuffer(64);
+    SimReport R = cantFail(
+        run(F, {64, 1}, {64, 1},
+            {KernelArg::makeBuffer(OutB), KernelArg::makeInt(C.Stride)}));
+    for (int32_t X64v = 0; X64v < 64; ++X64v)
+      EXPECT_EQ(Buffers[OutB].intAt(X64v), X64v + C.Stride * X64v)
+          << C.Banks << " banks, stride " << C.Stride << ", item " << X64v;
+    // Per item: id, mul, gep, add, 2 folded geps, gep, add.
+    EXPECT_EQ(R.Totals.AluOps, 64u * 8u);
+    EXPECT_EQ(R.Totals.LocalAccesses, 4u * 64u);
+    EXPECT_EQ(R.Totals.LocalWavefrontOps, 4u);
+    EXPECT_EQ(R.Totals.BankConflictExtra, 4u * C.ExtraPerGroup)
+        << C.Banks << " banks, stride " << C.Stride;
+  }
+}
+
+TEST_P(InterpCounterTest, PartialWavefrontLocalAccessesCountTheirBanks) {
+  // Items 0-95 of a 128-item group (two wavefronts) branch into a block
+  // that stores, loads and stores again at tile[x]: wavefront 0 takes
+  // it whole, wavefront 1 only with lanes 64-95. Every item then loads
+  // tile[x] (0 where nothing was stored) into out[x].
+  ir::Function *F = M.createFunction("f");
+  ir::Argument *Out = F->addArgument(
+      ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global),
+      "out", false);
+  ir::BasicBlock *Entry = F->createBlock("entry");
+  ir::BasicBlock *Then = F->createBlock("then");
+  ir::BasicBlock *Join = F->createBlock("join");
+  ir::IRBuilder B(M);
+  B.setInsertPoint(Entry);
+  ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {M.getInt(0)}, "x");
+  ir::Value *Tile =
+      B.createAlloca(ir::ScalarKind::Int, 128, ir::AddressSpace::Local, "t");
+  B.createCondBr(B.createCmp(ir::Opcode::CmpLt, X, M.getInt(96)), Then, Join);
+  B.setInsertPoint(Then);
+  ir::Value *T = B.createGep(Tile, X);
+  B.createStore(B.createAdd(X, M.getInt(1000)), T);
+  ir::Value *U = B.createLoad(T); // T's second use.
+  ir::Value *V = B.createAdd(U, M.getInt(1));
+  B.createStore(V, B.createGep(Tile, X));
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  ir::Value *R = B.createLoad(B.createGep(Tile, X));
+  B.createStore(R, B.createGep(Out, X));
+  B.createRet();
+  ASSERT_FALSE(ir::verifyFunction(*F));
+  for (bc::Op Op : {bc::Op::StL, bc::Op::LdL, bc::Op::StLX, bc::Op::LdLX})
+    EXPECT_EQ(emittedOps(*F, Op), 1u) << static_cast<int>(Op);
+
+  unsigned OutB = makeBuffer(128);
+  SimReport Rep =
+      cantFail(run(F, {128, 1}, {128, 1}, {KernelArg::makeBuffer(OutB)}));
+  for (int32_t X128 = 0; X128 < 128; ++X128)
+    EXPECT_EQ(Buffers[OutB].intAt(X128), X128 < 96 ? X128 + 1001 : 0)
+        << X128;
+  // Every item: id, cmp+condbr, 2 folded geps; items 0-95 also: gep,
+  // 2 adds, a folded gep and the br.
+  EXPECT_EQ(Rep.Totals.AluOps, 128u * 5u + 96u * 5u);
+  EXPECT_EQ(Rep.Totals.LocalAccesses, 3u * 96u + 128u);
+  // The branch's three accesses form two groups each: 64 consecutive
+  // lanes (2 per bank, extra 1) and 32 (1 per bank). The join's load
+  // forms two groups of 64 consecutive lanes.
+  EXPECT_EQ(Rep.Totals.LocalWavefrontOps, 3u * 2u + 2u);
+  EXPECT_EQ(Rep.Totals.BankConflictExtra, 3u * 1u + 2u);
+}
+
+TEST_P(InterpCounterTest, PlainAccessOutOfBoundsFaultsWithItsText) {
+  // Each access goes through a gep that another instruction separates
+  // from it, so nothing is folded. Items 0 and 1 stay in bounds; item 2
+  // is the first past the end of the 4-word buffer, tile or array.
+  const std::pair<bc::Op, const char *> Cases[] = {
+      {bc::Op::StL,
+       "kernel 'f': local write out of bounds (offset 4, size 4 words)"},
+      {bc::Op::LdL,
+       "kernel 'f': local read out of bounds (offset 4, size 4 words)"},
+      {bc::Op::StG,
+       "kernel 'f': global write out of bounds (buffer 1, offset 4, size 4)"},
+      {bc::Op::LdG,
+       "kernel 'f': global read out of bounds (buffer 0, offset 4, size 4)"},
+      {bc::Op::StP, "kernel 'f': private write out of bounds"},
+      {bc::Op::LdP, "kernel 'f': private read out of bounds"},
+  };
+  for (const auto &[Op, Text] : Cases) {
+    ir::Module Mod;
+    ir::Function *F = Mod.createFunction("f");
+    ir::Type IntPtr =
+        ir::Type::pointerTo(ir::ScalarKind::Int, ir::AddressSpace::Global);
+    ir::Argument *In = F->addArgument(IntPtr, "in", true);
+    ir::Argument *Out = F->addArgument(IntPtr, "out", false);
+    ir::Argument *K = F->addArgument(ir::Type::intTy(), "k", false);
+    ir::IRBuilder B(Mod);
+    B.setInsertPoint(F->createBlock("entry"));
+    ir::Value *Tile = B.createAlloca(ir::ScalarKind::Int, 4,
+                                     ir::AddressSpace::Local, "tile");
+    ir::Value *Priv = B.createAlloca(ir::ScalarKind::Int, 4,
+                                     ir::AddressSpace::Private, "priv");
+    ir::Value *X = B.createCall(ir::Builtin::GetGlobalId, {Mod.getInt(0)});
+    bool Write = Op == bc::Op::StL || Op == bc::Op::StG || Op == bc::Op::StP;
+    ir::Value *Base = Write ? static_cast<ir::Value *>(Out) : In;
+    if (Op == bc::Op::StL || Op == bc::Op::LdL)
+      Base = Tile;
+    else if (Op == bc::Op::StP || Op == bc::Op::LdP)
+      Base = Priv;
+    ir::Value *P = B.createGep(Base, B.createAdd(X, K));
+    ir::Value *V = B.createAdd(X, Mod.getInt(7));
+    if (Write) {
+      B.createStore(V, P);
+    } else {
+      ir::Value *L = B.createLoad(P);
+      B.createStore(L, B.createGep(Out, X));
+    }
+    B.createRet();
+    ASSERT_FALSE(ir::verifyFunction(*F));
+    EXPECT_EQ(plannedPairs(*F, FusedPair::GepLoad), 0u);
+    EXPECT_EQ(plannedPairs(*F, FusedPair::GepStore), Write ? 0u : 1u);
+    EXPECT_EQ(emittedOps(*F, Op), 1u) << Text;
+
+    Buffers.clear();
+    unsigned InB = makeBuffer(4);
+    unsigned OutB = makeBuffer(4);
+    Expected<SimReport> R =
+        run(F, {4, 1}, {4, 1},
+            {KernelArg::makeBuffer(InB), KernelArg::makeBuffer(OutB),
+             KernelArg::makeInt(2)});
+    ASSERT_FALSE(static_cast<bool>(R)) << Text;
+    EXPECT_EQ(R.error().message(), Text);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 using namespace kperf;
@@ -131,6 +132,42 @@ TEST_F(SimplifyTest, IntMinRemMinusOneIsZero) {
   auto *C = dyn_cast<ConstantInt>(storedValue());
   ASSERT_TRUE(C);
   EXPECT_EQ(C->value(), 0);
+}
+
+TEST_F(SimplifyTest, NegOfIntMinWraps) {
+  finishWith(B.createNeg(M.getInt(INT32_MIN)));
+  auto *C = dyn_cast<ConstantInt>(storedValue());
+  ASSERT_TRUE(C);
+  EXPECT_EQ(C->value(), INT32_MIN);
+}
+
+TEST_F(SimplifyTest, AbsOfIntMinWraps) {
+  finishWith(B.createCall(Builtin::Abs, {M.getInt(INT32_MIN)}));
+  auto *C = dyn_cast<ConstantInt>(storedValue());
+  ASSERT_TRUE(C);
+  EXPECT_EQ(C->value(), INT32_MIN);
+}
+
+TEST_F(SimplifyTest, FloatToIntOfNaNOrOutOfRangeIsIntMin) {
+  // The fold converts as both simulator tiers do. Each value gets a
+  // module of its own: Module::getFloat keys constants by value, and NaN
+  // cannot be ordered against another key.
+  for (float V : {std::nanf(""), 1e10f, -1e10f}) {
+    Module Mod;
+    Function *Fn = Mod.createFunction("f");
+    Argument *Out = Fn->addArgument(
+        Type::pointerTo(ScalarKind::Int, AddressSpace::Global), "out", false);
+    IRBuilder Bld(Mod);
+    Bld.setInsertPoint(Fn->createBlock("entry"));
+    Instruction *Conv = Bld.createFloatToInt(Mod.getFloat(V));
+    Instruction *St = Bld.createStore(Conv, Bld.createGep(Out, Mod.getInt(0)));
+    Bld.createRet();
+    simplifyFunction(*Fn, Mod);
+    EXPECT_FALSE(verifyFunction(*Fn));
+    auto *C = dyn_cast<ConstantInt>(St->operand(0));
+    ASSERT_TRUE(C) << V;
+    EXPECT_EQ(C->value(), INT32_MIN) << V;
+  }
 }
 
 TEST_F(SimplifyTest, FoldsComparisons) {

@@ -26,11 +26,10 @@
 //       --passes selects the perforated variant's cleanup pipeline;
 //       --time-passes prints its per-pass statistics.
 //
-//   Commands that launch kernels (run, tune) accept
-//   --exec-tier tree|batched to pick the simulator's execution tier
-//   (default: $KPERF_EXEC_TIER or the tree walker). Both tiers produce
-//   byte-identical outputs and identical SimReport counters; the batched
-//   tier is just faster wall-clock.
+//   Commands that launch kernels (run, tune) simulate on the execution
+//   tier $KPERF_EXEC_TIER names (default: the tree walker). Both tiers
+//   produce byte-identical outputs and identical SimReport counters; the
+//   batched tier is just faster wall-clock.
 //
 //   kperfc tune <file.pcl> [--kernel name] [--image in.pgm] [--budget E]
 //               [--size N] [--jobs N]
@@ -121,7 +120,6 @@ struct Options {
   bool TimePasses = false;
   bool VerifyEach = false;
   bool Werror = false; ///< lint: warnings also fail the exit code.
-  sim::ExecTier Tier = sim::defaultExecTier(); ///< --exec-tier.
 };
 
 int usage() {
@@ -133,8 +131,7 @@ int usage() {
                "              [--recon nn|li] [--wg WxH]\n"
                "              [--image in.pgm] [--out out.pgm] "
                "[--budget E] [--size N]\n"
-               "              [--jobs N] [--exec-tier tree|batched]\n"
-               "              [--passes SPEC] [--time-passes] "
+               "              [--jobs N] [--passes SPEC] [--time-passes] "
                "[--verify-each] [--Werror]\n"
                "       kperfc --passes=SPEC [--time-passes] <file.pcl>\n");
   return 2;
@@ -270,14 +267,6 @@ Expected<Options> parseArgs(int Argc, char **Argv) {
       if (!parseUnsigned(*V, O.Jobs))
         return makeError("bad --jobs value '%s' (expected a non-negative "
                          "integer; 0 = hardware threads)",
-                         V->c_str());
-    } else if (A == "--exec-tier") {
-      auto V = next();
-      if (!V)
-        return V.takeError();
-      if (!sim::parseExecTier(*V, O.Tier))
-        return makeError("unknown execution tier '%s' (expected "
-                         "tree|batched)",
                          V->c_str());
     } else {
       return makeError("unknown option '%s'", A.c_str());
@@ -432,7 +421,6 @@ int cmdRun(const Options &O, const std::string &Source) {
   }
 
   rt::Session Ctx;
-  Ctx.setExecTier(O.Tier);
   Expected<rt::Kernel> K = compileFrom(Ctx, O, Source);
   if (!K) {
     std::fprintf(stderr, "error: %s\n", K.error().message().c_str());
@@ -524,7 +512,6 @@ int cmdTune(const Options &O, const std::string &Source) {
   // the accurate baseline is measured once per work-group shape instead
   // of once per configuration.
   rt::Session S;
-  S.setExecTier(O.Tier);
   Expected<rt::Kernel> K = compileFrom(S, O, Source);
   if (!K) {
     std::fprintf(stderr, "error: %s\n", K.error().message().c_str());
